@@ -6,10 +6,10 @@ __version__ = "0.1.0"
 
 from .manifold import ManifoldSpec, SpecError, Z2CohomologyData, h1_z2, load_spec, parse_spec
 from .repvar import (CharacterPoint, GaugedSystem, SignTwist, apply_twist,
-                     build_gauged_system, enumerate_twists, find_complete,
-                     on_V, restriction_traces)
+                     enumerate_twists, find_complete, restriction_traces)
+from .locus import on_U, on_V
 from .eigenvar import (EigenvaluePoint, EliminantSet, ExtendedSystem,
-                       build_extended, eliminate, gamma_act, on_U, sample_point)
+                       build_extended, eliminate, gamma_act, sample_point)
 from .continuation import (DeformationProblem, FillingCoefficients, FiberReport,
                            TrackedPath, fiber_over, jacobian_check, newton_correct,
                            sample_dense_set, solve_filling, track)
@@ -20,7 +20,6 @@ from .volume import (EtaValue, VolumeLabel, anchored_volume, eta_at,
 __all__ = [
     "ManifoldSpec", "SpecError", "Z2CohomologyData", "h1_z2", "load_spec",
     "parse_spec", "CharacterPoint", "GaugedSystem", "SignTwist", "apply_twist",
-    "build_gauged_system",
     "enumerate_twists", "find_complete", "on_V", "restriction_traces",
     "EigenvaluePoint", "EliminantSet", "ExtendedSystem", "build_extended",
     "eliminate", "gamma_act", "on_U", "sample_point", "DeformationProblem",

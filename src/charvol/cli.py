@@ -24,6 +24,7 @@ from .continuation import (ContinuationError, DeformationProblem,
                            track, track_closed_loop, random_log_loop_targets)
 from .eigenvar import (EliminationBudgetError, build_extended, eliminate,
                        sample_point)
+from .locus import TOLERANCES as LOCUS_TOL, eigenvalues, on_U
 from .manifold import ManifoldSpec, SpecError, h1_z2, load_spec
 from .repvar import (GaugedSystem, NoCompleteStructureError, find_complete,
                      enumerate_twists)
@@ -76,10 +77,6 @@ def _load(spec_arg: str) -> ManifoldSpec:
     raise SpecError(f"no such spec file or fixture: {spec_arg}")
 
 
-def _complex(z) -> list:
-    return [z.real, z.imag]
-
-
 def write_report(config: RunConfig, name: str, body: dict, timings: dict) -> Path:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -100,7 +97,7 @@ def report_bytes_without_timings(path: Path) -> bytes:
 # ---------------------------------------------------------------------------
 
 def cmd_complete(config: RunConfig) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     spec = _load(config.spec_path)
     try:
         system = GaugedSystem(spec)
@@ -108,13 +105,13 @@ def cmd_complete(config: RunConfig) -> int:
     except (NoCompleteStructureError, SpecError) as e:
         write_report(config, f"{spec.name}_complete",
                      {"status": "failed", "error": str(e)},
-                     {"total_s": time.time() - t0})
+                     {"total_s": time.perf_counter() - t0})
         print(f"complete: FAILED ({e})")
         return 1
     body = {"status": "ok", "point": pt.to_json(),
             "eta_max": eta_at(pt, handedness_sign(spec)).max_abs()}
     path = write_report(config, f"{spec.name}_complete", body,
-                        {"total_s": time.time() - t0})
+                        {"total_s": time.perf_counter() - t0})
     print(f"complete: ok -> {path}")
     return 0
 
@@ -131,7 +128,7 @@ def cmd_h1z2(config: RunConfig) -> int:
 
 
 def cmd_apoly(config: RunConfig) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     spec = _load(config.spec_path)
     system = GaugedSystem(spec)
     ext = build_extended(system)
@@ -155,12 +152,12 @@ def cmd_apoly(config: RunConfig) -> int:
         body = {"status": "budget_exceeded", "message": str(e),
                 "hint": "use the fiber/certify commands for numerical sampling"}
         path = write_report(config, f"{spec.name}_apoly", body,
-                            {"total_s": time.time() - t0})
+                            {"total_s": time.perf_counter() - t0})
         print(f"apoly: variable budget exceeded -> {path}")
         return 0
     body = {"status": "ok", "eliminants": es.to_json()}
     path = write_report(config, f"{spec.name}_apoly", body,
-                        {"total_s": time.time() - t0})
+                        {"total_s": time.perf_counter() - t0})
     for p in es.polynomials:
         print("eliminant:", p.as_text())
     print(f"apoly: -> {path}")
@@ -174,7 +171,7 @@ def _fill_one(spec, system, comp, kappa_text):
 
 
 def cmd_fill(config: RunConfig) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     spec = _load(config.spec_path)
     system = GaugedSystem(spec)
     comp = find_complete(spec, system)
@@ -185,7 +182,7 @@ def cmd_fill(config: RunConfig) -> int:
     body = {"status": "ok", "kappa": config.kappas[0], "point": pt.to_json(),
             "volume": vol.to_json(), "samples": len(path_)}
     path = write_report(config, f"{spec.name}_fill", body,
-                        {"total_s": time.time() - t0})
+                        {"total_s": time.perf_counter() - t0})
     if config.csv:
         csv_path = Path(config.out_dir) / f"{spec.name}_fill.csv"
         sign0 = path_.points[0].orientation or 1
@@ -200,7 +197,7 @@ def cmd_fill(config: RunConfig) -> int:
 def cmd_track(config: RunConfig) -> int:
     """Track a closed random loop in the log-eigenvalue coordinates and
     report the endpoint match (a smoke test of the path tracker)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     spec = _load(config.spec_path)
     system = GaugedSystem(spec)
     comp = find_complete(spec, system)
@@ -216,7 +213,7 @@ def cmd_track(config: RunConfig) -> int:
                    for a, b in zip(base.cusps, end.cusps))
     body = {"status": "ok", "samples": len(loop), "endpoint_mismatch": mismatch}
     path = write_report(config, f"{spec.name}_track", body,
-                        {"total_s": time.time() - t0})
+                        {"total_s": time.perf_counter() - t0})
     if config.csv:
         csv_path = Path(config.out_dir) / f"{spec.name}_track.csv"
         csv_path.write_text(loop.export_csv(running_integral(loop, handedness_sign(spec))))
@@ -226,7 +223,7 @@ def cmd_track(config: RunConfig) -> int:
 
 
 def cmd_volume(config: RunConfig) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     spec = _load(config.spec_path)
     system = GaugedSystem(spec)
     comp = find_complete(spec, system)
@@ -239,7 +236,7 @@ def cmd_volume(config: RunConfig) -> int:
             "eta_integral": integ.value, "quadrature_error": integ.error_estimate,
             "reference": spec.reference_volume.value}
     path = write_report(config, f"{spec.name}_volume", body,
-                        {"total_s": time.time() - t0})
+                        {"total_s": time.perf_counter() - t0})
     print(f"volume {config.kappas[0]}: {vol.value:.9f} "
           f"(reference {spec.reference_volume.value:.9f}) -> {path}")
     return 0
@@ -254,7 +251,7 @@ def _generic_base_point(spec, problem, comp):
 
 
 def cmd_loops(config: RunConfig) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     spec = _load(config.spec_path)
     system = GaugedSystem(spec)
     comp = find_complete(spec, system)
@@ -266,7 +263,7 @@ def cmd_loops(config: RunConfig) -> int:
             "loop_integrals": results, "failures": failures,
             "tolerance": config.tolerances["loop_exactness"]}
     path = write_report(config, f"{spec.name}_loops", body,
-                        {"total_s": time.time() - t0})
+                        {"total_s": time.perf_counter() - t0})
     print(f"loops: {len(results)} loop integrals, max |I| = "
           f"{max(map(abs, results), default=0):.2e} -> {path}")
     return 0 if not failures else 1
@@ -293,12 +290,11 @@ def run_exactness_loops(spec, problem, comp, count, seed, tol):
                 loop = track_closed_loop(
                     problem, base, cons, first_step=step, max_step=step,
                     description=f"exactness loop {len(results)} on {spec.name}")
-                from .continuation import point_on_U
-                if any(point_on_U(pt, 1e-3) for pt in loop.points):
+                if any(on_U(eigenvalues(pt), LOCUS_TOL["near"]) for pt in loop.points):
                     val = None
                     break
-                integ = integrate_eta(loop, sign)
-                val = loop_integral(loop, sign)
+                integ = loop_integral(loop, sign)
+                val = integ.value
                 if integ.error_estimate < tol / 20:
                     break
                 step /= 3
@@ -315,7 +311,7 @@ def run_exactness_loops(spec, problem, comp, count, seed, tol):
 
 
 def cmd_fiber(config: RunConfig) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     spec = _load(config.spec_path)
     system = GaugedSystem(spec)
     comp = find_complete(spec, system)
@@ -331,7 +327,7 @@ def cmd_fiber(config: RunConfig) -> int:
     body = {"status": "inconclusive" if report.inconclusive else "ok",
             "fiber": report.to_json()}
     path = write_report(config, f"{spec.name}_fiber", body,
-                        {"total_s": time.time() - t0})
+                        {"total_s": time.perf_counter() - t0})
     print(f"fiber over kappa={config.kappas[0]}: sl2 {report.sl2_count}, "
           f"psl2 {report.psl2_count}{' INCONCLUSIVE' if report.inconclusive else ''} -> {path}")
     return 2 if report.inconclusive else 0
@@ -342,7 +338,7 @@ def cmd_fiber(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_certify(config: RunConfig) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     spec = _load(config.spec_path)
     checks: list[dict] = []
     timings: dict = {}
@@ -364,20 +360,20 @@ def cmd_certify(config: RunConfig) -> int:
         check("complete_structure", False, None, None, str(e))
         path = write_report(config, f"{spec.name}_certify",
                             {"checks": checks, "overall": "fail"},
-                            {"total_s": time.time() - t0})
+                            {"total_s": time.perf_counter() - t0})
         print(f"certify: FAIL -> {path}")
         return 1
     problem = DeformationProblem(system, comp)
     tol = config.tolerances
 
     # volume anchor cross-check against the Lobachevsky oracle
-    t1 = time.time()
+    t1 = time.perf_counter()
     formula = reference_volume_from_formula(spec)
     if formula is not None:
         err = abs(formula - spec.reference_volume.value)
         check("reference_volume_oracle", err < 1e-9, err, 1e-9,
               f"|oracle - reference| = {err:.2e}")
-    timings["oracle_s"] = time.time() - t1
+    timings["oracle_s"] = time.perf_counter() - t1
 
     # eta vanishes at the complete structure
     ev = eta_at(comp, handedness_sign(spec))
@@ -390,7 +386,7 @@ def cmd_certify(config: RunConfig) -> int:
           f"dim H^1 = {z2.h1_dim}, k = {z2.k}, bound = {z2.degree_bound}")
 
     # filled characters: volumes below reference, increasing, quadrature-stable
-    t1 = time.time()
+    t1 = time.perf_counter()
     kappa_texts = config.kappas or _default_kappas(spec)
     filled: list[tuple[str, object, object]] = []
     for ktext in kappa_texts:
@@ -404,13 +400,10 @@ def cmd_certify(config: RunConfig) -> int:
     quad_ok = True
     quad_worst = 0.0
     for ktext, pt, path_ in filled:
-        integ = integrate_eta(path_, handedness_sign(spec))
         vol = anchored_volume(spec, path_)
         vols.append((ktext, vol.value))
-        coarse = _coarse_integral(path_, handedness_sign(spec))
-        diff = abs(integ.value - coarse) / 3
-        quad_worst = max(quad_worst, diff)
-        if diff >= tol["quadrature"]:
+        quad_worst = max(quad_worst, vol.quadrature_error)
+        if vol.quadrature_error >= tol["quadrature"]:
             quad_ok = False
     if filled:
         below = all(v < spec.reference_volume.value for _, v in vols)
@@ -422,12 +415,12 @@ def cmd_certify(config: RunConfig) -> int:
             if _kappas_are_increasing_series(kappa_texts) else True
         check("filled_volumes_increase_toward_reference", increasing and below,
               ordered, spec.reference_volume.value)
-        check("quadrature_step_halving", quad_ok, quad_worst, tol["quadrature"],
+        check("quadrature_richardson_estimate", quad_ok, quad_worst, tol["quadrature"],
               f"worst Richardson difference {quad_worst:.2e}")
-    timings["fillings_s"] = time.time() - t1
+    timings["fillings_s"] = time.perf_counter() - t1
 
     # exactness loops
-    t1 = time.time()
+    t1 = time.perf_counter()
     if config.loops > 0:
         integrals, failures = run_exactness_loops(
             spec, problem, comp, config.loops, config.seed, tol["loop_exactness"])
@@ -439,10 +432,10 @@ def cmd_certify(config: RunConfig) -> int:
                        "value": None, "tolerance": tol["loop_exactness"],
                        "details": "loop count 0"})
         print("  [SKIP] loop_exactness")
-    timings["loops_s"] = time.time() - t1
+    timings["loops_s"] = time.perf_counter() - t1
 
     # fibers: degree one, stability under budget doubling, volume equality
-    t1 = time.time()
+    t1 = time.perf_counter()
     overall_inconclusive = False
     for ktext, pt, path_ in filled:
         z = pt.trace_vector()
@@ -474,7 +467,7 @@ def cmd_certify(config: RunConfig) -> int:
               tol["volume_equality"],
               f"max pairwise difference {fv.max_difference:.2e}"
               + (f"; notes: {'; '.join(fv.notes)}" if fv.notes else ""))
-    timings["fibers_s"] = time.time() - t1
+    timings["fibers_s"] = time.perf_counter() - t1
 
     statuses = [c["status"] for c in checks]
     overall = "fail" if "fail" in statuses else \
@@ -483,18 +476,9 @@ def cmd_certify(config: RunConfig) -> int:
             "reference_volume": spec.reference_volume.value,
             "h1z2": {"h1_dim": z2.h1_dim, "k": z2.k, "bound": z2.degree_bound}}
     path = write_report(config, f"{spec.name}_certify", body,
-                        {"total_s": time.time() - t0, **timings})
+                        {"total_s": time.perf_counter() - t0, **timings})
     print(f"certify: {overall.upper()} -> {path}")
     return 0 if overall == "pass" else (2 if overall == "inconclusive" else 1)
-
-
-def _coarse_integral(path_, sign):
-    pts = path_.points
-    idx = list(range(0, len(pts), 2))
-    if idx[-1] != len(pts) - 1:
-        idx.append(len(pts) - 1)
-    from .volume import _segment_increment
-    return sum(_segment_increment(pts[a], pts[b], sign) for a, b in zip(idx, idx[1:]))
 
 
 def _default_kappas(spec: ManifoldSpec) -> list[str]:

@@ -17,9 +17,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .locus import TOLERANCES as LOCUS_TOL, eigenvalues, moved, on_U, on_V, traces
 from .manifold import ManifoldSpec
 from .repvar import (CharacterPoint, GaugedSystem, SignTwist, TWO_PI_I,
-                     enumerate_twists, make_character_point, on_V)
+                     enumerate_twists, make_character_point)
 
 PI = cmath.pi
 
@@ -155,8 +156,6 @@ class DeformationProblem:
     log-coordinate constraints along paths."""
 
     def __init__(self, system: GaugedSystem, base_point: CharacterPoint):
-        if system.compiled_ml is None:
-            raise TrackingError("tracking needs eigenvalue slots on every cusp")
         self.system = system
         self.base = [(c.base_u, c.base_v) for c in base_point.cusps]
 
@@ -298,7 +297,10 @@ def track(problem: DeformationProblem, start: CharacterPoint,
                     f"minimum step reached at tau={tau:.6f} (residual {res:.2e})")
             continue
         interior = abs(tau + step - tau1) > 1e-14
-        if interior and not allow_V_interior and degenerating_cusp(new_pt, 1e-6):
+        # a cusp that has deformed away from its base lift yet returned to
+        # parabolic traces; cusps pinned at the complete structure are harmless
+        if interior and not allow_V_interior and \
+                on_V(traces(new_pt), moving=[moved(c) for c in new_pt.cusps]):
             raise TrackingError(f"path crossed V at tau={tau + step:.6f}")
         pt = new_pt
         tau += step
@@ -307,38 +309,10 @@ def track(problem: DeformationProblem, start: CharacterPoint,
         if abs(dtau) < max_step:
             dtau *= 1.5
     path = TrackedPath(points=points, taus=taus, description=description,
-                       start_on_V=on_V(points[0], 1e-6),
-                       end_on_V=on_V(points[-1], 1e-6),
+                       start_on_V=on_V(traces(points[0])),
+                       end_on_V=on_V(traces(points[-1])),
                        steps_rejected=rejected)
     return path
-
-
-def refine_path(problem: DeformationProblem, path: TrackedPath,
-                constraints, factor: int = 2, tol: float = 1e-11) -> TrackedPath:
-    """Insert factor-1 corrected samples between consecutive path samples
-    (used for quadrature-stability checks)."""
-    points = [path.points[0]]
-    taus = [path.taus[0]]
-    for k in range(len(path.points) - 1):
-        t0, t1 = path.taus[k], path.taus[k + 1]
-        prev = points[-1]
-        for j in range(1, factor):
-            tm = t0 + (t1 - t0) * j / factor
-            branch = _branch_of(prev)
-            lam = (tm - t0) / (t1 - t0)
-            xg = (1 - lam) * path.points[k].coords + lam * path.points[k + 1].coords
-            x, res, ok = problem.correct(xg, branch, constraints, tm, tol=tol)
-            if not ok:
-                raise TrackingError(f"refinement failed at tau={tm}")
-            prev = make_character_point(problem.system, x, prev=prev)
-            points.append(prev)
-            taus.append(tm)
-        nxt = make_character_point(problem.system, path.points[k + 1].coords, prev=prev)
-        points.append(nxt)
-        taus.append(t1)
-    return TrackedPath(points=points, taus=taus,
-                       description=path.description + f" (refined x{factor})",
-                       start_on_V=path.start_on_V, end_on_V=path.end_on_V)
 
 
 # ---------------------------------------------------------------------------
@@ -576,19 +550,11 @@ def sample_dense_set(problem: DeformationProblem, complete: CharacterPoint,
         try:
             pt, path = solve_filling(problem, complete, kappa)
             z = pt.trace_vector()
-            off = not _z_on_pU(z, 1e-3)
+            off = not on_V(traces(pt), LOCUS_TOL["near"])
             out.append(FilledCharacter(kappa, pt, path, z, off))
         except (FillingError, TrackingError, ContinuationError) as e:
             out.append(FilledCharacter(kappa, None, None, None, False, error=str(e)))
     return out
-
-
-def _z_on_pU(z: np.ndarray, tol: float) -> bool:
-    h = len(z) // 3
-    for i in range(h):
-        if abs(z[3 * i] ** 2 - 4) < tol and abs(z[3 * i + 1] ** 2 - 4) < tol:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +702,8 @@ def fiber_over(system: GaugedSystem, z: np.ndarray,
         (len(history) >= 4 and history[-1] != history[-quarter])
     excluded = False
     reason = ""
-    if _z_on_pU(z, 1e-3):
+    # z holds (I_M, I_L, I_ML) per cusp
+    if on_V(zip(z[0::3], z[1::3]), LOCUS_TOL["near"]):
         excluded = True
         reason = "z lies on the image of U (some cusp trace pair at +-2); degree claims do not apply"
     branch_ok = [restriction_rank_ok(system, p.coords) for p in points]
@@ -785,26 +752,6 @@ def fiber_over(system: GaugedSystem, z: np.ndarray,
 def _twist_key(system: GaugedSystem, key: np.ndarray, tw: SignTwist) -> np.ndarray:
     signs = np.array([tw.on_word(w) for w in system.key_words], dtype=complex)
     return key * signs
-
-
-def point_on_U(pt: CharacterPoint, tol: float) -> bool:
-    """Eigenvalue-level U test: some cusp with m^2 and l^2 both near 1."""
-    for c in pt.cusps:
-        if abs(c.m ** 2 - 1) < tol and abs(c.l ** 2 - 1) < tol:
-            return True
-    return False
-
-
-def degenerating_cusp(pt: CharacterPoint, tol: float, move_tol: float = 1e-6) -> bool:
-    """A cusp that has deformed away from its base lift yet returned to
-    parabolic traces: the situation path tracking must avoid.  Cusps pinned
-    at the complete structure (e.g. unfilled cusps) stay parabolic with zero
-    volume-form contribution and are harmless."""
-    for c in pt.cusps:
-        moving = max(abs(c.u - c.base_u), abs(c.v - c.base_v)) > move_tol
-        if moving and abs(c.trace_m ** 2 - 4) < tol and abs(c.trace_l ** 2 - 4) < tol:
-            return True
-    return False
 
 
 def random_log_loop_targets(base: CharacterPoint, rng, radius=(0.05, 0.25)):
@@ -871,7 +818,7 @@ def _monodromy_loop(problem, system, points, keys, z, rng, register):
     path = track(problem, base, cons, tau0=0.0, tau1=1.0, tol=1e-11,
                  first_step=0.05, max_step=0.08,
                  description="monodromy loop", allow_V_interior=True)
-    if any(point_on_U(pt, 1e-3) for pt in path.points):
+    if any(on_U(eigenvalues(pt), LOCUS_TOL["near"]) for pt in path.points):
         return  # loop passed too close to U; not a legal monodromy loop
     end = path.endpoint()
     if np.max(np.abs(end.trace_vector() - z)) < 1e-7:

@@ -13,13 +13,11 @@ A-polynomial when there is one cusp).
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .matrices import eigenvector_pairing
 from .poly import (Polynomial, PolySystem, ResultantError, exact_div,
                    poly_gcd, pseudo_rem, resultant, squarefree_part)
 from .repvar import CharacterPoint, GaugedSystem
@@ -125,46 +123,13 @@ class EigenvaluePoint:
 
 
 def sample_point(ext: ExtendedSystem, pt: CharacterPoint,
-                 prev: Optional[EigenvaluePoint] = None,
                  tol: float = 1e-8) -> EigenvaluePoint:
-    """Peripheral eigenvalue data of a character point, consistent with the
-    three trace generators.
-
-    Eigenvalue slots are used when the meridians are bare gauge generators;
-    otherwise eigenvalues are paired through a common eigenvector, falling
-    back to continuity with `prev` near parabolic points (where direct
-    eigendecomposition degenerates)."""
-    gauged = ext.gauged
-    if gauged.has_slots:
-        vals = gauged.ml_values(pt.coords)
-        lifts = [(c.u, c.v) for c in pt.cusps]
-    else:
-        from .matrices import numeric_word_matrix
-        mats = gauged.matrices(pt.coords)
-        vals = []
-        for i, cf in enumerate(gauged.cusps):
-            A = numeric_word_matrix(cf.meridian, mats)
-            B = numeric_word_matrix(cf.longitude, mats)
-            near_par = abs(np.trace(A) ** 2 - 4) < 1e-4 and abs(np.trace(B) ** 2 - 4) < 1e-4
-            if near_par and prev is not None:
-                pm, pl = prev.cusp(i)
-                m = _quad_root_near(np.trace(A), pm)
-                l = _quad_root_near(np.trace(B), pl)
-            else:
-                m, l, _ = eigenvector_pairing(A, B)
-            vals.extend((m, l))
-        vals = np.array(vals, dtype=complex)
-        lifts = None
-    point = EigenvaluePoint(values=np.asarray(vals, dtype=complex), lifts=lifts)
+    """Peripheral eigenvalue data of a character point, read off the
+    eigenvalue slots and checked against the three trace generators."""
+    point = EigenvaluePoint(values=ext.gauged.ml_values(pt.coords),
+                            lifts=[(c.u, c.v) for c in pt.cusps])
     _check_trace_consistency(pt, point, tol)
     return point
-
-
-def _quad_root_near(trace: complex, near: complex) -> complex:
-    disc = cmath.sqrt(trace * trace - 4)
-    r1 = (trace + disc) / 2
-    r2 = (trace - disc) / 2
-    return r1 if abs(r1 - near) <= abs(r2 - near) else r2
 
 
 def _check_trace_consistency(pt: CharacterPoint, x: EigenvaluePoint, tol: float):
@@ -177,14 +142,8 @@ def _check_trace_consistency(pt: CharacterPoint, x: EigenvaluePoint, tol: float)
         )
         if max(checks) >= tol:
             raise EigenvarError(
-                f"cusp {i + 1}: eigenvector pairing inconsistent with traces "
+                f"cusp {i + 1}: slot eigenvalues inconsistent with traces "
                 f"(defects {[f'{v:.2e}' for v in checks]})")
-
-
-def sample_from_matrices(meridian: np.ndarray, longitude: np.ndarray) -> tuple[complex, complex]:
-    """Common-eigenvector eigenvalue pair of two commuting matrices."""
-    m, l, _ = eigenvector_pairing(meridian, longitude)
-    return m, l
 
 
 def gamma_act(x: EigenvaluePoint, subset: Sequence[int]) -> EigenvaluePoint:
@@ -198,15 +157,6 @@ def gamma_act(x: EigenvaluePoint, subset: Sequence[int]) -> EigenvaluePoint:
             u, v = lifts[i]
             lifts[i] = (-u, -v)
     return EigenvaluePoint(values=vals, lifts=lifts)
-
-
-def on_U(x: EigenvaluePoint, tol: float = 1e-6) -> bool:
-    """True when some cusp has both m^2 and l^2 within tol of 1."""
-    for i in range(x.cusp_count):
-        m, l = x.cusp(i)
-        if abs(m * m - 1) < tol and abs(l * l - 1) < tol:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
-"""Numeric 2x2 matrix utilities: word evaluation, gauge normalization,
-eigenvalue pairing for commuting peripheral pairs."""
+"""Numeric 2x2 matrix utilities: word evaluation and gauge normalization."""
 
 from __future__ import annotations
 
@@ -81,37 +80,6 @@ def regauge(mats) -> np.ndarray:
     for M in rest:
         coords.extend([M[0, 0], M[0, 1], M[1, 0], M[1, 1]])
     return np.array(coords, dtype=complex)
-
-
-def eigenvector_pairing(A: np.ndarray, B: np.ndarray):
-    """Eigenvalues (m, l) of commuting A, B with respect to a common eigenvector.
-
-    Chooses the eigenvector of the less degenerate matrix (larger |tr^2 - 4|)
-    and reads the other eigenvalue by applying the matrix.  Returns
-    (m, l, eigenvector).  Raises GaugeError when both matrices are +-identity
-    within working precision.
-    """
-    dA = abs(np.trace(A) ** 2 - 4)
-    dB = abs(np.trace(B) ** 2 - 4)
-    first, second = (A, B) if dA >= dB else (B, A)
-    if max(np.max(np.abs(first - np.eye(2))), np.max(np.abs(first + np.eye(2)))) < 1e-12:
-        raise GaugeError("peripheral image is +-identity; no canonical eigenvector")
-    w, vecs = np.linalg.eig(first)
-    out = []
-    for j in range(2):
-        v = vecs[:, j]
-        k = int(np.argmax(np.abs(v)))
-        mu = w[j]
-        nu = (second @ v)[k] / v[k]
-        resid = np.max(np.abs(second @ v - nu * v))
-        out.append((mu, nu, v, resid))
-    out.sort(key=lambda q: q[3])
-    mu, nu, v, resid = out[0]
-    if resid > 1e-6 * max(1.0, float(np.max(np.abs(second)))):
-        raise GaugeError(f"no consistent common eigenvector (residual {resid:.2e})")
-    if dA >= dB:
-        return mu, nu, v
-    return nu, mu, v
 
 
 def random_sl2(rng) -> np.ndarray:

@@ -16,8 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .manifold import ManifoldSpec, relator_matrix, gf2_nullspace
-from .matrices import (GaugeError, eigenvector_pairing, gauge_coord_names,
-                       gauge_matrices, numeric_word_matrix, regauge)
+from .matrices import GaugeError, gauge_coord_names, gauge_matrices, regauge
 from .poly import (CompiledSystem, Polynomial, PolySystem, SymMatrix2,
                    trace_poly, word_matrix)
 from .words import Word, invert_word, sign_character
@@ -31,11 +30,6 @@ class RepVarError(ValueError):
 
 class NoCompleteStructureError(RepVarError):
     pass
-
-
-def build_gauged_system(spec: ManifoldSpec) -> "GaugedSystem":
-    """Construct the gauge-fixed representation-variety system for a spec."""
-    return GaugedSystem(spec)
 
 
 def _balanced_relator_split(r: Word) -> tuple[Word, Word]:
@@ -56,8 +50,8 @@ class CuspFunctions:
     trace_ml: Polynomial
     # eigenvalue slot data: (m, l) are read along a coordinate eigenvector
     # (e1 for a generator-1 meridian, e2 for a generator-2 meridian)
-    m_poly: Optional[Polynomial] = None
-    l_poly: Optional[Polynomial] = None
+    m_poly: Polynomial
+    l_poly: Polynomial
 
 
 class GaugedSystem:
@@ -103,13 +97,16 @@ class GaugedSystem:
             tm = trace_poly(c.meridian, gens)
             tl = trace_poly(c.longitude, gens)
             tml = trace_poly(tuple(c.meridian) + tuple(c.longitude), gens)
-            m_poly = l_poly = None
             slot = self._meridian_slot(c.meridian)
-            if slot is not None:
-                name, power, entry = slot
-                m_poly = var(name, power)
-                L = word_matrix(c.longitude, gens)
-                l_poly = L.a if entry == 0 else L.d
+            if slot is None:
+                raise RepVarError(
+                    f"{spec.name}: cusp {c.index} meridian {list(c.meridian)} is not "
+                    "a bare gauge generator (1, -1, 2 or -2); every cusp needs an "
+                    "eigenvalue slot")
+            name, power, entry = slot
+            L = word_matrix(c.longitude, gens)
+            m_poly = var(name, power)
+            l_poly = L.a if entry == 0 else L.d
             self.cusps.append(CuspFunctions(
                 index=c.index, meridian=c.meridian, longitude=c.longitude,
                 trace_m=tm, trace_l=tl, trace_ml=tml,
@@ -119,13 +116,9 @@ class GaugedSystem:
             trace_polys.extend((cf.trace_m, cf.trace_l, cf.trace_ml))
         self.compiled_traces = CompiledSystem(trace_polys, V)
         ml = []
-        self.has_slots = all(cf.m_poly is not None for cf in self.cusps)
-        if self.has_slots:
-            for cf in self.cusps:
-                ml.extend((cf.m_poly, cf.l_poly))
-            self.compiled_ml = CompiledSystem(ml, V)
-        else:
-            self.compiled_ml = None
+        for cf in self.cusps:
+            ml.extend((cf.m_poly, cf.l_poly))
+        self.compiled_ml = CompiledSystem(ml, V)
         # character separation: generator, pair and commutator traces
         key_words: list[Word] = [(i,) for i in range(1, n + 1)]
         key_words += [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
@@ -137,7 +130,8 @@ class GaugedSystem:
     def _meridian_slot(w: Word):
         """(var name, eigenvalue power, diagonal entry index) when the meridian
         is a bare gauge generator; the common eigenvector is then a coordinate
-        vector and both peripheral eigenvalues are read off matrix entries."""
+        vector and both peripheral eigenvalues are read off matrix entries.
+        None for any other meridian word."""
         if w == (1,):
             return ("s", 1, 0)
         if w == (-1,):
@@ -161,16 +155,7 @@ class GaugedSystem:
 
     def ml_values(self, coords) -> np.ndarray:
         """(m_1, l_1, ..., m_h, l_h) along the slot eigenvectors."""
-        if self.compiled_ml is not None:
-            return self.compiled_ml.values(coords)
-        mats = self.matrices(coords)
-        out = []
-        for cf in self.cusps:
-            A = numeric_word_matrix(cf.meridian, mats)
-            B = numeric_word_matrix(cf.longitude, mats)
-            m, l, _ = eigenvector_pairing(A, B)
-            out.extend((m, l))
-        return np.array(out, dtype=complex)
+        return self.compiled_ml.values(coords)
 
     def char_key(self, coords) -> np.ndarray:
         return self.compiled_key.values(coords)
@@ -285,14 +270,6 @@ def make_character_point(system: GaugedSystem, coords, prev: Optional[CharacterP
 def restriction_traces(pt: CharacterPoint) -> np.ndarray:
     """The boundary-trace vector (I_M, I_L, I_ML per cusp): the image r(chi)."""
     return pt.trace_vector()
-
-
-def on_V(pt: CharacterPoint, tol: float = 1e-6) -> bool:
-    """True when some cusp has both peripheral traces within tol of +-2."""
-    for c in pt.cusps:
-        if abs(c.trace_m ** 2 - 4) < tol and abs(c.trace_l ** 2 - 4) < tol:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +416,6 @@ def thurston_rank(system: GaugedSystem, pt: CharacterPoint, threshold=1e-6) -> i
     restricted to the tangent space of the gauge slice."""
     T = system.tangent_basis(pt.coords)
     rows = []
-    if system.compiled_ml is None:
-        raise RepVarError("Thurston rank needs eigenvalue slots")
     J = system.compiled_ml.jacobian(pt.coords)
     ml = system.compiled_ml.values(pt.coords)
     for i in range(len(system.cusps)):
@@ -462,10 +437,6 @@ def find_complete(spec: ManifoldSpec, system: Optional[GaugedSystem] = None,
     are the transversal formulation; all 2^h sign choices are solved).
     """
     system = system or GaugedSystem(spec)
-    if not system.has_slots:
-        raise RepVarError(
-            "find_complete requires each meridian to be a bare gauge generator "
-            "(eigenvalue slot); general meridian words are not supported")
     rng = rng or np.random.default_rng(0)
     h = spec.cusp_count
 

@@ -21,29 +21,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .continuation import DeformationProblem, TrackedPath, refine_path
+from .continuation import TrackedPath
+from .locus import TOLERANCES as LOCUS_TOL, eigenvalues, moving_along, on_U
 from .manifold import ManifoldSpec
 from .repvar import CharacterPoint
-
-
-def _moving_cusps(path: TrackedPath, move_tol: float = 1e-6) -> list[bool]:
-    """Per cusp: does the normalized log ever leave the complete-structure
-    lift along the path?  Cusps pinned there contribute nothing to the form
-    and do not obstruct integration; moving cusps must stay off U."""
-    h = len(path.points[0].cusps)
-    moving = [False] * h
-    for pt in path.points:
-        for i, c in enumerate(pt.cusps):
-            if max(abs(c.u - c.base_u), abs(c.v - c.base_v)) > move_tol:
-                moving[i] = True
-    return moving
-
-
-def _on_U_moving(pt: CharacterPoint, moving: list[bool], tol: float) -> bool:
-    for i, c in enumerate(pt.cusps):
-        if moving[i] and abs(c.m ** 2 - 1) < tol and abs(c.l ** 2 - 1) < tol:
-            return True
-    return False
 
 
 class VolumeError(RuntimeError):
@@ -61,7 +42,7 @@ class EtaValue:
         return max((max(abs(a), abs(b)) for a, b in self.coefficients), default=0.0)
 
 
-def eta_at(x, handedness_sign: int = 1, u_tol: float = 1e-6) -> EtaValue:
+def eta_at(x, handedness_sign: int = 1, u_tol: float = LOCUS_TOL["on"]) -> EtaValue:
     """Evaluate the form's coefficients from branch lifts.
 
     Accepts a CharacterPoint or an EigenvaluePoint carrying branch lifts;
@@ -70,14 +51,8 @@ def eta_at(x, handedness_sign: int = 1, u_tol: float = 1e-6) -> EtaValue:
     lifts = _branch_lifts(x)
     if lifts is None:
         raise VolumeError("eta needs branch lifts (u_i, v_i); none present")
-    coeffs = []
-    onu = False
-    for u, v in lifts:
-        coeffs.append((handedness_sign * (-v.real), handedness_sign * (u.real)))
-        m2 = abs(np.exp(2 * u) - 1)
-        l2 = abs(np.exp(2 * v) - 1)
-        if m2 < u_tol and l2 < u_tol:
-            onu = True
+    coeffs = [(handedness_sign * (-v.real), handedness_sign * (u.real)) for u, v in lifts]
+    onu = on_U([(np.exp(u), np.exp(v)) for u, v in lifts], u_tol)
     return EtaValue(coefficients=coeffs, on_U=onu)
 
 
@@ -117,16 +92,18 @@ class IntegralResult:
 
 
 def integrate_eta(path: TrackedPath, handedness_sign: int = 1,
-                  u_tol: float = 1e-6) -> IntegralResult:
+                  u_tol: float = LOCUS_TOL["on"]) -> IntegralResult:
     """Composite trapezoid integral of the volume form along a tracked path.
 
     The coarse (every second sample) integral gives a Richardson error
-    estimate; interior samples on U are rejected."""
+    estimate; interior samples on U are rejected.  Cusps that never leave
+    the complete structure's lift along the path contribute nothing to the
+    form and do not obstruct integration; moving cusps must stay off U."""
     if len(path.points) < 1:
         raise VolumeError("empty path")
-    moving = _moving_cusps(path)
+    moving = moving_along(path.points)
     for pt in path.points[1:-1]:
-        if _on_U_moving(pt, moving, u_tol):
+        if on_U(eigenvalues(pt), u_tol, moving):
             raise VolumeError("interior path sample lies on U")
     fine = running_integral(path, handedness_sign)
     value = float(fine[-1])
@@ -142,21 +119,23 @@ def integrate_eta(path: TrackedPath, handedness_sign: int = 1,
 
 
 def loop_integral(loop: TrackedPath, handedness_sign: int = 1,
-                  endpoint_tol: float = 1e-9) -> float:
+                  endpoint_tol: float = 1e-9) -> IntegralResult:
     """Integral around a closed path (closure measured in the eigenvalue
-    coordinates; the branch lifts may return shifted by multiples of 2 pi i).
-    Exactness predicts a value near zero."""
+    coordinates; the branch lifts may return shifted by multiples of 2 pi i),
+    with its Richardson error estimate.  Exactness predicts a value near
+    zero."""
     a, b = loop.points[0], loop.points[-1]
     for ca, cb in zip(a.cusps, b.cusps):
         if abs(ca.m - cb.m) >= endpoint_tol or abs(ca.l - cb.l) >= endpoint_tol:
             raise VolumeError(
                 f"loop endpoints differ in eigenvalue coordinates: "
                 f"|dm| = {abs(ca.m - cb.m):.2e}, |dl| = {abs(ca.l - cb.l):.2e}")
-    moving = _moving_cusps(loop)
-    for pt in loop.points:
-        if _on_U_moving(pt, moving, 1e-6):
-            raise VolumeError("loop touches U")
-    return integrate_eta(loop, handedness_sign).value
+    # integrate_eta rejects interior samples on U; the loop's base point
+    # is checked here
+    moving = moving_along(loop.points)
+    if any(on_U(eigenvalues(pt), moving=moving) for pt in (a, b)):
+        raise VolumeError("loop touches U")
+    return integrate_eta(loop, handedness_sign)
 
 
 @dataclass
@@ -193,14 +172,6 @@ def anchored_volume(spec: ManifoldSpec, path: TrackedPath) -> VolumeLabel:
                               f"({'+' if sign > 0 else '-'}reference)",
                        path_id=path.description or f"path[{len(path.points)}]",
                        quadrature_error=integ.error_estimate)
-
-
-def quadrature_stability(problem: DeformationProblem, path: TrackedPath,
-                         constraints, handedness_sign_: int = 1) -> float:
-    """|integral(refined) - integral(path)| with doubled sampling."""
-    fine = refine_path(problem, path, constraints, factor=2)
-    return abs(integrate_eta(fine, handedness_sign_).value -
-               integrate_eta(path, handedness_sign_).value)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 
 from charvol.cli import main, report_bytes_without_timings
+from charvol.fixtures import fixture_text
 
 
 def run(args):
@@ -35,6 +36,17 @@ def test_missing_spec_file_errors(tmp_path):
     code = run(["complete", "--spec", str(tmp_path / "nope.spec"),
                 "--out", str(tmp_path)])
     assert code == 1
+
+
+def test_complete_rejects_meridian_without_slot(tmp_path, capsys):
+    doc = json.loads(fixture_text("fig8"))
+    doc["cusps"] = [{"meridian": [1, 2], "longitude": [1, 2, 1, 2]}]
+    spec = tmp_path / "noslot.spec"
+    spec.write_text(json.dumps(doc))
+    code = run(["complete", "--spec", str(spec), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cusp 1 meridian [1, 2]" in err
 
 
 def test_fill_and_volume_commands(tmp_path):
@@ -134,6 +146,7 @@ def test_certify_small_fig8(tmp_path):
     assert names["reference_volume_oracle"] == "pass"
     assert names["eta_critical_at_complete"] == "pass"
     assert names["fiber_degree_one_1,5"] == "pass"
+    assert names["quadrature_richardson_estimate"] == "pass"
 
 
 def test_certify_loops_zero_marks_skipped(tmp_path):

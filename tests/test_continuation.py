@@ -4,9 +4,10 @@ import pytest
 from charvol.continuation import (ContinuationError, DivergenceError,
                                   FillingCoefficients, SingularJacobianError,
                                   TrackingError, fiber_over, jacobian_check,
-                                  newton_correct, pin_log, point_on_U,
+                                  newton_correct, pin_log,
                                   sample_dense_set, solve_filling,
                                   step_off_complete, track)
+from charvol.locus import eigenvalues, on_U
 from charvol.poly import CompiledSystem
 from charvol.volume import anchored_volume
 
@@ -276,9 +277,9 @@ def test_fiber_wlink_degree_one_and_bound(wlink_spec, wlink_system, wlink_fillin
 
 
 def test_point_on_U(fig8_complete, fig8_fillings):
-    assert point_on_U(fig8_complete, 1e-6)
+    assert on_U(eigenvalues(fig8_complete), 1e-6)
     _, pt, _ = fig8_fillings[0]
-    assert not point_on_U(pt, 1e-3)
+    assert not on_U(eigenvalues(pt), 1e-3)
 
 
 def test_fiber_empty_search_is_inconclusive(fig8_spec, fig8_system, fig8_fillings):

@@ -5,9 +5,9 @@ import pytest
 
 from charvol.eigenvar import (EigenvaluePoint, EliminationBudgetError,
                               _scaled_residual, build_extended, eliminate,
-                              gamma_act, on_U, sample_from_matrices,
-                              sample_point)
+                              gamma_act, sample_point)
 from charvol.fixtures import fixture_text
+from charvol.locus import on_U
 from charvol.manifold import parse_spec
 from charvol.repvar import GaugedSystem
 
@@ -32,7 +32,7 @@ def test_sample_point_complete_unit_modulus(fig8_extended, fig8_complete):
     x = sample_point(fig8_extended, fig8_complete)
     m, l = x.cusp(0)
     assert abs(abs(m) - 1) < 1e-10 and abs(abs(l) - 1) < 1e-10
-    assert on_U(x)
+    assert on_U([x.cusp(0)])
 
 
 def test_sample_point_filled_satisfies_filling(fig8_extended, fig8_fillings):
@@ -43,17 +43,7 @@ def test_sample_point_filled_satisfies_filling(fig8_extended, fig8_fillings):
     base_u = pt.cusps[0].base_u
     base_v = pt.cusps[0].base_v
     assert abs((u - base_u) + 5 * (v - base_v) - 2j * np.pi) < 1e-9
-    assert not on_U(x, 1e-3)
-
-
-def test_sample_from_diagonal_matrices():
-    s, l = 1.7 - 0.3j, 0.4 + 1.1j
-    A = np.diag([s, 1 / s])
-    B = np.diag([l, 1 / l])
-    m, lam = sample_from_matrices(A, B)
-    # read directly off the diagonals, paired through a coordinate eigenvector
-    assert (abs(m - s) < 1e-12 and abs(lam - l) < 1e-12) or \
-        (abs(m - 1 / s) < 1e-12 and abs(lam - 1 / l) < 1e-12)
+    assert not on_U([x.cusp(0)], 1e-3)
 
 
 def test_eigenvalue_point_rejects_zero():
@@ -74,10 +64,9 @@ def test_gamma_act_involution():
 
 
 def test_on_U_cases():
-    assert on_U(EigenvaluePoint(values=np.array([1.0, -1.0])))
-    assert not on_U(EigenvaluePoint(values=np.array([2.0, 3.0])))
-    two = EigenvaluePoint(values=np.array([1.0, -1.0, 2.0, 0.5]))
-    assert on_U(two)
+    assert on_U([(1.0, -1.0)])
+    assert not on_U([(2.0, 3.0)])
+    assert on_U([(1.0, -1.0), (2.0, 0.5)])
 
 
 # -- elimination -----------------------------------------------------------------

@@ -8,15 +8,23 @@ from charvol.manifold import parse_spec
 from charvol.matrices import random_sl2, regauge, numeric_word_matrix, sl2_inverse
 from charvol.repvar import (GaugedSystem, NoCompleteStructureError, RepVarError,
                             apply_twist, enumerate_twists, find_complete,
-                            irreducibility_defect, make_character_point, on_V,
+                            irreducibility_defect, make_character_point,
                             restriction_traces, thurston_rank)
+from charvol.locus import on_V, traces
 
 
 def test_build_gauged_system_fig8(fig8_system):
     # one relator in balanced form: four entry equations over (s, p, t)
     assert fig8_system.vars == ("s", "p", "t")
     assert len(fig8_system.system) == 4
-    assert fig8_system.has_slots
+
+
+def test_gauged_system_requires_eigenvalue_slots():
+    doc = json.loads(fixture_text("fig8"))
+    doc["cusps"] = [{"meridian": [1, 2], "longitude": [1, 2, 1, 2]}]
+    spec = parse_spec(json.dumps(doc))
+    with pytest.raises(RepVarError, match="cusp 1 meridian"):
+        GaugedSystem(spec)
 
 
 def test_build_gauged_free_group():
@@ -61,7 +69,7 @@ def test_fig8_complete(fig8_spec, fig8_system, fig8_complete):
         assert abs(c.trace_m ** 2 - 4) < 1e-10
         assert abs(c.trace_l ** 2 - 4) < 1e-10
     assert pt.validate()
-    assert on_V(pt)
+    assert on_V(traces(pt))
 
 
 def test_wlink_complete(wlink_complete):
@@ -127,12 +135,12 @@ def test_restriction_traces_conjugation_invariant(fig8_system, fig8_fillings):
 
 
 def test_on_V_cases(fig8_complete, fig8_fillings):
-    assert on_V(fig8_complete)
+    assert on_V(traces(fig8_complete))
     _, filled, path = fig8_fillings[0]
-    assert not on_V(filled)
+    assert not on_V(traces(filled))
     # a point with meridian trace well away from +-2 is off V
     mid = path.points[len(path) // 2]
-    assert not on_V(mid)
+    assert not on_V(traces(mid))
 
 
 def test_diagonal_representation_traces():
