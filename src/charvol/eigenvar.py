@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .poly import (Polynomial, PolySystem, ResultantError, exact_div,
+from .poly import (Polynomial, PolySystem, ResultantError, exact_div, factor_list,
                    poly_gcd, pseudo_rem, resultant, squarefree_part)
 from .repvar import CharacterPoint, GaugedSystem
 
@@ -265,7 +265,7 @@ def eliminate(ext: ExtendedSystem, samples: Optional[Sequence[EigenvaluePoint]] 
                  and p.support_vars() and not p.is_zero()]
         out = []
         for p in final:
-            q = _project_to_periph(ext, squarefree_all(p, ext.peripheral_vars))
+            q = _project_to_periph(ext, squarefree_part(p))
             if q not in out:
                 out.append(q)
         es = EliminantSet(out, "; ".join(tree) or "already peripheral",
@@ -339,8 +339,8 @@ def eliminate(ext: ExtendedSystem, samples: Optional[Sequence[EigenvaluePoint]] 
             if cand.support_vars():
                 g = cand
         tree.append(f"gcd of {len(finals)} candidates")
-        g = squarefree_all(_strip(g, cleared_log, ext.laurent), ext.peripheral_vars)
-        g, removed = _remove_unit_factors(g, ext.peripheral_vars, samples, sample_tol)
+        g = squarefree_part(_strip(g, cleared_log, ext.laurent))
+        g, removed = _remove_extraneous_factors(g, samples)
         removed_log.extend(removed)
         out_polys = [g]
     else:
@@ -348,8 +348,8 @@ def eliminate(ext: ExtendedSystem, samples: Optional[Sequence[EigenvaluePoint]] 
         tree.append(f"{len(finals)} final candidates (codimension > 1)")
         out_polys = []
         for f in sorted(finals, key=lambda p: p.total_terms())[:2 * h]:
-            f = squarefree_all(_strip(f, cleared_log, ext.laurent), ext.peripheral_vars)
-            f, removed = _remove_unit_factors(f, ext.peripheral_vars, samples, sample_tol)
+            f = squarefree_part(_strip(f, cleared_log, ext.laurent))
+            f, removed = _remove_extraneous_factors(f, samples)
             removed_log.extend(removed)
             if f.support_vars() and f not in out_polys:
                 out_polys.append(f)
@@ -358,37 +358,17 @@ def eliminate(ext: ExtendedSystem, samples: Optional[Sequence[EigenvaluePoint]] 
     return _validate(es, samples, sample_tol)
 
 
-def squarefree_all(p: Polynomial, vars_: Sequence[str]) -> Polynomial:
-    for v in vars_:
-        if p.degree(v) > 0:
-            p = squarefree_part(p, v)
-    return p
-
-
-def _remove_unit_factors(p: Polynomial, periph_vars, samples, tol):
-    """Divide out factors (w +- 1) that do not vanish at any validation
-    sample (extraneous components such as the reducible locus)."""
+def _remove_extraneous_factors(p: Polynomial, samples):
+    """Divide out the irreducible factors of p that vanish at no validation
+    sample (extraneous components such as the reducible locus), returning
+    the quotient and the removed factors' texts."""
     removed = []
     if samples is None:
         return p, removed
-    changed = True
-    while changed:
-        changed = False
-        for w in periph_vars:
-            for sign in (1, -1):
-                factor = Polynomial.variable(w, p.vars, p.laurent) - \
-                    Polynomial.constant(sign, p.vars, p.laurent)
-                try:
-                    q = exact_div(p, factor)
-                except (ValueError, ZeroDivisionError):
-                    continue
-                vanishes = any(
-                    abs(_eval_periph(factor, x)) < 1e-6 for x in samples)
-                if vanishes:
-                    continue
-                p = q
-                removed.append(f"{w} - {sign}")
-                changed = True
+    for factor, k in factor_list(p):
+        if not any(abs(_eval_periph(factor, x)) < 1e-6 for x in samples):
+            p = exact_div(p, factor ** k)
+            removed.append(factor.as_text())
     return p, removed
 
 
@@ -442,8 +422,8 @@ def _reduce_stage(stage: list[Polynomial], cleared_log, units=None,
                   gcd_term_cap: int = 120) -> list[Polynomial]:
     """Pairwise gcd reduction of a stage's output grouped by variable support.
 
-    gcd attempts are capped by term count: multivariate primitive-PRS gcds on
-    large inputs dominate the whole elimination otherwise."""
+    gcd attempts are capped by term count.  The cap decides which
+    polynomials the next stage sees, and so shapes the elimination tree."""
     groups: dict[frozenset, list[Polynomial]] = {}
     for p in stage:
         groups.setdefault(frozenset(p.support_vars()), []).append(p)

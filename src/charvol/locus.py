@@ -19,6 +19,7 @@ TOLERANCES = {
     "on": 1e-6,      # a tracked sample lies on the locus
     "near": 1e-3,    # a loop or a trace image comes too close to use
     "moved": 1e-6,   # a cusp's normalized logs have left the complete structure
+    "lift": 1e-9,    # an eigenvalue is +-1 exactly enough to be its own log reference
 }
 
 

@@ -1,6 +1,6 @@
-"""Exact multivariate (Laurent) polynomial arithmetic over Q(i).
+"""Exact multivariate (Laurent) polynomial arithmetic over Q.
 
-Polynomials are stored as maps from exponent vectors to GaussianRational
+Polynomials are stored as maps from exponent vectors to Fraction
 coefficients over a fixed ordered variable tuple.  Variables carrying a
 "unit" tag may appear with negative exponents; everything else is ordinary
 polynomial support.  All elimination work (resultants, gcds, exact
@@ -9,9 +9,11 @@ division) happens on cleared, non-Laurent representatives.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
-from .gaussian import GaussianRational, ONE, ZERO
 from .words import Word
 
 Exponents = tuple[int, ...]
@@ -22,11 +24,11 @@ class VariableMismatchError(ValueError):
 
 
 class Polynomial:
-    """Element of Q(i)[vars], Laurent in the unit-tagged variables."""
+    """Element of Q[vars], Laurent in the unit-tagged variables."""
 
     __slots__ = ("vars", "laurent", "terms")
 
-    def __init__(self, vars: tuple[str, ...], terms: dict[Exponents, GaussianRational],
+    def __init__(self, vars: tuple[str, ...], terms: dict[Exponents, Fraction],
                  laurent: frozenset[str] = frozenset()):
         self.vars = tuple(vars)
         self.laurent = frozenset(laurent)
@@ -39,13 +41,12 @@ class Polynomial:
             for x, name in zip(e, self.vars):
                 if x < 0 and name not in self.laurent:
                     raise ValueError(f"negative exponent on non-unit variable {name}")
-            clean[tuple(e)] = c
+            clean[tuple(e)] = c if type(c) is Fraction else Fraction(c)
         self.terms = clean
 
     # -- constructors ---------------------------------------------------
     @classmethod
     def constant(cls, c, vars, laurent=frozenset()) -> "Polynomial":
-        c = c if isinstance(c, GaussianRational) else GaussianRational(c)
         z = tuple(0 for _ in vars)
         return cls(vars, {z: c}, laurent)
 
@@ -53,7 +54,7 @@ class Polynomial:
     def variable(cls, name: str, vars, laurent=frozenset(), power: int = 1) -> "Polynomial":
         i = tuple(vars).index(name)
         e = tuple(power if j == i else 0 for j in range(len(vars)))
-        return cls(vars, {e: ONE}, laurent)
+        return cls(vars, {e: 1}, laurent)
 
     # -- helpers ----------------------------------------------------------
     def _check(self, other: "Polynomial"):
@@ -90,7 +91,7 @@ class Polynomial:
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, ZERO) + c
+            s = terms.get(e, 0) + c
             if s:
                 terms[e] = s
             else:
@@ -111,7 +112,7 @@ class Polynomial:
     def __mul__(self, other):
         other = self._coerce(other)
         self._check(other)
-        terms: dict[Exponents, GaussianRational] = {}
+        terms: dict[Exponents, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
@@ -127,7 +128,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def scale(self, c) -> "Polynomial":
-        c = c if isinstance(c, GaussianRational) else GaussianRational(c)
+        c = Fraction(c)
         return Polynomial(self.vars, {e: c * v for e, v in self.terms.items()}, self.laurent)
 
     def __pow__(self, k: int):
@@ -168,7 +169,7 @@ class Polynomial:
                 continue
             e2 = e[:i] + (k - 1,) + e[i + 1:]
             nc = c * k
-            s = terms.get(e2, ZERO) + nc
+            s = terms.get(e2, 0) + nc
             if s:
                 terms[e2] = s
             else:
@@ -176,18 +177,6 @@ class Polynomial:
         return Polynomial(self.vars, terms, self.laurent)
 
     # -- evaluation ---------------------------------------------------------
-    def evaluate_exact(self, assignment: dict) -> GaussianRational:
-        """Exact evaluation; assignment maps each live variable to a
-        GaussianRational (negative exponents use the exact inverse)."""
-        total = ZERO
-        for e, c in self.terms.items():
-            val = c
-            for name, k in zip(self.vars, e):
-                if k:
-                    val = val * (assignment[name] ** k)
-            total = total + val
-        return total
-
     def evaluate(self, point) -> complex:
         """Evaluate at a complex vector (ordered as self.vars)."""
         pt = [complex(x) for x in point]
@@ -247,10 +236,10 @@ class Polynomial:
             if len(value.terms) != 1:
                 raise ValueError("negative powers need a monomial substitution value")
             (ve, vc), = value.terms.items()
-            inv_terms = {tuple(-x for x in ve): vc.inverse()}
+            inv_terms = {tuple(-x for x in ve): 1 / vc}
             inv = Polynomial(self.vars, inv_terms, self.laurent | value.laurent | set(
                 n for n, x in zip(self.vars, ve) if x != 0))
-        groups: dict[int, dict[Exponents, GaussianRational]] = {}
+        groups: dict[int, dict[Exponents, Fraction]] = {}
         for e, c in self.terms.items():
             k = e[i]
             e0 = e[:i] + (0,) + e[i + 1:]
@@ -287,73 +276,70 @@ class Polynomial:
             "vars": list(self.vars),
             "laurent": sorted(self.laurent),
             "terms": [
-                {"exp": list(e), "re": str(c.re), "im": str(c.im)}
+                # the report schema keeps an imaginary part
+                {"exp": list(e), "re": str(c), "im": "0"}
                 for e, c in self.sorted_terms()
             ],
         }
 
     @staticmethod
     def from_json(d: dict) -> "Polynomial":
-        terms = {
-            tuple(t["exp"]): GaussianRational.parse(t["re"], t.get("im", "0"))
-            for t in d["terms"]
-        }
+        if any(Fraction(t.get("im", "0")) for t in d["terms"]):
+            raise ValueError("polynomial coefficients must be rational")
+        terms = {tuple(t["exp"]): Fraction(t["re"]) for t in d["terms"]}
         return Polynomial(tuple(d["vars"]), terms, frozenset(d.get("laurent", ())))
 
 
 # ---------------------------------------------------------------------------
-# exact division, gcd, resultants (on cleared polynomials)
+# exact division, gcd, squarefree parts, factors, resultants
+#
+# All of these work on cleared representatives (no Laurent exponents) and
+# run in sympy's sparse integer polynomial ring; sympy is imported inside
+# them so that importing charvol stays cheap.
 # ---------------------------------------------------------------------------
+
+def _ring(vars):
+    from sympy.polys.domains import ZZ
+    from sympy.polys.rings import ring
+    return ring(vars, ZZ)[0]
+
+
+def _to_ring(R, p: Polynomial):
+    """p times the lcm of its coefficient denominators, as an element of the
+    integer ring R over p's variables; returns (element, that lcm)."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    return R({e: int(c * den) for e, c in p.terms.items()}), den
+
+
+def _from_ring(vars, P) -> Polynomial:
+    return Polynomial(vars, {e: int(c) for e, c in P.items()})
+
 
 def exact_div(f: Polynomial, d: Polynomial) -> Polynomial:
     """Exact polynomial division f / d; raises ValueError if not exact."""
+    from sympy.polys.polyerrors import ExactQuotientFailed
     f._check(d)
     if d.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     fc, fshift = f.clear_laurent()
     dc, dshift = d.clear_laurent()
-    q = _exact_div_cleared(fc, dc)
+    R = _ring(f.vars)
+    F, fden = _to_ring(R, fc)
+    D, dden = _to_ring(R, dc)
+    # a primitive integer divisor of F over Q divides it over Z (Gauss)
+    content, D = D.primitive()
+    try:
+        Q = F.exquo(D)
+    except ExactQuotientFailed:
+        raise ValueError("inexact division") from None
+    q = _from_ring(f.vars, Q).scale(Fraction(dden, fden * int(content)))
     shift = tuple(a - b for a, b in zip(fshift, dshift))
     if any(shift):
-        mono = {tuple(-s for s in shift): ONE}
+        mono = {tuple(-s for s in shift): 1}
         lau = f.laurent | d.laurent | frozenset(
             n for n, s in zip(f.vars, shift) if s > 0)
         q = q * Polynomial(f.vars, mono, lau)
     return q
-
-
-def _leading_term(p: Polynomial, i: int):
-    """Leading term of p in variable index i, ties broken by full lex order."""
-    return max(p.terms, key=lambda e: (e[i],) + e)
-
-
-def _exact_div_cleared(f: Polynomial, d: Polynomial) -> Polynomial:
-    vars = f.vars
-    if f.is_zero():
-        return f
-    # main variable: first one d actually uses; constants divide termwise
-    main = next((i for i in range(len(vars)) if any(e[i] > 0 for e in d.terms)), None)
-    if main is None:
-        if len(d.terms) != 1:
-            raise ValueError("inexact division")
-        (de, dc), = d.terms.items()
-        if any(de):
-            raise ValueError("inexact division")
-        return f.scale(dc.inverse())
-    rem = f
-    qterms: dict[Exponents, GaussianRational] = {}
-    dlead = _leading_term(d, main)
-    dlc = d.terms[dlead]
-    while not rem.is_zero():
-        rlead = _leading_term(rem, main)
-        qe = tuple(a - b for a, b in zip(rlead, dlead))
-        if any(x < 0 for x in qe):
-            raise ValueError("inexact division")
-        qc = rem.terms[rlead] / dlc
-        qterms[qe] = qterms.get(qe, ZERO) + qc
-        mono = Polynomial(vars, {qe: qc})
-        rem = rem - mono * d
-    return Polynomial(vars, qterms)
 
 
 def pseudo_rem(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
@@ -379,286 +365,48 @@ def _coeff_of(p: Polynomial, var: str, k: int) -> Polynomial:
     return Polynomial(p.vars, terms, p.laurent)
 
 
-def coefficients_in(p: Polynomial, var: str) -> list[Polynomial]:
-    """Coefficient list [c_0, ..., c_d] of p viewed in var (p must be cleared in var)."""
-    d = p.degree(var)
-    return [_coeff_of(p, var, k) for k in range(d + 1)]
-
-
 def _normalize(p: Polynomial) -> Polynomial:
     """Scale so the lexicographically leading coefficient is 1."""
     if p.is_zero():
         return p
     lead = max(p.terms)
-    return p.scale(p.terms[lead].inverse())
+    return p.scale(1 / p.terms[lead])
 
 
-def poly_gcd(f: Polynomial, g: Polynomial, size_cap: int = 20000) -> Polynomial:
-    """Primitive-PRS gcd (modular for two variables), normalized to
-    lex-leading coefficient 1.
+def _primitive_cleared(p: Polynomial) -> Polynomial:
+    """p cleared of Laurent denominators and of its monomial content."""
+    return p.clear_laurent()[0].strip_monomial_content()[0]
+
+
+def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
+    """gcd of f and g, normalized to lex-leading coefficient 1.
 
     Works on the cleared representatives; correct up to monomial factors in
     unit variables, which is the right notion for zero sets off the
-    coordinate hyperplanes.  Oversized inputs return the trivial divisor 1
-    rather than risking runaway intermediate growth: every caller treats the
-    gcd as a best-effort reduction.
+    coordinate hyperplanes.
     """
     f._check(g)
-    fc, _ = f.clear_laurent()
-    gc, _ = g.clear_laurent()
-    fc, _ = fc.strip_monomial_content()
-    gc, _ = gc.strip_monomial_content()
-    live = fc.support_vars() | gc.support_vars()
-    cost = min(fc.total_terms(), gc.total_terms()) * max(1, len(live) - 1)
-    if len(live) > 2 and cost > 400:
-        return Polynomial.constant(1, f.vars)
-    if cost > size_cap:
-        return Polynomial.constant(1, f.vars)
-    return _normalize(_gcd_cleared(fc, gc))
+    R = _ring(f.vars)
+    F, _ = _to_ring(R, _primitive_cleared(f))
+    G, _ = _to_ring(R, _primitive_cleared(g))
+    return _normalize(_from_ring(f.vars, F.gcd(G)))
 
 
-def _gcd_cleared(f: Polynomial, g: Polynomial) -> Polynomial:
-    if f.is_zero():
-        return g
-    if g.is_zero():
-        return f
-    vars = f.vars
-    used = [i for i in range(len(vars))
-            if any(e[i] > 0 for e in f.terms) or any(e[i] > 0 for e in g.terms)]
-    if not used:
-        return Polynomial.constant(1, vars)
-    if len(used) == 1:
-        return _gcd_univar_monic(f, g, vars[used[0]])
-    if len(used) == 2:
-        got = _gcd_bivariate_modular(f, g, vars[used[0]], vars[used[1]])
-        if got is not None:
-            return got
-    main = vars[used[-1]]
-    cf, pf = _content_and_primitive(f, main)
-    cg, pg = _content_and_primitive(g, main)
-    cont = _gcd_cleared(cf, cg)
-    a, b = pf, pg
-    if a.degree(main) < b.degree(main):
-        a, b = b, a
-    while not b.is_zero():
-        r = pseudo_rem(a, b, main)
-        if r.is_zero():
-            a, b = b, r
-            break
-        r, _ = r.strip_monomial_content()
-        _, r = _content_and_primitive(r, main)
-        a, b = b, r
-    _, prim = _content_and_primitive(a, main)
-    return cont * prim
+def squarefree_part(p: Polynomial) -> Polynomial:
+    """Product of the distinct irreducible factors of p (over all variables,
+    monomial content dropped), normalized to lex-leading coefficient 1."""
+    R = _ring(p.vars)
+    P, _ = _to_ring(R, _primitive_cleared(p))
+    return _normalize(_from_ring(p.vars, P.sqf_part()))
 
 
-def _gcd_univar_monic(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
-    """Euclid with field division for single-variable inputs; pseudo-division
-    PRS growth is exponential in the degree here, monic Euclid is not."""
-    i = f.vars.index(var)
-
-    def coeffs(p):
-        d = p.degree(var)
-        out = [ZERO] * (d + 1)
-        for e, c in p.terms.items():
-            out[e[i]] = c
-        return out
-
-    def trim(cs):
-        while cs and not cs[-1]:
-            cs.pop()
-        return cs
-
-    a, b = trim(coeffs(f)), trim(coeffs(g))
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        inv = b[-1].inverse()
-        bm = [c * inv for c in b]
-        r = list(a)
-        for k in range(len(r) - 1, len(bm) - 2, -1):
-            lead = r[k]
-            if not lead:
-                continue
-            off = k - (len(bm) - 1)
-            for j in range(len(bm)):
-                r[off + j] = r[off + j] - lead * bm[j]
-        a, b = bm, trim(r[: len(bm) - 1])
-    inv = a[-1].inverse()
-    terms = {}
-    for k, c in enumerate(a):
-        if c:
-            e = [0] * len(f.vars)
-            e[i] = k
-            terms[tuple(e)] = c * inv
-    return Polynomial(f.vars, terms)
-
-
-def _eval_coeffs_at(p: Polynomial, outer: str, main: str, r: GaussianRational) -> Polynomial:
-    """p(outer = r) as a univariate polynomial in main (p cleared, two live vars)."""
-    io = p.vars.index(outer)
-    im = p.vars.index(main)
-    acc: dict[int, GaussianRational] = {}
-    for e, c in p.terms.items():
-        val = c * (r ** e[io])
-        k = e[im]
-        s = acc.get(k, ZERO) + val
-        if s:
-            acc[k] = s
-        else:
-            acc.pop(k, None)
-    terms = {}
-    for k, c in acc.items():
-        ee = [0] * len(p.vars)
-        ee[im] = k
-        terms[tuple(ee)] = c
-    return Polynomial(p.vars, terms)
-
-
-def _gcd_bivariate_modular(f: Polynomial, g: Polynomial, outer: str, main: str):
-    """Brown-style evaluation/interpolation gcd for two live variables.
-
-    Computes univariate gcds at sample values of `outer`, scales them to the
-    gcd of the leading coefficients, interpolates, and verifies by exact
-    division.  Returns None when the verification keeps failing (callers fall
-    back to the primitive PRS)."""
-    if min(f.degree(main), g.degree(main)) == 0:
-        return None
-    cont_f, pf = _content_and_primitive_univar(f, main, outer)
-    cont_g, pg = _content_and_primitive_univar(g, main, outer)
-    if cont_f is None or cont_g is None:
-        return None
-    cont = _gcd_cleared(cont_f, cont_g)
-    lc_f = _coeff_of(pf, main, pf.degree(main))
-    lc_g = _coeff_of(pg, main, pg.degree(main))
-    lc_gcd = _gcd_cleared(lc_f, lc_g)  # univariate in outer (or constant)
-
-    do_bound = min(pf.degree(outer), pg.degree(outer))
-    if do_bound > 90:
-        return None
-    samples: list[tuple[GaussianRational, list[GaussianRational]]] = []
-    best_deg = None
-    r_int = 1
-    tries = 0
-    need = do_bound + lc_gcd.degree(outer) + 2
-    while len(samples) < need and tries < 8 * need + 40:
-        tries += 1
-        r_int += 1
-        r = GaussianRational(r_int)
-        fu = _eval_coeffs_at(pf, outer, main, r)
-        gu = _eval_coeffs_at(pg, outer, main, r)
-        if fu.degree(main) != pf.degree(main) or gu.degree(main) != pg.degree(main):
-            continue
-        h = _gcd_univar_monic(fu, gu, main)
-        d = h.degree(main)
-        if best_deg is None or d < best_deg:
-            best_deg = d
-            samples = []
-        if d == best_deg:
-            scale = lc_gcd.evaluate_exact({outer: r})
-            coeffs = [ZERO] * (d + 1)
-            im = f.vars.index(main)
-            for e, c in h.terms.items():
-                coeffs[e[im]] = c * scale
-            samples.append((r, coeffs))
-        if best_deg == 0:
-            return _normalize(cont)
-    if best_deg is None or len(samples) < need:
-        return None
-    # Lagrange interpolation of each main-coefficient in the outer variable
-    pts = samples[:need]
-    io = f.vars.index(outer)
-    im = f.vars.index(main)
-    terms: dict[Exponents, GaussianRational] = {}
-    xs = [r for r, _ in pts]
-    for k in range(best_deg + 1):
-        ys = [cs[k] for _, cs in pts]
-        poly_coeffs = _lagrange(xs, ys)
-        for j, c in enumerate(poly_coeffs):
-            if not c:
-                continue
-            e = [0] * len(f.vars)
-            e[io] = j
-            e[im] = k
-            terms[tuple(e)] = c
-    G = Polynomial(f.vars, terms)
-    G, _ = G.strip_monomial_content()
-    gc, gp = _content_and_primitive_univar(G, main, outer)
-    if gp is not None:
-        G = gp
-    try:
-        _exact_div_cleared(pf, G)
-        _exact_div_cleared(pg, G)
-    except ValueError:
-        return None
-    return _normalize(cont * G)
-
-
-def _content_and_primitive_univar(p: Polynomial, main: str, outer: str):
-    """Content/primitive split when the main-variable coefficients are
-    univariate in `outer`; returns (None, None) on unexpected support."""
-    coeffs = [c for c in coefficients_in(p, main) if not c.is_zero()]
-    cont = coeffs[0]
-    for c in coeffs[1:]:
-        if not cont.support_vars():
-            break
-        cont = _gcd_cleared(cont, c)
-    cont = _normalize(cont)
-    try:
-        prim = _exact_div_cleared(p, cont)
-    except ValueError:
-        return None, None
-    return cont, prim
-
-
-def _lagrange(xs: list[GaussianRational], ys: list[GaussianRational]) -> list[GaussianRational]:
-    """Coefficients of the interpolating polynomial through (xs, ys)."""
-    n = len(xs)
-    coeffs = [ZERO] * n
-    for i in range(n):
-        # basis polynomial prod_{j != i} (x - xs[j]) / (xs[i] - xs[j])
-        denom = ONE
-        basis = [ONE]
-        for j in range(n):
-            if j == i:
-                continue
-            denom = denom * (xs[i] - xs[j])
-            new = [ZERO] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                new[k + 1] = new[k + 1] + c
-                new[k] = new[k] - c * xs[j]
-            basis = new
-        w = ys[i] / denom
-        for k, c in enumerate(basis):
-            coeffs[k] = coeffs[k] + c * w
-    return coeffs
-
-
-def _content_and_primitive(p: Polynomial, var: str) -> tuple[Polynomial, Polynomial]:
-    coeffs = [c for c in coefficients_in(p, var) if not c.is_zero()]
-    cont = coeffs[0]
-    for c in coeffs[1:]:
-        if cont.total_terms() == 1 and not any(cont.terms):
-            break
-        cont = _gcd_cleared(cont, c)
-    cont = _normalize(cont)
-    return cont, exact_div(p, cont)
-
-
-def squarefree_part(p: Polynomial, var: str) -> Polynomial:
-    """p divided by gcd(p, dp/dvar): repeated factors in var collapse to one.
-    Oversized multivariate inputs are returned unreduced."""
-    pc, _ = p.clear_laurent()
-    pc, _ = pc.strip_monomial_content()
-    if len(pc.support_vars()) > 2 and pc.total_terms() > 200:
-        return _normalize(pc)
-    dp = pc.differentiate(var)
-    if dp.is_zero():
-        return _normalize(pc)
-    g = poly_gcd(pc, dp)
-    if g.degree(var) == 0 and len(g.support_vars()) == 0:
-        return _normalize(pc)
-    return _normalize(exact_div(pc, g))
+def factor_list(p: Polynomial) -> list[tuple[Polynomial, int]]:
+    """Irreducible factors of p's cleared representative over Q with their
+    multiplicities, each normalized to lex-leading coefficient 1; the
+    constant factor is dropped."""
+    R = _ring(p.vars)
+    P, _ = _to_ring(R, p.clear_laurent()[0])
+    return [(_normalize(_from_ring(p.vars, f)), k) for f, k in P.factor_list()[1]]
 
 
 class ResultantError(ValueError):
@@ -672,49 +420,36 @@ def resultant(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
     responsible for tracking any cleared monomials.  Raises ResultantError
     for inputs of degree 0 in var.
     """
+    from sympy.polys.matrices import DomainMatrix
     p._check(q)
     pc, _ = p.clear_laurent()
     qc, _ = q.clear_laurent()
     dp, dq = pc.degree(var), qc.degree(var)
     if dp == 0 or dq == 0:
         raise ResultantError(f"resultant needs positive degree in {var}")
-    a = coefficients_in(pc, var)
-    b = coefficients_in(qc, var)
+    R = _ring(p.vars)
+    P, pden = _to_ring(R, pc)
+    Q, qden = _to_ring(R, qc)
+    i = p.vars.index(var)
+
+    def coeffs(F, d):
+        parts = [{} for _ in range(d + 1)]
+        for e, c in F.items():
+            parts[e[i]][e[:i] + (0,) + e[i + 1:]] = c
+        return [R(t) for t in parts]
+
+    a, b = coeffs(P, dp), coeffs(Q, dq)
     n = dp + dq
-    zero = Polynomial.constant(0, p.vars)
-    M = [[zero] * n for _ in range(n)]
+    M = [[R.zero] * n for _ in range(n)]
     for r in range(dq):
         for k, c in enumerate(reversed(a)):
             M[r][r + k] = c
     for r in range(dp):
         for k, c in enumerate(reversed(b)):
             M[dq + r][r + k] = c
-    return _bareiss_det(M)
-
-
-def _bareiss_det(M: list[list[Polynomial]]) -> Polynomial:
-    n = len(M)
-    if n == 0:
-        raise ValueError("empty matrix")
-    vars = M[0][0].vars
-    sign = 1
-    prev = Polynomial.constant(1, vars)
-    M = [row[:] for row in M]
-    for k in range(n - 1):
-        if M[k][k].is_zero():
-            piv = next((i for i in range(k + 1, n) if not M[i][k].is_zero()), None)
-            if piv is None:
-                return Polynomial.constant(0, vars)
-            M[k], M[piv] = M[piv], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = M[k][k] * M[i][j] - M[i][k] * M[k][j]
-                M[i][j] = _exact_div_cleared(num, prev) if not num.is_zero() else num
-            M[i][k] = Polynomial.constant(0, vars)
-        prev = M[k][k]
-    det = M[n - 1][n - 1]
-    return det if sign == 1 else -det
+    det = DomainMatrix(M, (n, n), R.to_domain()).det()
+    # each row of P's coefficients carried the factor pden, each of Q's qden
+    return _from_ring(p.vars, det).scale(Fraction(1, pden ** dq * qden ** dp))
 
 
 # ---------------------------------------------------------------------------

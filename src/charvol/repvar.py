@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from .locus import TOLERANCES
 from .manifold import ManifoldSpec, relator_matrix, gf2_nullspace
 from .matrices import GaugeError, gauge_coord_names, gauge_matrices, regauge
 from .poly import (CompiledSystem, Polynomial, PolySystem, SymMatrix2,
@@ -257,8 +258,9 @@ def make_character_point(system: GaugedSystem, coords, prev: Optional[CharacterP
             # lift reference: the point's own log when the eigenvalue sits at
             # +-1 (so parabolic points have zero normalized logs exactly),
             # otherwise 0 or i*pi by sign
-            base_u = u if abs(m * m - 1) < 1e-9 else (1j * cmath.pi if m.real < 0 else 0j)
-            base_v = v if abs(l * l - 1) < 1e-9 else (1j * cmath.pi if l.real < 0 else 0j)
+            lift = TOLERANCES["lift"]
+            base_u = u if abs(m * m - 1) < lift else (1j * cmath.pi if m.real < 0 else 0j)
+            base_v = v if abs(l * l - 1) < lift else (1j * cmath.pi if l.real < 0 else 0j)
         states.append(PeripheralState(
             u=u, v=v, m=m, l=l,
             trace_m=traces[3 * i], trace_l=traces[3 * i + 1], trace_ml=traces[3 * i + 2],
@@ -389,7 +391,7 @@ def _polish_unit_slots(system: GaugedSystem, x, pins, tol):
     for name in ("s", "p"):
         idx = V.index(name)
         for sign in (1, -1):
-            if abs(x[idx] - sign) < 1e-3:
+            if abs(x[idx] - sign) < TOLERANCES["near"]:
                 extra.append(Polynomial.variable(name, V, lau) -
                              Polynomial.constant(sign, V, lau))
     if len(extra) == len(pins):

@@ -1,14 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import charvol
 from charvol.eigenvar import (EigenvaluePoint, EliminationBudgetError,
-                              _scaled_residual, build_extended, eliminate,
-                              gamma_act, sample_point)
+                              _remove_extraneous_factors, _scaled_residual,
+                              build_extended, eliminate, gamma_act, sample_point)
 from charvol.fixtures import fixture_text
 from charvol.locus import on_U
 from charvol.manifold import parse_spec
+from charvol.poly import Polynomial, exact_div
 from charvol.repvar import GaugedSystem
 
 
@@ -120,6 +126,19 @@ def test_fig8_eliminant_matches_classical_a_polynomial(fig8_eliminant):
     assert hits >= 10
 
 
+def test_fig8_eliminant_equals_published_a_polynomial(fig8_eliminant):
+    """Term-by-term oracle: Cooper-Culler-Gillet-Long-Shalen (Invent. Math.
+    1994) give l - m^2 l - m^4 - 2 m^4 l - m^4 l^2 - m^6 l + m^8 l."""
+    p, _ = fig8_eliminant.polynomials[0].strip_monomial_content()
+    published = {(0, 1): 1, (2, 1): -1, (4, 0): -1, (4, 1): -2, (4, 2): -1,
+                 (6, 1): -1, (8, 1): 1}
+    im, il = p.vars.index("m1"), p.vars.index("l1")
+    got = {(e[im], e[il]): c for e, c in p.terms.items()}
+    unit = got[0, 1]
+    assert unit != 0
+    assert got == {k: unit * c for k, c in published.items()}
+
+
 def test_fig8_eliminant_gamma_invariance(fig8_eliminant, fig8_samples):
     p = fig8_eliminant.polynomials[0]
     for x in fig8_samples:
@@ -147,6 +166,70 @@ def test_abelian_eliminant_binomial(abelian_spec):
     assert es.validated
     # l^2 - 1 divides the binomial relation m^0 l^2 - 1
     assert [p.as_text() for p in es.polynomials] == ["-1 + 1*l1^2"]
+
+
+# -- removal of extraneous factors ---------------------------------------------
+
+PERIPH = ("m1", "l1")
+_m = Polynomial.variable("m1", PERIPH)
+_l = Polynomial.variable("l1", PERIPH)
+_ONE = Polynomial.constant(1, PERIPH)
+
+
+def _curve_samples(ms):
+    """Eigenvalue points on l = m^2."""
+    return [EigenvaluePoint(values=np.array([m, m * m])) for m in ms]
+
+
+def test_extraneous_factor_divided_out_and_logged():
+    p = (_m + _ONE) * (_l - _m * _m)
+    q, removed = _remove_extraneous_factors(p, _curve_samples([2.0, 0.5j, 3 - 1j]))
+    assert removed == ["1 + 1*m1"]
+    assert q == _l - _m * _m or q == _m * _m - _l
+
+
+def test_factor_vanishing_at_a_sample_is_kept():
+    p = (_m + _ONE) * (_l - _m * _m)
+    q, removed = _remove_extraneous_factors(p, _curve_samples([2.0, -1.0]))
+    assert removed == []
+    assert q == p
+
+
+def test_no_factor_removed_without_samples():
+    p = (_m + _ONE) * (_l - _m * _m)
+    assert _remove_extraneous_factors(p, None) == (p, [])
+
+
+def test_wlink_elimination(wlink_system, wlink_fillings):
+    ext = build_extended(wlink_system)
+    samples = []
+    for _, pt, path in wlink_fillings:
+        samples.append(sample_point(ext, pt))
+        samples.append(sample_point(ext, path.points[len(path) // 2]))
+    es = eliminate(ext, samples=samples)
+    assert es.validated
+    assert "1 + 1*m2^2" in es.removed_factors
+    for p in es.polynomials:
+        m2 = Polynomial.variable("m2", p.vars)
+        with pytest.raises(ValueError):
+            exact_div(p, m2 * m2 + Polynomial.constant(1, p.vars))
+
+
+def test_setup_does_not_import_sympy():
+    """sympy is loaded by elimination only: importing the CLI and building
+    fig8's gauged and extended systems leave it unimported."""
+    src = str(Path(charvol.__file__).resolve().parent.parent)
+    code = ("import sys\n"
+            "import charvol.cli\n"
+            "from charvol.eigenvar import build_extended\n"
+            "from charvol.fixtures import load_fixture\n"
+            "from charvol.repvar import GaugedSystem\n"
+            "build_extended(GaugedSystem(load_fixture('fig8')))\n"
+            "print('sympy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_eliminate_budget_error():

@@ -1,12 +1,14 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charvol.gaussian import GaussianRational, I as GI, ONE
 from charvol.poly import (CompiledSystem, Polynomial, PolySystem, ResultantError,
-                          SymMatrix2, VariableMismatchError, exact_div, poly_gcd,
-                          resultant, squarefree_part, trace_poly, word_matrix)
+                          SymMatrix2, VariableMismatchError, exact_div, factor_list,
+                          poly_gcd, resultant, squarefree_part, trace_poly,
+                          word_matrix)
 
 V = ("x", "y", "z")
 
@@ -20,6 +22,7 @@ def const(c):
 
 
 coef = st.integers(min_value=-4, max_value=4)
+denominator = st.integers(min_value=1, max_value=3)
 exponent = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2))
 
 
@@ -28,27 +31,10 @@ def polys(draw, max_terms=5):
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
         e = draw(exponent)
-        c = GaussianRational(draw(coef), draw(coef))
+        c = Fraction(draw(coef), draw(denominator))
         if c:
             terms[e] = c
     return Polynomial(V, terms)
-
-
-# -- gaussian rationals ------------------------------------------------------
-
-def test_gaussian_field_ops():
-    a = GaussianRational(1, 2)
-    b = GaussianRational("1/3", "-2/7")
-    assert (a * b) * b.inverse() == a
-    assert (a + b) - b == a
-    assert complex(GI * GI) == -1
-    assert a * a.inverse() == ONE
-
-
-def test_gaussian_rejects_inexact_floats():
-    with pytest.raises(TypeError):
-        GaussianRational(0.5)
-    assert GaussianRational(2.0) == GaussianRational(2)
 
 
 # -- arithmetic --------------------------------------------------------------
@@ -58,10 +44,10 @@ def test_add_cancels():
     assert (x + (-x)).is_zero()
 
 
-def test_gaussian_product():
+def test_rational_product():
     x = var("x")
-    p = (x + const(GI)) * (x - const(GI))
-    assert p == x * x + const(1)
+    p = (x + const(Fraction(1, 2))) * (x - const(Fraction(1, 2)))
+    assert p == x * x - const(Fraction(1, 4))
 
 
 def test_laurent_unit_product():
@@ -129,7 +115,7 @@ def test_differentiate_laurent():
     minv = Polynomial.variable("m", W, laurent=lau, power=-1)
     d = (m + minv).differentiate("m")
     expect = Polynomial.constant(1, W, lau) - Polynomial(
-        W, {(-2,): ONE}, lau)
+        W, {(-2,): 1}, lau)
     assert d == expect
 
 
@@ -165,8 +151,10 @@ def test_derivative_linearity_and_product_rule(p, q):
 
 def test_exact_div_roundtrip():
     x, y = var("x"), var("y")
-    f = (x + y) * (x * x - const(GI) * y)
-    assert exact_div(f, x + y) == x * x - const(GI) * y
+    f = (x + y) * (x * x - const(Fraction(2, 3)) * y)
+    assert exact_div(f, x + y) == x * x - const(Fraction(2, 3)) * y
+    # the quotient of two integer polynomials may be a rational constant
+    assert exact_div(x + const(1), (x + const(1)).scale(6)) == const(Fraction(1, 6))
     with pytest.raises(ValueError):
         exact_div(x * x + const(1), x + const(1))
 
@@ -175,18 +163,32 @@ def test_poly_gcd_common_factor():
     x, y = var("x"), var("y")
     g = x * y - const(2)
     f1 = g * (x + const(1))
-    f2 = g * (y + const(GI))
+    f2 = g * (y + const(Fraction(1, 3)))
     got = poly_gcd(f1, f2)
     lead = max(g.terms)
-    assert got == g.scale(g.terms[lead].inverse())
+    assert got == g.scale(1 / g.terms[lead])
 
 
 def test_squarefree_part():
     x, y = var("x"), var("y")
     p = (x - y) * (x - y) * (x + const(2))
-    sq = squarefree_part(p, "x")
+    sq = squarefree_part(p)
     assert sq.degree("x") == 2
     assert exact_div(p, x - y).degree("x") == 2
+
+
+def test_squarefree_part_keeps_factors_free_of_a_variable():
+    """Every distinct factor survives, also those without x (here y + 1)."""
+    x, y = var("x"), var("y")
+    p = (x - y) ** 2 * (y + const(1)) * (x * x + const(1))
+    assert squarefree_part(p) == (x - y) * (y + const(1)) * (x * x + const(1))
+
+
+def test_factor_list_irreducible_factors():
+    x, y = var("x"), var("y")
+    p = ((x - y) ** 2 * (y + const(1)) * (x * x + const(1))).scale(Fraction(-3, 2))
+    got = dict(factor_list(p))
+    assert got == {x - y: 2, y + const(1): 1, x * x + const(1): 1}
 
 
 def test_resultant_linear_pair():
@@ -196,6 +198,9 @@ def test_resultant_linear_pair():
     b = Polynomial.variable("b", W)
     r = resultant(x - a, x - b, "x")
     assert r == a - b or r == b - a
+    # rational coefficients: the Sylvester determinant of the scaled pair
+    half = Fraction(1, 2)
+    assert resultant((x - a).scale(half), x - b, "x") == (a - b).scale(half)
 
 
 def test_resultant_quadratic():
@@ -279,17 +284,20 @@ def test_polysystem_shares_ordering():
 
 
 def test_serialization_roundtrip():
-    p = var("x") * const(GaussianRational("3/7", "-1/2")) + var("y") ** 3
+    p = var("x") * const(Fraction(3, 7)) + var("y") ** 3
     d = p.to_json()
     assert d["vars"] == list(V)
     q = Polynomial.from_json(d)
     assert q == p
+    d["terms"][0]["im"] = "1/2"
+    with pytest.raises(ValueError):
+        Polynomial.from_json(d)
 
 
 def test_compiled_system_matches_evaluate():
     rng = np.random.default_rng(9)
     x, y, z = (var(n) for n in V)
-    ps = [x * y - z ** 2 + const(GI), (x + y + const(1)) ** 2]
+    ps = [x * y - z ** 2 + const(Fraction(-2, 3)), (x + y + const(1)) ** 2]
     cs = CompiledSystem(ps, V)
     for _ in range(5):
         pt = rng.normal(size=3) + 1j * rng.normal(size=3)
