@@ -19,8 +19,7 @@ import numpy as np
 
 from . import fixtures
 from .continuation import (ContinuationError, DeformationProblem,
-                           FillingCoefficients, FillingError,
-                           fiber_over, sample_dense_set, solve_filling,
+                           FillingCoefficients, fiber_over, sample_dense_set, solve_filling,
                            track, track_closed_loop, random_log_loop_targets)
 from .eigenvar import (EliminationBudgetError, build_extended, eliminate,
                        sample_point)
@@ -394,7 +393,7 @@ def cmd_certify(config: RunConfig) -> int:
             kappa = FillingCoefficients.parse(ktext, spec.cusp_count)
             pt, path_ = solve_filling(problem, comp, kappa)
             filled.append((ktext, pt, path_))
-        except (FillingError, ContinuationError) as e:
+        except ContinuationError as e:
             check(f"filling_{ktext}", False, None, None, str(e))
     vols = []
     quad_ok = True

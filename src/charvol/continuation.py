@@ -19,22 +19,13 @@ import numpy as np
 
 from .locus import TOLERANCES as LOCUS_TOL, eigenvalues, moved, on_U, on_V, traces
 from .manifold import ManifoldSpec
-from .repvar import (CharacterPoint, GaugedSystem, SignTwist, TWO_PI_I,
-                     enumerate_twists, make_character_point)
+# the Newton kernel and its errors live in repvar and are re-exported here
+from .repvar import (CharacterPoint, ContinuationError, DivergenceError, GaugedSystem,
+                     NewtonResult, SignTwist, SingularJacobianError, TWO_PI_I,
+                     enumerate_twists, gauss_newton, make_character_point,
+                     stacked_system)
 
 PI = cmath.pi
-
-
-class ContinuationError(RuntimeError):
-    pass
-
-
-class SingularJacobianError(ContinuationError):
-    pass
-
-
-class DivergenceError(ContinuationError):
-    pass
 
 
 class TrackingError(ContinuationError):
@@ -49,54 +40,12 @@ class FillingError(ContinuationError):
 # Newton correction
 # ---------------------------------------------------------------------------
 
-@dataclass
-class NewtonResult:
-    x: np.ndarray
-    residual: float
-    iterations: int
-    quad_ratios: list[float]
-    condition: float
-
-
-def newton_correct(system, start, tol: float = 1e-12, maxiter: int = 50,
+def newton_correct(F, start, tol: float = 1e-12, maxiter: int = 50,
                    condition_limit: float = 1e8) -> NewtonResult:
-    """Newton's method (least squares for non-square systems) to the given
-    residual tolerance.  Requires a usable Jacobian near the start and raises
-    on divergence; the per-step contraction ratios are recorded so quadratic
-    convergence can be audited."""
-    x = np.asarray(start, dtype=complex).copy()
-    vals, J = system.values_and_jacobian(x)
-    res = float(np.max(np.abs(vals))) if len(vals) else 0.0
-    sv = np.linalg.svd(J, compute_uv=False) if J.size else np.array([1.0])
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    if res < tol:
-        return NewtonResult(x, res, 0, [], cond)
-    if not np.isfinite(cond) or cond > condition_limit:
-        raise SingularJacobianError(f"Jacobian condition {cond:.2e} exceeds {condition_limit:.0e}")
-    ratios = []
-    prev_norm = None
-    bad = 0
-    for it in range(1, maxiter + 1):
-        dx, *_ = np.linalg.lstsq(J, -vals, rcond=None)
-        if not np.all(np.isfinite(dx)):
-            raise DivergenceError("non-finite Newton step")
-        x = x + dx
-        vals, J = system.values_and_jacobian(x)
-        norm = float(np.linalg.norm(vals))
-        res = float(np.max(np.abs(vals)))
-        # contraction ratios are only meaningful above the roundoff floor
-        if prev_norm is not None and prev_norm > 1e-8:
-            ratios.append(norm / prev_norm ** 2)
-        if prev_norm is not None and norm > 4 * prev_norm:
-            bad += 1
-            if bad >= 3:
-                raise DivergenceError(f"residual diverging at iteration {it}")
-        else:
-            bad = 0
-        prev_norm = norm
-        if res < tol:
-            return NewtonResult(x, res, it, ratios, cond)
-    raise DivergenceError(f"no convergence in {maxiter} iterations (residual {res:.2e})")
+    """The fiber multistart's Newton solve: `gauss_newton` on
+    F(x) -> (values, Jacobian), refusing a start whose Jacobian condition
+    exceeds condition_limit."""
+    return gauss_newton(F, start, tol, maxiter, condition_limit=condition_limit)
 
 
 def jacobian_check(system, point, step: float = 1e-6, tol: float = 1e-5) -> dict:
@@ -135,7 +84,7 @@ class LogConstraint:
         self.q = qcoef
         self.target = target
 
-    def value_and_grad(self, problem: "DeformationProblem", x, branch, tau, ml, Jml):
+    def value_and_grad(self, problem: "DeformationProblem", branch, tau, ml, Jml):
         i = self.i
         m, l = ml[2 * i], ml[2 * i + 1]
         bu, bv, bm, bl = branch[i]
@@ -159,43 +108,33 @@ class DeformationProblem:
         self.system = system
         self.base = [(c.base_u, c.base_v) for c in base_point.cusps]
 
+    def _constraint_rows(self, x, branch, constraints, tau):
+        """Values and gradients of the log constraints at x and tau."""
+        ml, Jml = self.system.compiled_ml.values_and_jacobian(x)
+        rows = [con.value_and_grad(self, branch, tau, ml, Jml) for con in constraints]
+        return [v for v, _ in rows], [g for _, g in rows]
+
     def correct(self, x0, branch, constraints, tau, tol=1e-11, maxiter=30):
-        x = np.asarray(x0, dtype=complex).copy()
-        res = np.inf
-        for it in range(maxiter):
-            sys_vals, sys_jac = self.system.compiled.values_and_jacobian(x)
-            ml, Jml = self.system.compiled_ml.values_and_jacobian(x)
-            rows, vals = [sys_jac], [sys_vals]
-            for con in constraints:
-                v, g = con.value_and_grad(self, x, branch, tau, ml, Jml)
-                vals.append(np.array([v]))
-                rows.append(g[None, :])
-            F = np.concatenate(vals)
-            res = float(np.max(np.abs(F))) if len(F) else 0.0
-            if not np.isfinite(res):
-                return x, np.inf, False
-            if res < tol:
-                return x, res, True
-            J = np.vstack(rows)
-            dx, *_ = np.linalg.lstsq(J, -F, rcond=None)
-            if not np.all(np.isfinite(dx)):
-                return x, res, False
-            x = x + dx
-        return x, res, False
+        """Newton-correct x0 onto the gauge system plus the constraints at
+        tau; returns (x, residual, converged)."""
+        def F(x):
+            vals, J = self.system.compiled.values_and_jacobian(x)
+            cvals, grads = self._constraint_rows(x, branch, constraints, tau)
+            return np.concatenate([vals, cvals]), np.vstack([J, *grads])
+        try:
+            r = gauss_newton(F, x0, tol, maxiter)
+        except DivergenceError as e:
+            return e.x, e.residual, False
+        return r.x, r.residual, True
 
     def predict(self, x, branch, constraints, tau, dtau):
         """First-order predictor from the constraint targets' tau-motion."""
         h = 1e-6
         sys_jac = self.system.compiled.jacobian(x)
-        ml, Jml = self.system.compiled_ml.values_and_jacobian(x)
-        rows, rhs = [sys_jac], [np.zeros(sys_jac.shape[0], dtype=complex)]
-        for con in constraints:
-            _, g = con.value_and_grad(self, x, branch, tau, ml, Jml)
-            dtarget = (con.target(tau + h) - con.target(tau - h)) / (2 * h)
-            rows.append(g[None, :])
-            rhs.append(np.array([dtarget]))
-        J = np.vstack(rows)
-        b = np.concatenate(rhs)
+        _, grads = self._constraint_rows(x, branch, constraints, tau)
+        dtarget = [(con.target(tau + h) - con.target(tau - h)) / (2 * h) for con in constraints]
+        J = np.vstack([sys_jac, *grads])
+        b = np.concatenate([np.zeros(sys_jac.shape[0], dtype=complex), dtarget])
         dxdtau, *_ = np.linalg.lstsq(J, b, rcond=None)
         return x + dtau * dxdtau
 
@@ -552,7 +491,7 @@ def sample_dense_set(problem: DeformationProblem, complete: CharacterPoint,
             z = pt.trace_vector()
             off = not on_V(traces(pt), LOCUS_TOL["near"])
             out.append(FilledCharacter(kappa, pt, path, z, off))
-        except (FillingError, TrackingError, ContinuationError) as e:
+        except ContinuationError as e:
             out.append(FilledCharacter(kappa, None, None, None, False, error=str(e)))
     return out
 
@@ -560,25 +499,6 @@ def sample_dense_set(problem: DeformationProblem, complete: CharacterPoint,
 # ---------------------------------------------------------------------------
 # fibers of the restriction map
 # ---------------------------------------------------------------------------
-
-class _FiberSystem:
-    """Gauged system together with boundary-trace constraints traces(x) = z."""
-
-    def __init__(self, system: GaugedSystem, z: np.ndarray):
-        self.system = system
-        self.z = np.asarray(z, dtype=complex)
-
-    def values(self, x):
-        return np.concatenate([self.system.compiled.values(x),
-                               self.system.compiled_traces.values(x) - self.z])
-
-    def jacobian(self, x):
-        return np.vstack([self.system.compiled.jacobian(x),
-                          self.system.compiled_traces.jacobian(x)])
-
-    def values_and_jacobian(self, x):
-        return self.values(x), self.jacobian(x)
-
 
 @dataclass
 class FiberReport:
@@ -648,7 +568,8 @@ def fiber_over(system: GaugedSystem, z: np.ndarray,
     spec = spec or system.spec
     z = np.asarray(z, dtype=complex)
     rng = np.random.default_rng(seed)
-    fsys = _FiberSystem(system, z)
+    F = stacked_system([system.compiled, system.compiled_traces],
+                       np.concatenate([np.zeros(system.compiled.npolys), z]))
     seed_coords = [np.asarray(s.coords, dtype=complex) for s in seeds]
     scale = max((float(np.max(np.abs(c))) for c in seed_coords), default=1.0)
 
@@ -679,7 +600,7 @@ def fiber_over(system: GaugedSystem, z: np.ndarray,
             n = len(system.vars)
             x0 = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
         try:
-            result = newton_correct(fsys, x0, tol=newton_tol, maxiter=40,
+            result = newton_correct(F, x0, tol=newton_tol, maxiter=40,
                                     condition_limit=1e12)
             register(result.x)
         except ContinuationError:
@@ -694,7 +615,7 @@ def fiber_over(system: GaugedSystem, z: np.ndarray,
             for _ in range(monodromy_loops):
                 _monodromy_loop(problem, system, points, keys, z, rng, register)
                 history.append(len(points))
-        except (TrackingError, ContinuationError):
+        except ContinuationError:
             pass
 
     quarter = max(1, len(history) // 4)
@@ -793,19 +714,15 @@ def track_closed_loop(problem: DeformationProblem, base: CharacterPoint,
     eigenvalue variety over it; winding the same loop again closes any
     order-two monodromy.  Raises when the path refuses to close."""
     total = track(problem, base, constraints, tau0=0.0, tau1=1.0, **opts)
-    for _ in range(max_windings):
+    for winding in range(max_windings + 1):
         end = total.endpoint()
         gap = max(max(abs(ca.m - cb.m), abs(ca.l - cb.l))
                   for ca, cb in zip(base.cusps, end.cusps))
         if gap < closure_tol:
             return total
-        nxt = track(problem, end, constraints, tau0=0.0, tau1=1.0, **opts)
-        total = concatenate_paths(total, nxt)
-    end = total.endpoint()
-    gap = max(max(abs(ca.m - cb.m), abs(ca.l - cb.l))
-              for ca, cb in zip(base.cusps, end.cusps))
-    if gap < closure_tol:
-        return total
+        if winding < max_windings:
+            total = concatenate_paths(
+                total, track(problem, end, constraints, tau0=0.0, tau1=1.0, **opts))
     raise TrackingError(f"loop failed to close after {max_windings} windings "
                         f"(gap {gap:.2e})")
 

@@ -366,13 +366,15 @@ def _remove_extraneous_factors(p: Polynomial, samples):
     if samples is None:
         return p, removed
     for factor, k in factor_list(p):
-        if not any(abs(_eval_periph(factor, x)) < 1e-6 for x in samples):
+        if not any(abs(factor.evaluate(_periph_point(factor, x))) < 1e-6 for x in samples):
             p = exact_div(p, factor ** k)
             removed.append(factor.as_text())
     return p, removed
 
 
-def _eval_periph(p: Polynomial, x: EigenvaluePoint) -> complex:
+def _periph_point(p: Polynomial, x: EigenvaluePoint) -> list:
+    """x's peripheral eigenvalues in the order of p's variables: m_i and l_i
+    from the sample, 0 for any other variable."""
     point = []
     for v in p.vars:
         if v.startswith("m") and v[1:].isdigit():
@@ -381,20 +383,12 @@ def _eval_periph(p: Polynomial, x: EigenvaluePoint) -> complex:
             point.append(x.values[2 * (int(v[1:]) - 1) + 1])
         else:
             point.append(0.0)
-    return p.evaluate(point)
+    return point
 
 
 def _scaled_residual(p: Polynomial, x: EigenvaluePoint) -> float:
     """|p(x)| scaled by the largest term magnitude at x."""
-    point = []
-    for v in p.vars:
-        if v.startswith("m") and v[1:].isdigit():
-            point.append(x.values[2 * (int(v[1:]) - 1)])
-        elif v.startswith("l") and v[1:].isdigit():
-            point.append(x.values[2 * (int(v[1:]) - 1) + 1])
-        else:
-            point.append(0.0)
-    pt = [complex(z) for z in point]
+    pt = [complex(z) for z in _periph_point(p, x)]
     total = 0j
     scale = 0.0
     for e, c in p.terms.items():

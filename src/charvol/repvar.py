@@ -10,6 +10,7 @@ irreducible characters appear finitely often.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -350,34 +351,101 @@ def apply_twist(pt: CharacterPoint, tw: SignTwist, system: GaugedSystem) -> Char
 
 
 # ---------------------------------------------------------------------------
-# the complete structure
+# the Newton kernel
 # ---------------------------------------------------------------------------
 
-def _newton_lstsq(compiled_parts, coords0, tol=1e-12, maxiter=80):
-    """Damped Gauss-Newton on stacked compiled systems; returns (x, residual)."""
-    x = np.asarray(coords0, dtype=complex).copy()
-    best = None
-    for _ in range(maxiter):
-        vals = np.concatenate([c.values(x) for c in compiled_parts])
+class ContinuationError(RuntimeError):
+    pass
+
+
+class SingularJacobianError(ContinuationError):
+    pass
+
+
+class DivergenceError(ContinuationError):
+    """Newton stopped without converging at iterate `x` with max-abs
+    residual `residual` (inf when the residual is not finite)."""
+
+    def __init__(self, message: str, x: np.ndarray, residual: float):
+        super().__init__(message)
+        self.x = x
+        self.residual = residual
+
+
+@dataclass
+class NewtonResult:
+    x: np.ndarray
+    residual: float
+    iterations: int
+    quad_ratios: list[float]
+
+
+def gauss_newton(F, start, tol: float, maxiter: int, max_step: Optional[float] = None,
+                 condition_limit: Optional[float] = None) -> NewtonResult:
+    """Gauss-Newton (least-squares steps, so non-square systems are fine) on
+    F(x) -> (values, Jacobian) to a max-abs residual below tol.
+
+    Raises DivergenceError on a non-finite residual or step, after three
+    4x growths of the residual 2-norm in a row, or after maxiter steps.
+    max_step caps the 2-norm of each step.  With condition_limit, an
+    unconverged start whose Jacobian condition number exceeds it raises
+    SingularJacobianError.  The per-step contraction ratios |F_k+1| / |F_k|^2
+    are recorded so quadratic convergence can be audited."""
+    def evaluate(x):
+        vals, J = F(x)
         res = float(np.max(np.abs(vals))) if len(vals) else 0.0
-        if not np.isfinite(res):
-            break
-        if best is None or res < best[1]:
-            best = (x.copy(), res)
-        if res < tol:
-            return x, res
-        J = np.vstack([c.jacobian(x) for c in compiled_parts])
+        if not math.isfinite(res):
+            raise DivergenceError("non-finite Newton residual", x, float("inf"))
+        return vals, J, res
+
+    x = np.asarray(start, dtype=complex).copy()
+    vals, J, res = evaluate(x)
+    if res < tol:
+        return NewtonResult(x, res, 0, [])
+    if condition_limit is not None:
+        sv = np.linalg.svd(J, compute_uv=False) if J.size else np.array([1.0])
+        cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+        if not cond <= condition_limit:
+            raise SingularJacobianError(f"Jacobian condition {cond:.2e} exceeds {condition_limit:.0e}")
+    ratios, prev_norm, bad = [], None, 0
+    for it in range(1, maxiter + 1):
         dx, *_ = np.linalg.lstsq(J, -vals, rcond=None)
         if not np.all(np.isfinite(dx)):
-            break
-        ndx = float(np.linalg.norm(dx))
-        if ndx > 5.0:
-            dx *= 5.0 / ndx
+            raise DivergenceError("non-finite Newton step", x, res)
+        if max_step is not None:
+            ndx = float(np.linalg.norm(dx))
+            if ndx > max_step:
+                dx *= max_step / ndx
         x = x + dx
-    if best is None:
-        return x, float("inf")
-    return best
+        vals, J, res = evaluate(x)
+        norm = float(np.linalg.norm(vals))
+        if prev_norm is not None:
+            # contraction ratios are only meaningful above the roundoff floor
+            if prev_norm > 1e-8:
+                ratios.append(norm / prev_norm ** 2)
+            bad = bad + 1 if norm > 4 * prev_norm else 0
+            if bad >= 3:
+                raise DivergenceError(f"residual diverging at iteration {it}", x, res)
+        prev_norm = norm
+        if res < tol:
+            return NewtonResult(x, res, it, ratios)
+    raise DivergenceError(f"no convergence in {maxiter} iterations (residual {res:.2e})",
+                          x, res)
 
+
+def stacked_system(parts, target=0.0):
+    """F(x) -> (values - target, Jacobian) of compiled systems stacked in
+    order, for `gauss_newton`."""
+    def F(x):
+        evals = [c.values_and_jacobian(x) for c in parts]
+        return (np.concatenate([v for v, _ in evals]) - target,
+                np.vstack([J for _, J in evals]))
+    return F
+
+
+# ---------------------------------------------------------------------------
+# the complete structure
+# ---------------------------------------------------------------------------
 
 def _polish_unit_slots(system: GaugedSystem, x, pins, tol):
     """Re-solve with every near-unit eigenvalue slot pinned exactly.
@@ -385,7 +453,8 @@ def _polish_unit_slots(system: GaugedSystem, x, pins, tol):
     At a boundary-parabolic solution the eigenvalue branches of the gauge
     slice cross, so the plain pinned system is rank-deficient and Newton only
     reaches square-root accuracy in the branch direction; pinning each gauge
-    eigenvalue that sits at +-1 restores a full-rank system."""
+    eigenvalue that sits at +-1 restores a full-rank system.  Returns x
+    unchanged when no slot is near +-1 or the re-solve fails."""
     V, lau = system.vars, system.laurent
     extra = list(pins)
     for name in ("s", "p"):
@@ -395,11 +464,12 @@ def _polish_unit_slots(system: GaugedSystem, x, pins, tol):
                 extra.append(Polynomial.variable(name, V, lau) -
                              Polynomial.constant(sign, V, lau))
     if len(extra) == len(pins):
-        return x, system.residual(x)
-    x2, res = _newton_lstsq([system.compiled, CompiledSystem(extra, V)], x, tol=tol)
-    if res < tol:
-        return x2, res
-    return x, system.residual(x)
+        return x
+    try:
+        return gauss_newton(stacked_system([system.compiled, CompiledSystem(extra, V)]), x,
+                            tol, maxiter=80, max_step=5.0).x
+    except DivergenceError:
+        return x
 
 
 def irreducibility_defect(system: GaugedSystem, coords) -> float:
@@ -471,24 +541,22 @@ def find_complete(spec: ManifoldSpec, system: Optional[GaugedSystem] = None,
             name = "s" if cf.m_poly.support_vars() == {"s"} else "p"
             pins.append(Polynomial.variable(name, V, lau) -
                         Polynomial.constant(eps[i], V, lau))
-        pinned = CompiledSystem(pins, V)
+        F = stacked_system([system.compiled, CompiledSystem(pins, V)])
         for x0 in starts:
-            x, res = _newton_lstsq([system.compiled, pinned], x0, tol=tol)
-            if res >= tol:
-                diagnostics.append(f"eps={eps}: residual {res:.2e}")
+            try:
+                x = gauss_newton(F, x0, tol, maxiter=80, max_step=5.0).x
+            except DivergenceError as e:
+                diagnostics.append(f"eps={eps}: residual {e.residual:.2e}")
                 continue
-            x, res = _polish_unit_slots(system, x, pins, tol)
-            if res >= tol:
-                diagnostics.append(f"eps={eps}: polish failed ({res:.2e})")
-                continue
+            x = _polish_unit_slots(system, x, pins, tol)
             defect = irreducibility_defect(system, x)
             if defect < 1e-6:
                 diagnostics.append(f"eps={eps}: converged but reducible (defect {defect:.2e})")
                 continue
-            if any(abs(system.char_key(x) - system.char_key(c[0])).max() < 1e-8
+            if any(abs(system.char_key(x) - system.char_key(c)).max() < 1e-8
                    for c in candidates):
                 continue
-            candidates.append((x, eps, res))
+            candidates.append(x)
     if not candidates:
         raise NoCompleteStructureError(
             f"{spec.name}: no irreducible boundary-parabolic solution found "
@@ -504,9 +572,8 @@ def find_complete(spec: ManifoldSpec, system: Optional[GaugedSystem] = None,
             return -1
         return 0
 
-    oriented = [(x, eps, res, orient(x)) for x, eps, res in candidates]
-    oriented.sort(key=lambda q: -q[3])
-    x, eps, res, ori = oriented[0]
+    # the first candidate of the best orientation
+    ori, x = max(((orient(x), x) for x in candidates), key=lambda q: q[0])
     pt = make_character_point(system, x, label=f"complete:{spec.name}")
     pt.orientation = ori if ori != 0 else 1
     # parabolic traces certificate

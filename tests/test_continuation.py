@@ -9,6 +9,7 @@ from charvol.continuation import (ContinuationError, DivergenceError,
                                   step_off_complete, track)
 from charvol.locus import eigenvalues, on_U
 from charvol.poly import CompiledSystem
+from charvol.repvar import gauss_newton, stacked_system
 from charvol.volume import anchored_volume
 
 TWO_PI_I = 2j * np.pi
@@ -35,7 +36,7 @@ class _Callable:
 def test_newton_exact_solution_unchanged():
     sys_ = _Callable(lambda x: np.array([x[0] ** 2 - 4]),
                      lambda x: np.array([[2 * x[0]]]))
-    res = newton_correct(sys_, np.array([2.0 + 0j]))
+    res = newton_correct(sys_.values_and_jacobian, np.array([2.0 + 0j]))
     assert res.iterations == 0
     assert res.x[0] == 2.0
 
@@ -43,7 +44,7 @@ def test_newton_exact_solution_unchanged():
 def test_newton_sqrt2():
     sys_ = _Callable(lambda x: np.array([x[0] ** 2 - 2]),
                      lambda x: np.array([[2 * x[0]]]))
-    res = newton_correct(sys_, np.array([1.5 + 0j]), tol=1e-13)
+    res = newton_correct(sys_.values_and_jacobian, np.array([1.5 + 0j]), tol=1e-13)
     assert abs(res.x[0] - np.sqrt(2)) < 1e-12
     # quadratic convergence: contraction ratios stay bounded
     assert all(r < 10 for r in res.quad_ratios)
@@ -53,7 +54,7 @@ def test_newton_singular_jacobian_raises():
     sys_ = _Callable(lambda x: np.array([x[0] ** 2]),
                      lambda x: np.array([[0.0 * x[0]]]))
     with pytest.raises(SingularJacobianError):
-        newton_correct(sys_, np.array([1e-3 + 0j]))
+        newton_correct(sys_.values_and_jacobian, np.array([1e-3 + 0j]))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -61,17 +62,43 @@ def test_newton_divergence_raises():
     sys_ = _Callable(lambda x: np.array([np.exp(x[0] ** 2) - 1e30]),
                      lambda x: np.array([[2 * x[0] * np.exp(x[0] ** 2)]]))
     with pytest.raises((DivergenceError, SingularJacobianError)):
-        newton_correct(sys_, np.array([30.0 + 0j]), maxiter=10)
+        newton_correct(sys_.values_and_jacobian, np.array([30.0 + 0j]), maxiter=10)
+
+
+def test_newton_nonfinite_iterate_raises_divergence():
+    # from x = 2 the first step lands on the pole x = 0
+    def F(x):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return 1 / x - 1, np.diag(-1 / x ** 2)
+    with pytest.raises(DivergenceError):
+        newton_correct(F, np.array([2.0 + 0j]))
+
+
+def test_newton_max_step_caps_each_step():
+    target = np.array([30.0, 40.0j])
+    iterates = []
+
+    def F(x):
+        iterates.append(x)
+        return x - target, np.eye(2, dtype=complex)
+    res = gauss_newton(F, np.zeros(2, dtype=complex), 1e-12, maxiter=20, max_step=5.0)
+    steps = [np.linalg.norm(b - a) for a, b in zip(iterates, iterates[1:])]
+    assert res.iterations == 10
+    assert max(steps) <= 5.0 + 1e-12
+    assert np.max(np.abs(res.x - target)) < 1e-12
+    # without the cap the linear system is solved in one step
+    assert gauss_newton(lambda x: (x - target, np.eye(2, dtype=complex)),
+                        np.zeros(2, dtype=complex), 1e-12, maxiter=20).iterations == 1
 
 
 def test_newton_reconverges_near_filled(fig8_system, fig8_fillings):
     _, pt, _ = fig8_fillings[0]
     z = pt.trace_vector()
-    from charvol.continuation import _FiberSystem
-    fsys = _FiberSystem(fig8_system, z)
+    F = stacked_system([fig8_system.compiled, fig8_system.compiled_traces],
+                       np.concatenate([np.zeros(fig8_system.compiled.npolys), z]))
     rng = np.random.default_rng(1)
     x0 = pt.coords + 1e-3 * (rng.normal(size=3) + 1j * rng.normal(size=3))
-    res = newton_correct(fsys, x0, tol=1e-11)
+    res = newton_correct(F, x0, tol=1e-11)
     assert np.max(np.abs(res.x - pt.coords)) < 1e-9
 
 

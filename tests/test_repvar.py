@@ -97,19 +97,27 @@ def test_controls_have_no_complete_structure(name):
         find_complete(spec, GaugedSystem(spec), multistart=20)
 
 
+def test_failed_newton_diagnostics_report_residual():
+    # `complete --spec nonhyp` writes these strings into its report
+    with pytest.raises(NoCompleteStructureError,
+                       match=r"\(40 attempts\); (eps=\[1\]: residual 1\.00e\+00(; |$)){4}"):
+        find_complete(load_fixture("nonhyp"), multistart=20)
+
+
 def test_newton_reconverges_from_perturbation(fig8_system, fig8_complete):
     """The boundary-parabolic system (all unit slots pinned) is full rank at
     the complete structure; a 1e-3 perturbation reconverges to the point."""
     rng = np.random.default_rng(0)
     x0 = fig8_complete.coords + 1e-3 * (rng.normal(size=3) + 1j * rng.normal(size=3))
-    from charvol.repvar import _newton_lstsq
+    from charvol.repvar import gauss_newton, stacked_system
     from charvol.poly import CompiledSystem, Polynomial
     V, lau = fig8_system.vars, fig8_system.laurent
     pins = [Polynomial.variable(n, V, lau) - Polynomial.constant(1, V, lau)
             for n in ("s", "p")]
-    x, res = _newton_lstsq([fig8_system.compiled, CompiledSystem(pins, V)], x0)
-    assert res < 1e-12
-    assert np.max(np.abs(x - fig8_complete.coords)) < 1e-10
+    F = stacked_system([fig8_system.compiled, CompiledSystem(pins, V)])
+    r = gauss_newton(F, x0, 1e-12, maxiter=80, max_step=5.0)
+    assert r.residual < 1e-12
+    assert np.max(np.abs(r.x - fig8_complete.coords)) < 1e-10
 
 
 # -- traces, V, character points ------------------------------------------------
