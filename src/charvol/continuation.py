@@ -22,8 +22,7 @@ from .manifold import ManifoldSpec
 # the Newton kernel and its errors live in repvar and are re-exported here
 from .repvar import (CharacterPoint, ContinuationError, DivergenceError, GaugedSystem,
                      NewtonResult, SignTwist, SingularJacobianError, TWO_PI_I,
-                     enumerate_twists, gauss_newton, make_character_point,
-                     stacked_system)
+                     enumerate_twists, gauss_newton, make_character_point)
 
 PI = cmath.pi
 
@@ -108,21 +107,23 @@ class DeformationProblem:
         self.system = system
         self.base = [(c.base_u, c.base_v) for c in base_point.cusps]
 
-    def _constraint_rows(self, x, branch, constraints, tau):
-        """Values and gradients of the log constraints at x and tau."""
-        ml, Jml = self.system.compiled_ml.values_and_jacobian(x)
+    def _rows(self, x, branch, constraints, tau):
+        """Gauge values and the log constraint values at x and tau, with
+        their Jacobian, from one evaluation of the compiled system."""
+        system = self.system
+        vals, J = system.compiled.values_and_jacobian(x)
+        ml, Jml = vals[system.ml_rows], J[system.ml_rows]
         rows = [con.value_and_grad(self, branch, tau, ml, Jml) for con in constraints]
-        return [v for v, _ in rows], [g for _, g in rows]
+        g = system.gauge_rows
+        return (np.concatenate([vals[g], [v for v, _ in rows]]),
+                np.vstack([J[g], *(grad for _, grad in rows)]))
 
     def correct(self, x0, branch, constraints, tau, tol=1e-11, maxiter=30):
         """Newton-correct x0 onto the gauge system plus the constraints at
         tau; returns (x, residual, converged)."""
-        def F(x):
-            vals, J = self.system.compiled.values_and_jacobian(x)
-            cvals, grads = self._constraint_rows(x, branch, constraints, tau)
-            return np.concatenate([vals, cvals]), np.vstack([J, *grads])
         try:
-            r = gauss_newton(F, x0, tol, maxiter)
+            r = gauss_newton(lambda x: self._rows(x, branch, constraints, tau),
+                             x0, tol, maxiter)
         except DivergenceError as e:
             return e.x, e.residual, False
         return r.x, r.residual, True
@@ -130,11 +131,9 @@ class DeformationProblem:
     def predict(self, x, branch, constraints, tau, dtau):
         """First-order predictor from the constraint targets' tau-motion."""
         h = 1e-6
-        sys_jac = self.system.compiled.jacobian(x)
-        _, grads = self._constraint_rows(x, branch, constraints, tau)
+        _, J = self._rows(x, branch, constraints, tau)
         dtarget = [(con.target(tau + h) - con.target(tau - h)) / (2 * h) for con in constraints]
-        J = np.vstack([sys_jac, *grads])
-        b = np.concatenate([np.zeros(sys_jac.shape[0], dtype=complex), dtarget])
+        b = np.concatenate([np.zeros(J.shape[0] - len(dtarget), dtype=complex), dtarget])
         dxdtau, *_ = np.linalg.lstsq(J, b, rcond=None)
         return x + dtau * dxdtau
 
@@ -544,9 +543,8 @@ def _char_distance(k1: np.ndarray, k2: np.ndarray) -> float:
 
 def restriction_rank_ok(system: GaugedSystem, coords, threshold=1e-6) -> bool:
     """Full-rank test of the boundary-trace map on the slice tangent space."""
-    T = system.tangent_basis(coords)
-    Jt = system.compiled_traces.jacobian(coords)
-    M = Jt @ T
+    J = system.compiled.jacobian(coords)
+    M = J[system.trace_rows] @ system.tangent_basis(J)
     if M.size == 0:
         return False
     sv = np.linalg.svd(M, compute_uv=False)
@@ -568,8 +566,12 @@ def fiber_over(system: GaugedSystem, z: np.ndarray,
     spec = spec or system.spec
     z = np.asarray(z, dtype=complex)
     rng = np.random.default_rng(seed)
-    F = stacked_system([system.compiled, system.compiled_traces],
-                       np.concatenate([np.zeros(system.compiled.npolys), z]))
+    gauge, trace = system.gauge_rows, system.trace_rows
+
+    def F(x):
+        vals, J = system.compiled.values_and_jacobian(x)
+        return (np.concatenate([vals[gauge], vals[trace] - z]),
+                np.vstack([J[gauge], J[trace]]))
     seed_coords = [np.asarray(s.coords, dtype=complex) for s in seeds]
     scale = max((float(np.max(np.abs(c))) for c in seed_coords), default=1.0)
 

@@ -216,8 +216,7 @@ def _detect_slot_substitution(eq: Polynomial, gauge_vars, periph_vars):
 
 
 def eliminate(ext: ExtendedSystem, samples: Optional[Sequence[EigenvaluePoint]] = None,
-              var_budget: int = 6, sample_tol: float = 1e-8,
-              max_set_size: int = 8) -> EliminantSet:
+              var_budget: int = 6, sample_tol: float = 1e-8) -> EliminantSet:
     """Resultant-tree elimination of the gauge variables from the extended
     system, leaving defining equations in the peripheral variables only.
 
@@ -226,7 +225,9 @@ def eliminate(ext: ExtendedSystem, samples: Optional[Sequence[EigenvaluePoint]] 
     gamma-invariance checks), then eliminates remaining gauge variables by
     pivot resultants in ascending degree, reducing each stage by gcds,
     monomial stripping and squarefree parts.  Raises when more than
-    `var_budget` variables survive the substitutions."""
+    `var_budget` variables survive the substitutions.  The description
+    records every stage group whose gcd the term cap skipped or whose
+    members were cut to three."""
     V = ext.vars
     periph = set(ext.peripheral_vars)
     gauge_vars = [v for v in V if v not in periph]
@@ -311,18 +312,15 @@ def eliminate(ext: ExtendedSystem, samples: Optional[Sequence[EigenvaluePoint]] 
                     break
             if cand is None or cand.is_zero():
                 continue
-            if cand.total_terms() > 6000:
-                continue
             stage.append(_strip(cand, cleared_log, ext.laurent))
         if not stage and not passthrough:
             raise DimensionAnomalyError(
                 f"all resultants vanished while eliminating {var}: "
                 "the projection is degenerate")
         tree.append(f"eliminate {var} against pivot with {len(stage)} resultants")
-        stage = _reduce_stage(stage, cleared_log, ext.laurent)
+        stage, shortcuts = _reduce_stage(stage, cleared_log, ext.laurent)
+        tree.extend(shortcuts)
         work = passthrough + stage
-        if len(work) > max_set_size:
-            work = sorted(work, key=lambda p: p.total_terms())[:max_set_size]
 
     finals = [p for p in work if p.support_vars() <= periph and p.support_vars()
               and not p.is_zero()]
@@ -353,8 +351,9 @@ def eliminate(ext: ExtendedSystem, samples: Optional[Sequence[EigenvaluePoint]] 
             removed_log.extend(removed)
             if f.support_vars() and f not in out_polys:
                 out_polys.append(f)
+    # each removed factor is logged once, in the order first seen
     es = EliminantSet([_project_to_periph(ext, g) for g in out_polys],
-                      "; ".join(tree), cleared_log, removed_log)
+                      "; ".join(tree), cleared_log, list(dict.fromkeys(removed_log)))
     return _validate(es, samples, sample_tol)
 
 
@@ -413,20 +412,24 @@ def _project_to_periph(ext: ExtendedSystem, p: Polynomial) -> Polynomial:
 
 
 def _reduce_stage(stage: list[Polynomial], cleared_log, units=None,
-                  gcd_term_cap: int = 120) -> list[Polynomial]:
+                  gcd_term_cap: int = 120) -> tuple[list[Polynomial], list[str]]:
     """Pairwise gcd reduction of a stage's output grouped by variable support.
 
     gcd attempts are capped by term count.  The cap decides which
-    polynomials the next stage sees, and so shapes the elimination tree."""
+    polynomials the next stage sees, and so shapes the elimination tree.
+    Returns the reduced stage and one note per shortcut taken: a gcd the
+    cap skipped, or a group cut to its three smallest members."""
     groups: dict[frozenset, list[Polynomial]] = {}
     for p in stage:
         groups.setdefault(frozenset(p.support_vars()), []).append(p)
-    out = []
+    out, notes = [], []
     for sup, ps in groups.items():
         ps = sorted(ps, key=lambda p: p.total_terms())
-        if len(ps) == 1 or ps[1].total_terms() > gcd_term_cap:
-            out.extend(ps[:3])
-            continue
+        group = "{" + ",".join(sorted(sup)) + "} group"
+        over = [f.total_terms() for f in ps[1:3] if f.total_terms() > gcd_term_cap]
+        if over:
+            notes.append(f"gcd skipped in the {group}: {over[0]}-term member "
+                         f"over the {gcd_term_cap}-term cap")
         g = ps[0]
         reduced = False
         for f in ps[1:3]:
@@ -440,8 +443,10 @@ def _reduce_stage(stage: list[Polynomial], cleared_log, units=None,
             out.append(_strip(g, cleared_log, units))
             out.extend(ps[1:2])
         else:
+            if len(ps) > 3:
+                notes.append(f"kept 3 of {len(ps)} members of the {group}")
             out.extend(ps[:3])
-    return out
+    return out, notes
 
 
 def _validate(es: EliminantSet, samples, tol) -> EliminantSet:

@@ -10,6 +10,7 @@ irreducible characters appear finitely often.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -92,7 +93,6 @@ class GaugedSystem:
         self.system = PolySystem(polys, V, description=(
             f"gauge slice of the SL2(C) representation variety of {spec.name}: "
             "generator 1 = [[s,1],[0,1/s]], generator 2 = [[p,0],[t,1/p]]"))
-        self.compiled = CompiledSystem(polys, V)
 
         self.cusps: list[CuspFunctions] = []
         for c in spec.cusps:
@@ -113,20 +113,25 @@ class GaugedSystem:
                 index=c.index, meridian=c.meridian, longitude=c.longitude,
                 trace_m=tm, trace_l=tl, trace_ml=tml,
                 m_poly=m_poly, l_poly=l_poly))
-        trace_polys = []
+        trace_polys, ml = [], []
         for cf in self.cusps:
             trace_polys.extend((cf.trace_m, cf.trace_l, cf.trace_ml))
-        self.compiled_traces = CompiledSystem(trace_polys, V)
-        ml = []
-        for cf in self.cusps:
             ml.extend((cf.m_poly, cf.l_poly))
-        self.compiled_ml = CompiledSystem(ml, V)
         # character separation: generator, pair and commutator traces
         key_words: list[Word] = [(i,) for i in range(1, n + 1)]
         key_words += [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         key_words.append((1, 2, -1, -2))
         self.key_words = key_words
-        self.compiled_key = CompiledSystem([trace_poly(w, gens) for w in key_words], V)
+        key_polys = [trace_poly(w, gens) for w in key_words]
+
+        # one compiled system over every numeric row, read by named ranges:
+        # gauge relations, boundary traces (I_M, I_L, I_ML per cusp),
+        # eigenvalue slots (m, l per cusp) and the character key
+        rows = [polys, trace_polys, ml, key_polys]
+        ends = list(itertools.accumulate(map(len, rows), initial=0))
+        self.gauge_rows, self.trace_rows, self.ml_rows, self.key_rows = (
+            slice(a, b) for a, b in zip(ends, ends[1:]))
+        self.compiled = CompiledSystem([p for r in rows for p in r], V)
 
     @staticmethod
     def _meridian_slot(w: Word):
@@ -148,23 +153,25 @@ class GaugedSystem:
     def matrices(self, coords) -> list[np.ndarray]:
         return gauge_matrices(np.asarray(coords, dtype=complex), self.spec.generators)
 
-    def residual(self, coords) -> float:
-        vals = self.compiled.values(coords)
-        return float(np.max(np.abs(vals))) if len(vals) else 0.0
+    def gauge_residual(self, vals) -> float:
+        """Max-abs gauge relation value in a full row vector of `compiled`."""
+        g = vals[self.gauge_rows]
+        return float(np.max(np.abs(g))) if len(g) else 0.0
 
-    def trace_values(self, coords) -> np.ndarray:
-        return self.compiled_traces.values(coords)
+    def residual(self, coords) -> float:
+        return self.gauge_residual(self.compiled.values(coords))
 
     def ml_values(self, coords) -> np.ndarray:
         """(m_1, l_1, ..., m_h, l_h) along the slot eigenvectors."""
-        return self.compiled_ml.values(coords)
+        return self.compiled.values(coords)[self.ml_rows]
 
     def char_key(self, coords) -> np.ndarray:
-        return self.compiled_key.values(coords)
+        return self.compiled.values(coords)[self.key_rows]
 
-    def tangent_basis(self, coords, rtol=1e-8) -> np.ndarray:
-        """Orthonormal basis of the numerical null space of the system Jacobian."""
-        J = self.compiled.jacobian(coords)
+    def tangent_basis(self, J, rtol=1e-8) -> np.ndarray:
+        """Orthonormal basis of the numerical null space of the gauge rows of
+        J, a full Jacobian of `compiled`."""
+        J = J[self.gauge_rows]
         if J.shape[0] == 0:
             return np.eye(len(self.vars), dtype=complex)
         u, sv, vh = np.linalg.svd(J)
@@ -243,8 +250,8 @@ def make_character_point(system: GaugedSystem, coords, prev: Optional[CharacterP
     stays in the principal strip); otherwise principal logs are taken.
     """
     coords = np.asarray(coords, dtype=complex)
-    traces = system.trace_values(coords)
-    ml = system.ml_values(coords)
+    vals = system.compiled.values(coords)
+    traces, ml = vals[system.trace_rows], vals[system.ml_rows]
     states = []
     for i, cf in enumerate(system.cusps):
         m, l = ml[2 * i], ml[2 * i + 1]
@@ -266,7 +273,7 @@ def make_character_point(system: GaugedSystem, coords, prev: Optional[CharacterP
             u=u, v=v, m=m, l=l,
             trace_m=traces[3 * i], trace_l=traces[3 * i + 1], trace_ml=traces[3 * i + 2],
             base_u=base_u, base_v=base_v))
-    return CharacterPoint(coords=coords, cusps=states, residual=system.residual(coords),
+    return CharacterPoint(coords=coords, cusps=states, residual=system.gauge_residual(vals),
                           label=label)
 
 
@@ -433,44 +440,9 @@ def gauss_newton(F, start, tol: float, maxiter: int, max_step: Optional[float] =
                           x, res)
 
 
-def stacked_system(parts, target=0.0):
-    """F(x) -> (values - target, Jacobian) of compiled systems stacked in
-    order, for `gauss_newton`."""
-    def F(x):
-        evals = [c.values_and_jacobian(x) for c in parts]
-        return (np.concatenate([v for v, _ in evals]) - target,
-                np.vstack([J for _, J in evals]))
-    return F
-
-
 # ---------------------------------------------------------------------------
 # the complete structure
 # ---------------------------------------------------------------------------
-
-def _polish_unit_slots(system: GaugedSystem, x, pins, tol):
-    """Re-solve with every near-unit eigenvalue slot pinned exactly.
-
-    At a boundary-parabolic solution the eigenvalue branches of the gauge
-    slice cross, so the plain pinned system is rank-deficient and Newton only
-    reaches square-root accuracy in the branch direction; pinning each gauge
-    eigenvalue that sits at +-1 restores a full-rank system.  Returns x
-    unchanged when no slot is near +-1 or the re-solve fails."""
-    V, lau = system.vars, system.laurent
-    extra = list(pins)
-    for name in ("s", "p"):
-        idx = V.index(name)
-        for sign in (1, -1):
-            if abs(x[idx] - sign) < TOLERANCES["near"]:
-                extra.append(Polynomial.variable(name, V, lau) -
-                             Polynomial.constant(sign, V, lau))
-    if len(extra) == len(pins):
-        return x
-    try:
-        return gauss_newton(stacked_system([system.compiled, CompiledSystem(extra, V)]), x,
-                            tol, maxiter=80, max_step=5.0).x
-    except DivergenceError:
-        return x
-
 
 def irreducibility_defect(system: GaugedSystem, coords) -> float:
     """min over generator pairs of |tr[gi, gj] - 2|; 0 iff globally reducible."""
@@ -486,13 +458,9 @@ def irreducibility_defect(system: GaugedSystem, coords) -> float:
 def thurston_rank(system: GaugedSystem, pt: CharacterPoint, threshold=1e-6) -> int:
     """Rank of the log-eigenvalue coordinate differentials (du_1,...,du_h)
     restricted to the tangent space of the gauge slice."""
-    T = system.tangent_basis(pt.coords)
-    rows = []
-    J = system.compiled_ml.jacobian(pt.coords)
-    ml = system.compiled_ml.values(pt.coords)
-    for i in range(len(system.cusps)):
-        rows.append(J[2 * i] / ml[2 * i])
-    M = np.array(rows) @ T
+    vals, J = system.compiled.values_and_jacobian(pt.coords)
+    ml, Jml = vals[system.ml_rows], J[system.ml_rows]
+    M = (Jml[0::2] / ml[0::2, None]) @ system.tangent_basis(J)
     sv = np.linalg.svd(M, compute_uv=False)
     return int(np.sum(sv > threshold))
 
@@ -529,26 +497,31 @@ def find_complete(spec: ManifoldSpec, system: Optional[GaugedSystem] = None,
         except GaugeError:
             seed_key = None
 
-    V = system.vars
-    lau = system.laurent
+    # the lift sign eps pins each cusp's slot variable (s or p) to eps
+    # whatever the power sign: a row x[slot] - eps with a unit gradient
+    slots = [system.vars.index("s" if cf.m_poly.support_vars() == {"s"} else "p")
+             for cf in system.cusps]
+    pin_jac = np.eye(len(system.vars), dtype=complex)[slots]
+    gauge = system.gauge_rows
+
+    def pinned(eps):
+        def F(x):
+            vals, J = system.compiled.values_and_jacobian(x)
+            return (np.concatenate([vals[gauge], x[slots] - eps]),
+                    np.vstack([J[gauge], pin_jac]))
+        return F
+
     candidates = []
     diagnostics = []
     for mask in range(2 ** h):
         eps = [1 - 2 * ((mask >> i) & 1) for i in range(h)]
-        pins = []
-        for i, cf in enumerate(system.cusps):
-            # slot variable equals eps^(power sign); both give var = eps
-            name = "s" if cf.m_poly.support_vars() == {"s"} else "p"
-            pins.append(Polynomial.variable(name, V, lau) -
-                        Polynomial.constant(eps[i], V, lau))
-        F = stacked_system([system.compiled, CompiledSystem(pins, V)])
+        F = pinned(np.array(eps))
         for x0 in starts:
             try:
                 x = gauss_newton(F, x0, tol, maxiter=80, max_step=5.0).x
             except DivergenceError as e:
                 diagnostics.append(f"eps={eps}: residual {e.residual:.2e}")
                 continue
-            x = _polish_unit_slots(system, x, pins, tol)
             defect = irreducibility_defect(system, x)
             if defect < 1e-6:
                 diagnostics.append(f"eps={eps}: converged but reducible (defect {defect:.2e})")

@@ -80,3 +80,18 @@ def wlink_fillings(wlink_spec, wlink_problem, wlink_complete):
         pt, path = solve_filling(wlink_problem, wlink_complete, kappa)
         out.append((ktext, pt, path))
     return out
+
+
+@pytest.fixture
+def block_calls(monkeypatch):
+    """Records every call of the compiled evaluation block during a test."""
+    from charvol.poly import _CompiledBlock
+    calls = []
+    original = _CompiledBlock.__call__
+
+    def counted(self, x):
+        calls.append(1)
+        return original(self, x)
+
+    monkeypatch.setattr(_CompiledBlock, "__call__", counted)
+    return calls

@@ -9,7 +9,7 @@ from charvol.continuation import (ContinuationError, DivergenceError,
                                   step_off_complete, track)
 from charvol.locus import eigenvalues, on_U
 from charvol.poly import CompiledSystem
-from charvol.repvar import gauss_newton, stacked_system
+from charvol.repvar import gauss_newton
 from charvol.volume import anchored_volume
 
 TWO_PI_I = 2j * np.pi
@@ -94,12 +94,46 @@ def test_newton_max_step_caps_each_step():
 def test_newton_reconverges_near_filled(fig8_system, fig8_fillings):
     _, pt, _ = fig8_fillings[0]
     z = pt.trace_vector()
-    F = stacked_system([fig8_system.compiled, fig8_system.compiled_traces],
-                       np.concatenate([np.zeros(fig8_system.compiled.npolys), z]))
+    gauge, trace = fig8_system.gauge_rows, fig8_system.trace_rows
+
+    def F(x):
+        # the gauge rows plus the boundary-trace rows shifted by z
+        vals, J = fig8_system.compiled.values_and_jacobian(x)
+        return (np.concatenate([vals[gauge], vals[trace] - z]),
+                np.vstack([J[gauge], J[trace]]))
     rng = np.random.default_rng(1)
     x0 = pt.coords + 1e-3 * (rng.normal(size=3) + 1j * rng.normal(size=3))
     res = newton_correct(F, x0, tol=1e-11)
     assert np.max(np.abs(res.x - pt.coords)) < 1e-9
+
+
+def test_correct_and_predict_evaluate_once_per_step(fig8_problem, fig8_complete,
+                                                   block_calls, monkeypatch):
+    """One compiled block call per Newton evaluation in `correct` and one per
+    `predict`."""
+    import charvol.continuation as cont
+    du = 0.1 + 0.05j
+    base = step_off_complete(fig8_problem, fig8_complete, [du])
+    branch = [(c.u, c.v, c.m, c.l) for c in base.cusps]
+    cons = [pin_log(0, lambda tau: du + 0.02 * tau)]
+    evaluations = []
+    kernel = cont.gauss_newton
+
+    def counting_kernel(F, *args, **kwargs):
+        def G(x):
+            evaluations.append(1)
+            return F(x)
+        return kernel(G, *args, **kwargs)
+
+    monkeypatch.setattr(cont, "gauss_newton", counting_kernel)
+    before = len(block_calls)
+    xpred = fig8_problem.predict(base.coords, branch, cons, 0.0, 1.0)
+    assert len(block_calls) - before == 1
+    before = len(block_calls)
+    x, res, ok = fig8_problem.correct(xpred, branch, cons, 1.0)
+    assert ok and res < 1e-11
+    assert len(evaluations) >= 2
+    assert len(block_calls) - before == len(evaluations)
 
 
 # -- jacobian_check --------------------------------------------------------------
@@ -325,7 +359,7 @@ def test_gauge_slice_full_rank_at_generic_points(fig8_system, fig8_fillings,
     for system, fillings, h in ((fig8_system, fig8_fillings, 1),
                                 (wlink_system, wlink_fillings, 2)):
         _, pt, _ = fillings[0]
-        J = system.compiled.jacobian(pt.coords)
+        J = system.compiled.jacobian(pt.coords)[system.gauge_rows]
         sv = np.linalg.svd(J, compute_uv=False)
         rank = int(np.sum(sv > 1e-8))
         assert len(system.vars) - rank == h

@@ -139,6 +139,13 @@ def test_fig8_eliminant_equals_published_a_polynomial(fig8_eliminant):
     assert got == {k: unit * c for k, c in published.items()}
 
 
+def test_fig8_elimination_log_records_shortcuts(fig8_eliminant):
+    assert ("eliminate t against pivot with 5 resultants; gcd skipped in the "
+            "{l1,m1,p} group: 220-term member over the 120-term cap; "
+            "eliminate p") in fig8_eliminant.description
+    assert fig8_eliminant.removed_factors.count("-1*m1 + 1*p") == 1
+
+
 def test_fig8_eliminant_gamma_invariance(fig8_eliminant, fig8_samples):
     p = fig8_eliminant.polynomials[0]
     for x in fig8_samples:
@@ -209,6 +216,12 @@ def test_wlink_elimination(wlink_system, wlink_fillings):
     es = eliminate(ext, samples=samples)
     assert es.validated
     assert "1 + 1*m2^2" in es.removed_factors
+    assert len(set(es.removed_factors)) == len(es.removed_factors)
+    # both stage groups over the gcd cap and the cut group are on record
+    for note in ("gcd skipped in the {l1,l2,m1,m2} group: 1095-term member",
+                 "gcd skipped in the {l1,m1,m2} group: 257-term member",
+                 "kept 3 of 5 members of the {l1,m1,m2} group"):
+        assert note in es.description
     for p in es.polynomials:
         m2 = Polynomial.variable("m2", p.vars)
         with pytest.raises(ValueError):

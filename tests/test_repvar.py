@@ -109,15 +109,59 @@ def test_newton_reconverges_from_perturbation(fig8_system, fig8_complete):
     the complete structure; a 1e-3 perturbation reconverges to the point."""
     rng = np.random.default_rng(0)
     x0 = fig8_complete.coords + 1e-3 * (rng.normal(size=3) + 1j * rng.normal(size=3))
-    from charvol.repvar import gauss_newton, stacked_system
-    from charvol.poly import CompiledSystem, Polynomial
-    V, lau = fig8_system.vars, fig8_system.laurent
-    pins = [Polynomial.variable(n, V, lau) - Polynomial.constant(1, V, lau)
-            for n in ("s", "p")]
-    F = stacked_system([fig8_system.compiled, CompiledSystem(pins, V)])
+    from charvol.repvar import gauss_newton
+    gauge = fig8_system.gauge_rows
+    slots = [fig8_system.vars.index(n) for n in ("s", "p")]
+
+    def F(x):
+        # the gauge rows plus the pins s - 1 and p - 1 with unit gradients
+        vals, J = fig8_system.compiled.values_and_jacobian(x)
+        return (np.concatenate([vals[gauge], x[slots] - 1]),
+                np.vstack([J[gauge], np.eye(3, dtype=complex)[slots]]))
     r = gauss_newton(F, x0, 1e-12, maxiter=80, max_step=5.0)
     assert r.residual < 1e-12
     assert np.max(np.abs(r.x - fig8_complete.coords)) < 1e-10
+
+
+# -- one compiled evaluation ----------------------------------------------------
+
+@pytest.mark.parametrize("name", ["fig8", "wlink"])
+def test_row_ranges_match_separately_compiled_roles(name, request):
+    """Each role's rows of the one compiled system evaluate like a system
+    compiled from that role's polynomials alone, values and Jacobian."""
+    from charvol.poly import CompiledSystem, trace_poly
+    system = request.getfixturevalue(f"{name}_system")
+    roles = {
+        "gauge_rows": system.system.polynomials,
+        "trace_rows": [p for cf in system.cusps for p in (cf.trace_m, cf.trace_l, cf.trace_ml)],
+        "ml_rows": [p for cf in system.cusps for p in (cf.m_poly, cf.l_poly)],
+        "key_rows": [trace_poly(w, system.gen_syms) for w in system.key_words],
+    }
+    # the four ranges tile the compiled rows in order
+    starts = [getattr(system, attr).start for attr in roles]
+    stops = [getattr(system, attr).stop for attr in roles]
+    assert starts == [0] + stops[:-1] and stops[-1] == system.compiled.npolys
+    rng = np.random.default_rng(11)
+    n = len(system.vars)
+    for _ in range(5):
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        vals, J = system.compiled.values_and_jacobian(x)
+        for attr, polys in roles.items():
+            rows = getattr(system, attr)
+            v, Jr = CompiledSystem(polys, system.vars).values_and_jacobian(x)
+            assert vals[rows].shape == v.shape and J[rows].shape == Jr.shape
+            assert np.all(np.abs(vals[rows] - v) <= 1e-13 * np.maximum(1, np.abs(v))), attr
+            assert np.all(np.abs(J[rows] - Jr) <= 1e-13 * np.maximum(1, np.abs(Jr))), attr
+
+
+def test_make_character_point_evaluates_once(fig8_system, fig8_complete, block_calls):
+    before = len(block_calls)
+    pt = make_character_point(fig8_system, fig8_complete.coords + 1e-3, prev=fig8_complete)
+    assert len(block_calls) - before == 1
+    assert pt.residual == fig8_system.residual(pt.coords)
+    vals = fig8_system.compiled.values(pt.coords)
+    assert np.array_equal(pt.trace_vector(), vals[fig8_system.trace_rows])
+    assert np.array_equal([v for c in pt.cusps for v in (c.m, c.l)], vals[fig8_system.ml_rows])
 
 
 # -- traces, V, character points ------------------------------------------------
