@@ -134,7 +134,7 @@ def cmd_apoly(config: RunConfig) -> int:
     samples = None
     try:
         comp = find_complete(spec, system)
-        problem = DeformationProblem(system, comp)
+        problem = DeformationProblem(system)
         qs = [int(k.split(",")[-1]) for k in config.kappas] or [5, 7, 11]
         filled = sample_dense_set(problem, comp, qs)
         samples = [sample_point(ext, f.point) for f in filled if f.point is not None]
@@ -164,9 +164,8 @@ def cmd_apoly(config: RunConfig) -> int:
 
 
 def _fill_one(spec, system, comp, kappa_text):
-    problem = DeformationProblem(system, comp)
     kappa = FillingCoefficients.parse(kappa_text, spec.cusp_count)
-    return problem, solve_filling(problem, comp, kappa)
+    return solve_filling(DeformationProblem(system), comp, kappa)
 
 
 def cmd_fill(config: RunConfig) -> int:
@@ -176,7 +175,7 @@ def cmd_fill(config: RunConfig) -> int:
     comp = find_complete(spec, system)
     if not config.kappas:
         raise ValueError("fill needs --kappa")
-    problem, (pt, path_) = _fill_one(spec, system, comp, config.kappas[0])
+    pt, path_ = _fill_one(spec, system, comp, config.kappas[0])
     vol = anchored_volume(spec, path_)
     body = {"status": "ok", "kappa": config.kappas[0], "point": pt.to_json(),
             "volume": vol.to_json(), "samples": len(path_)}
@@ -200,12 +199,11 @@ def cmd_track(config: RunConfig) -> int:
     spec = _load(config.spec_path)
     system = GaugedSystem(spec)
     comp = find_complete(spec, system)
-    problem = DeformationProblem(system, comp)
+    problem = DeformationProblem(system)
     rng = np.random.default_rng(config.seed)
     base = _generic_base_point(spec, problem, comp)
-    cons = random_log_loop_targets(base, rng)
-    loop = track(problem, base, cons, tau0=0.0, tau1=1.0,
-                 first_step=0.01, max_step=0.01,
+    loop = track(problem, base, random_log_loop_targets(base, rng),
+                 tau0=0.0, tau1=1.0, first_step=0.01, max_step=0.01,
                  description=f"random loop on {spec.name}")
     end = loop.endpoint()
     mismatch = max(max(abs(a.m - b.m), abs(a.l - b.l))
@@ -228,7 +226,7 @@ def cmd_volume(config: RunConfig) -> int:
     comp = find_complete(spec, system)
     if not config.kappas:
         raise ValueError("volume needs --kappa")
-    problem, (pt, path_) = _fill_one(spec, system, comp, config.kappas[0])
+    pt, path_ = _fill_one(spec, system, comp, config.kappas[0])
     vol = anchored_volume(spec, path_)
     integ = integrate_eta(path_, handedness_sign(spec))
     body = {"status": "ok", "kappa": config.kappas[0], "volume": vol.to_json(),
@@ -254,7 +252,7 @@ def cmd_loops(config: RunConfig) -> int:
     spec = _load(config.spec_path)
     system = GaugedSystem(spec)
     comp = find_complete(spec, system)
-    problem = DeformationProblem(system, comp)
+    problem = DeformationProblem(system)
     results, failures = run_exactness_loops(
         spec, problem, comp, config.loops, config.seed,
         config.tolerances["loop_exactness"])
@@ -280,14 +278,14 @@ def run_exactness_loops(spec, problem, comp, count, seed, tol):
     while len(results) < count and attempts < 6 * count + 20:
         attempts += 1
         try:
-            cons = random_log_loop_targets(base, rng, radius=(0.08, 0.3))
+            family = random_log_loop_targets(base, rng, radius=(0.08, 0.3))
             step = 0.004
             val = None
             # refine until the quadrature estimate is well inside tolerance
             # (loops passing near the branch locus need finer sampling)
             for _ in range(4):
                 loop = track_closed_loop(
-                    problem, base, cons, first_step=step, max_step=step,
+                    problem, base, family, first_step=step, max_step=step,
                     description=f"exactness loop {len(results)} on {spec.name}")
                 if any(on_U(eigenvalues(pt), LOCUS_TOL["near"]) for pt in loop.points):
                     val = None
@@ -314,14 +312,13 @@ def cmd_fiber(config: RunConfig) -> int:
     spec = _load(config.spec_path)
     system = GaugedSystem(spec)
     comp = find_complete(spec, system)
-    problem = DeformationProblem(system, comp)
+    problem = DeformationProblem(system)
     if not config.kappas:
         raise ValueError("fiber needs --kappa for the base point")
     kappa = FillingCoefficients.parse(config.kappas[0], spec.cusp_count)
     pt, path_ = solve_filling(problem, comp, kappa)
     z = pt.trace_vector()
-    report = fiber_over(system, z, [pt], budget=config.budget,
-                        seed=config.seed, spec=spec,
+    report = fiber_over(system, z, [pt], budget=config.budget, seed=config.seed,
                         dedup_tol=config.tolerances["dedup"])
     body = {"status": "inconclusive" if report.inconclusive else "ok",
             "fiber": report.to_json()}
@@ -362,7 +359,7 @@ def cmd_certify(config: RunConfig) -> int:
                             {"total_s": time.perf_counter() - t0})
         print(f"certify: FAIL -> {path}")
         return 1
-    problem = DeformationProblem(system, comp)
+    problem = DeformationProblem(system)
     tol = config.tolerances
 
     # volume anchor cross-check against the Lobachevsky oracle
@@ -439,9 +436,9 @@ def cmd_certify(config: RunConfig) -> int:
     for ktext, pt, path_ in filled:
         z = pt.trace_vector()
         rep1 = fiber_over(system, z, [pt], budget=config.budget,
-                          seed=config.seed, spec=spec, dedup_tol=tol["dedup"])
+                          seed=config.seed, dedup_tol=tol["dedup"])
         rep2 = fiber_over(system, z, [pt], budget=2 * config.budget,
-                          seed=config.seed + 1, spec=spec, dedup_tol=tol["dedup"])
+                          seed=config.seed + 1, dedup_tol=tol["dedup"])
         stable = (rep1.sl2_count == rep2.sl2_count and
                   rep1.psl2_count == rep2.psl2_count)
         inconclusive = rep1.inconclusive or rep2.inconclusive or not stable

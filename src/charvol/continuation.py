@@ -1,11 +1,12 @@
 """Path tracking on the gauge slice with branch-consistent peripheral logs,
 Dehn-filling continuation, and fiber counting over boundary-trace points.
 
-All deformation constraints are expressed through the per-cusp log-eigenvalue
-coordinates u_i = log m_i, v_i = log l_i, continued along the path.  Filling
-conditions use the sign-normalized logs u_i - u_i^0, v_i - v_i^0 measured
-from the complete structure's lift, where the eigenvalue of a peripheral
-element may be -1.
+Every path is one constraint family on all cusps, expressed through the
+per-cusp log-eigenvalue coordinates u_i = log m_i, v_i = log l_i, continued
+along the path.  Constraints use the sign-normalized logs u_i - u_i^0,
+v_i - v_i^0 measured from the tracked point's lift reference (for paths
+from the complete structure, its lift, where the eigenvalue of a peripheral
+element may be -1).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .locus import TOLERANCES as LOCUS_TOL, eigenvalues, moved, on_U, on_V, traces
-from .manifold import ManifoldSpec
 # the Newton kernel and its errors live in repvar and are re-exported here
 from .repvar import (CharacterPoint, ContinuationError, DivergenceError, GaugedSystem,
                      NewtonResult, SignTwist, SingularJacobianError, TWO_PI_I,
@@ -69,73 +69,81 @@ def jacobian_check(system, point, step: float = 1e-6, tol: float = 1e-5) -> dict
 # constraints on the gauge slice
 # ---------------------------------------------------------------------------
 
-class LogConstraint:
-    """p*(u_i - u_i^0) + q*(v_i - v_i^0) = target(tau), in tracked logs.
+class ConstraintFamily:
+    """p_i (u_i - u_i^0) + q_i (v_i - v_i^0) = target(tau)_i on every cusp i,
+    in branch-lifted logs measured from the tracked point's lift reference
+    (u_i^0, v_i^0).
 
-    With (p, q) = (1, 0) and target u-offsets this pins a meridian log;
-    general coprime (p, q) with target 2*pi*i*tau is a filling equation.
-    """
+    p and q are per-cusp sequences, or scalars shared by every cusp;
+    target maps tau to a sequence of one value per cusp.  (p, q) = (1, 0)
+    pins meridian logs; coprime (p, q) with target 2*pi*i*tau is a filling
+    equation."""
 
-    def __init__(self, cusp_index: int, pcoef: float, qcoef: float,
-                 target: Callable[[float], complex]):
-        self.i = cusp_index
-        self.p = pcoef
-        self.q = qcoef
+    def __init__(self, p, q, target: Callable[[float], Sequence[complex]]):
+        # a scalar coefficient repeats for every cusp it is zipped with
+        self.p = p if np.ndim(p) else itertools.repeat(p)
+        self.q = q if np.ndim(q) else itertools.repeat(q)
         self.target = target
 
-    def value_and_grad(self, problem: "DeformationProblem", branch, tau, ml, Jml):
-        i = self.i
-        m, l = ml[2 * i], ml[2 * i + 1]
-        bu, bv, bm, bl = branch[i]
-        u = bu + cmath.log(m / bm)
-        v = bv + cmath.log(l / bl)
-        base_u, base_v = problem.base[i]
-        val = self.p * (u - base_u) + self.q * (v - base_v) - self.target(tau)
-        grad = self.p * Jml[2 * i] / m + self.q * Jml[2 * i + 1] / l
-        return val, grad
+    def residual(self, pt: CharacterPoint, tau: float) -> np.ndarray:
+        """Per-cusp value of the family at a point's own logs."""
+        return np.array([p * (c.u - c.base_u) + q * (c.v - c.base_v) - t for p, q, t, c
+                         in zip(self.p, self.q, self.target(tau), pt.cusps)])
 
 
-def pin_log(cusp_index: int, target: Callable[[float], complex]) -> LogConstraint:
-    return LogConstraint(cusp_index, 1.0, 0.0, target)
+def pin_log(target: Callable[[float], Sequence[complex]]) -> ConstraintFamily:
+    return ConstraintFamily(1.0, 0.0, target)
 
 
 class DeformationProblem:
-    """A gauged system together with the branch bookkeeping needed to impose
-    log-coordinate constraints along paths."""
+    """A gauged system with the constraint families imposed on it along
+    paths.  Logs are lifted from, and measured from the lift reference of,
+    the tracked point passed as `prev`."""
 
-    def __init__(self, system: GaugedSystem, base_point: CharacterPoint):
+    def __init__(self, system: GaugedSystem):
         self.system = system
-        self.base = [(c.base_u, c.base_v) for c in base_point.cusps]
 
-    def _rows(self, x, branch, constraints, tau):
-        """Gauge values and the log constraint values at x and tau, with
-        their Jacobian, from one evaluation of the compiled system."""
+    def _rows(self, prev: CharacterPoint, family: ConstraintFamily, tau):
+        """F(x) -> (values, Jacobian): the gauge rows and the family's rows at
+        tau, every row from one evaluation of the compiled system."""
         system = self.system
-        vals, J = system.compiled.values_and_jacobian(x)
-        ml, Jml = vals[system.ml_rows], J[system.ml_rows]
-        rows = [con.value_and_grad(self, branch, tau, ml, Jml) for con in constraints]
+        # per cusp: coefficients, target and the lift to continue from
+        terms = list(zip(family.p, family.q, family.target(tau), prev.cusps))
         g = system.gauge_rows
-        return (np.concatenate([vals[g], [v for v, _ in rows]]),
-                np.vstack([J[g], *(grad for _, grad in rows)]))
 
-    def correct(self, x0, branch, constraints, tau, tol=1e-11, maxiter=30):
-        """Newton-correct x0 onto the gauge system plus the constraints at
-        tau; returns (x, residual, converged)."""
+        def F(x):
+            vals, J = system.compiled.values_and_jacobian(x)
+            ml, Jml = vals[system.ml_rows], J[system.ml_rows]
+            rows, grads = [], []
+            for i, (p, q, t, c) in enumerate(terms):
+                m, l = ml[2 * i], ml[2 * i + 1]
+                u = c.u + cmath.log(m / c.m)
+                v = c.v + cmath.log(l / c.l)
+                rows.append(p * (u - c.base_u) + q * (v - c.base_v) - t)
+                grads.append(p * Jml[2 * i] / m + q * Jml[2 * i + 1] / l)
+            return np.concatenate([vals[g], rows]), np.vstack([J[g], *grads])
+        return F
+
+    def correct(self, x0, prev: CharacterPoint, family: ConstraintFamily, tau,
+                tol=1e-11, maxiter=30):
+        """Newton-correct x0 onto the gauge system plus the family at tau;
+        returns (point or None, residual, converged), the point lifted from
+        prev."""
         try:
-            r = gauss_newton(lambda x: self._rows(x, branch, constraints, tau),
-                             x0, tol, maxiter)
+            r = gauss_newton(self._rows(prev, family, tau), x0, tol, maxiter)
         except DivergenceError as e:
-            return e.x, e.residual, False
-        return r.x, r.residual, True
+            return None, e.residual, False
+        return make_character_point(self.system, r.x, prev=prev), r.residual, True
 
-    def predict(self, x, branch, constraints, tau, dtau):
-        """First-order predictor from the constraint targets' tau-motion."""
+    def predict(self, pt: CharacterPoint, family: ConstraintFamily, tau, dtau):
+        """First-order predictor from the family's target motion at pt."""
         h = 1e-6
-        _, J = self._rows(x, branch, constraints, tau)
-        dtarget = [(con.target(tau + h) - con.target(tau - h)) / (2 * h) for con in constraints]
+        _, J = self._rows(pt, family, tau)(pt.coords)
+        dtarget = [(a - b) / (2 * h)
+                   for a, b in zip(family.target(tau + h), family.target(tau - h))]
         b = np.concatenate([np.zeros(J.shape[0] - len(dtarget), dtype=complex), dtarget])
         dxdtau, *_ = np.linalg.lstsq(J, b, rcond=None)
-        return x + dtau * dxdtau
+        return pt.coords + dtau * dxdtau
 
 
 # ---------------------------------------------------------------------------
@@ -189,17 +197,12 @@ class TrackedPath:
         return "\n".join(lines) + "\n"
 
 
-def _branch_of(pt: CharacterPoint):
-    return [(c.u, c.v, c.m, c.l) for c in pt.cusps]
-
-
 def track(problem: DeformationProblem, start: CharacterPoint,
-          constraints: Sequence[LogConstraint],
+          family: ConstraintFamily,
           tau0: float = 0.0, tau1: float = 1.0,
           first_step: float = 0.02, max_step: float = 0.05,
           min_step: float = 1e-7, tol: float = 1e-11,
-          max_samples: int = 20000, description: str = "",
-          allow_V_interior: bool = False) -> TrackedPath:
+          description: str = "", allow_V_interior: bool = False) -> TrackedPath:
     """Adaptive predictor-corrector tracking of the constraint family from
     tau0 to tau1.  Every accepted sample satisfies the residual tolerance;
     branch continuity is enforced by rejecting steps whose log increments
@@ -211,17 +214,14 @@ def track(problem: DeformationProblem, start: CharacterPoint,
     dtau = min(first_step, abs(tau1 - tau0)) * (1 if tau1 >= tau0 else -1)
     tau = tau0
     while (tau1 - tau) * (1 if tau1 >= tau0 else -1) > 1e-14:
-        if len(points) > max_samples:
+        if len(points) > 20000:
             raise TrackingError("sample budget exceeded")
         step = dtau
         if (tau + step - tau1) * (1 if tau1 >= tau0 else -1) > 0:
             step = tau1 - tau
-        branch = _branch_of(pt)
-        xpred = problem.predict(pt.coords, branch, constraints, tau, step)
-        x, res, ok = problem.correct(xpred, branch, constraints, tau + step, tol=tol)
-        accept = ok
-        if ok:
-            new_pt = make_character_point(problem.system, x, prev=pt)
+        xpred = problem.predict(pt, family, tau, step)
+        new_pt, res, accept = problem.correct(xpred, pt, family, tau + step, tol=tol)
+        if accept:
             for c_new, c_old in zip(new_pt.cusps, pt.cusps):
                 if abs((c_new.u - c_old.u).imag) >= PI / 2 or \
                    abs((c_new.v - c_old.v).imag) >= PI / 2:
@@ -271,13 +271,10 @@ def step_off_complete(problem: DeformationProblem, complete: CharacterPoint,
         power = mp.degree(name) if mp.degree(name) != 0 else mp.min_degree(name)
         idx = system.vars.index(name)
         x0[idx] = x0[idx] * cmath.exp(du[i] / power)
-    cons = [pin_log(i, (lambda val: (lambda tau: val))(du[i]))
-            for i in range(len(system.cusps))]
-    branch = _branch_of(complete)
-    x, res, ok = problem.correct(x0, branch, cons, 0.0, tol=tol)
+    pt, res, ok = problem.correct(x0, complete, pin_log(lambda tau: du), 0.0, tol=tol)
     if not ok:
         raise TrackingError(f"could not step off the complete structure (residual {res:.2e})")
-    return make_character_point(system, x, prev=complete)
+    return pt
 
 
 def track_from_complete(problem: DeformationProblem, complete: CharacterPoint,
@@ -296,11 +293,8 @@ def track_from_complete(problem: DeformationProblem, complete: CharacterPoint,
                            end_on_V=True, description="trivial segment")
     first = min(1e-2 / scale, 0.2)
     start = step_off_complete(problem, complete, [d * first for d in du], tol=tol)
-    cons = [LogConstraint(i, 1.0, 0.0,
-                          (lambda d: (lambda tau: tau * d))(du[i]))
-            for i in range(len(du))]
-    path = track(problem, start, cons, tau0=first, tau1=1.0,
-                 first_step=min(max_step / scale, 0.05),
+    path = track(problem, start, pin_log(lambda tau: [tau * d for d in du]),
+                 tau0=first, tau1=1.0, first_step=min(max_step / scale, 0.05),
                  max_step=min(max_step / scale, 0.05), tol=tol,
                  description="segment from the complete structure",
                  allow_V_interior=False)
@@ -363,9 +357,7 @@ class FillingCoefficients:
 
 
 def solve_filling(problem: DeformationProblem, complete: CharacterPoint,
-                  kappa: FillingCoefficients, tau_start: float = 0.01,
-                  tol: float = 1e-11, max_step: float = 0.001
-                  ) -> tuple[CharacterPoint, TrackedPath]:
+                  kappa: FillingCoefficients) -> tuple[CharacterPoint, TrackedPath]:
     """Continue from the complete structure to the solution of the log-form
     filling equations p_i u_i + q_i v_i = 2 pi i at filled cusps, keeping
     unfilled cusps parabolic."""
@@ -380,10 +372,17 @@ def solve_filling(problem: DeformationProblem, complete: CharacterPoint,
                            start_on_V=True, end_on_V=True)
         return complete, path
 
+    # unfilled cusps stay pinned: (p, q) = (1, 0) with target 0
+    family = ConstraintFamily([1 if s is None else s[0] for s in kappa.slopes],
+                              [0 if s is None else s[1] for s in kappa.slopes],
+                              lambda tau: [0j if s is None else TWO_PI_I * tau
+                                           for s in kappa.slopes])
+    tau_start = 0.01
+
     shapes = cusp_shape_matrix(problem, complete)
     # asymptotic first point: p_i u_i + q_i sum_j tau_ij u_j = 2 pi i tau_start
     A = np.zeros((len(filled), len(filled)), dtype=complex)
-    rhs = np.full(len(filled), TWO_PI_I * tau_start, dtype=complex)
+    rhs = np.array(family.target(tau_start))[filled]
     for a, i in enumerate(filled):
         p, q = kappa.slopes[i]
         for b, j in enumerate(filled):
@@ -398,36 +397,24 @@ def solve_filling(problem: DeformationProblem, complete: CharacterPoint,
     except TrackingError as e:
         raise FillingError(f"kappa={kappa.label()}: {e}") from e
 
-    constraints = []
-    for i in range(h):
-        s = kappa.slopes[i]
-        if s is None:
-            constraints.append(pin_log(i, lambda tau: 0j))
-        else:
-            p, q = s
-            constraints.append(LogConstraint(i, p, q, lambda tau: TWO_PI_I * tau))
     # settle the asymptotic seed exactly onto the constraint family at tau_start
-    x, res, ok = problem.correct(start_pt.coords, _branch_of(start_pt),
-                                 constraints, tau_start, tol=tol)
+    start_pt, res, ok = problem.correct(start_pt.coords, start_pt, family, tau_start)
     if not ok:
         raise FillingError(f"kappa={kappa.label()}: start correction failed ({res:.2e})")
-    start_pt = make_character_point(problem.system, x, prev=start_pt)
     try:
-        path = track(problem, start_pt, constraints, tau0=tau_start, tau1=1.0,
-                     tol=tol, first_step=max_step, max_step=max_step,
+        path = track(problem, start_pt, family, tau0=tau_start, tau1=1.0,
+                     first_step=0.001, max_step=0.001,
                      description=f"filling {kappa.label()} of {system.spec.name}")
     except TrackingError as e:
         raise FillingError(f"kappa={kappa.label()}: {e}") from e
 
     end = path.endpoint()
+    resid = np.abs(family.residual(end, 1.0))
     for i in filled:
-        p, q = kappa.slopes[i]
-        c = end.cusps[i]
-        resid = abs(p * (c.u - c.base_u) + q * (c.v - c.base_v) - TWO_PI_I)
-        if resid >= 1e-9:
-            raise FillingError(f"kappa={kappa.label()}: filling residual {resid:.2e}")
+        if resid[i] >= 1e-9:
+            raise FillingError(f"kappa={kappa.label()}: filling residual {resid[i]:.2e}")
     for i, s in enumerate(kappa.slopes):
-        if s is None and abs(end.cusps[i].u - end.cusps[i].base_u) >= 1e-9:
+        if s is None and resid[i] >= 1e-9:
             raise FillingError(f"kappa={kappa.label()}: unfilled cusp {i + 1} drifted")
 
     full_path = TrackedPath(points=[complete] + path.points, taus=[0.0] + path.taus,
@@ -452,11 +439,10 @@ def make_filling_route_via_detour(problem: DeformationProblem,
     p, q = slope
     approach = track_from_complete(problem, complete, [detour], max_step=0.002)
     start = approach.endpoint()
-    c = start.cusps[0]
-    c0 = p * (c.u - c.base_u) + q * (c.v - c.base_v)
-    cons = [LogConstraint(0, p, q,
-                          lambda tau: c0 + tau * (TWO_PI_I - c0))]
-    path = track(problem, start, cons, tau0=0.0, tau1=1.0,
+    # the family's left-hand side p*u + q*v (normalized) at the detour point
+    c0 = ConstraintFamily(p, q, lambda tau: [0j]).residual(start, 0.0)
+    family = ConstraintFamily(p, q, lambda tau: [c + tau * (TWO_PI_I - c) for c in c0])
+    path = track(problem, start, family, tau0=0.0, tau1=1.0,
                  first_step=0.002, max_step=0.002,
                  description=f"detour filling route ({p},{q})")
     return concatenate_paths(approach, path)
@@ -473,17 +459,13 @@ class FilledCharacter:
 
 
 def sample_dense_set(problem: DeformationProblem, complete: CharacterPoint,
-                     prime_list: Sequence[int],
-                     per_cusp_choices: Optional[Sequence[Sequence[int]]] = None
-                     ) -> list[FilledCharacter]:
+                     prime_list: Sequence[int]) -> list[FilledCharacter]:
     """Filled characters chi_kappa for kappa in the cartesian product of
-    (1, q) slopes, q drawn from prime_list (or per-cusp overrides): a finite
-    sample of the Zariski-dense filled set, with each trace point checked off
-    the image of U."""
-    h = len(problem.system.cusps)
-    choices = per_cusp_choices or [list(prime_list)] * h
+    (1, q) slopes, q drawn from prime_list on every cusp: a finite sample of
+    the Zariski-dense filled set, with each trace point checked off the image
+    of U."""
     out = []
-    for qs in itertools.product(*choices):
+    for qs in itertools.product(prime_list, repeat=len(problem.system.cusps)):
         kappa = FillingCoefficients(tuple((1, int(q)) for q in qs))
         try:
             pt, path = solve_filling(problem, complete, kappa)
@@ -555,15 +537,13 @@ def restriction_rank_ok(system: GaugedSystem, coords, threshold=1e-6) -> bool:
 def fiber_over(system: GaugedSystem, z: np.ndarray,
                seeds: Sequence[CharacterPoint], budget: int = 64,
                seed: int = 0, monodromy_loops: int = 4,
-               dedup_tol: float = 1e-6, newton_tol: float = 1e-10,
-               spec: Optional[ManifoldSpec] = None) -> FiberReport:
+               dedup_tol: float = 1e-6) -> FiberReport:
     """All gauge-slice solutions with boundary traces z found within budget,
     deduplicated as characters and classified into sign-twist orbits.
 
     The count stability protocol records the running number of distinct
     characters; a count still moving in the last quarter of the budget marks
     the report inconclusive."""
-    spec = spec or system.spec
     z = np.asarray(z, dtype=complex)
     rng = np.random.default_rng(seed)
     gauge, trace = system.gauge_rows, system.trace_rows
@@ -602,7 +582,7 @@ def fiber_over(system: GaugedSystem, z: np.ndarray,
             n = len(system.vars)
             x0 = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
         try:
-            result = newton_correct(F, x0, tol=newton_tol, maxiter=40,
+            result = newton_correct(F, x0, tol=1e-10, maxiter=40,
                                     condition_limit=1e12)
             register(result.x)
         except ContinuationError:
@@ -612,10 +592,9 @@ def fiber_over(system: GaugedSystem, z: np.ndarray,
     # monodromy loops around the meridian-log coordinates, filtered by z-return
     if monodromy_loops and points:
         try:
-            base_pt = points[0]
-            problem = DeformationProblem(system, base_pt)
+            problem = DeformationProblem(system)
             for _ in range(monodromy_loops):
-                _monodromy_loop(problem, system, points, keys, z, rng, register)
+                _monodromy_loop(problem, points, z, rng, register)
                 history.append(len(points))
         except ContinuationError:
             pass
@@ -635,7 +614,7 @@ def fiber_over(system: GaugedSystem, z: np.ndarray,
         reason = (reason + "; " if reason else "") + \
             "restriction map rank-deficient at a fiber point (branch locus)"
 
-    twists = enumerate_twists(spec)
+    twists = enumerate_twists(system.spec)
     twist_pairs = []
     parent = list(range(len(points)))
 
@@ -677,24 +656,21 @@ def _twist_key(system: GaugedSystem, key: np.ndarray, tw: SignTwist) -> np.ndarr
     return key * signs
 
 
-def random_log_loop_targets(base: CharacterPoint, rng, radius=(0.05, 0.25)):
+def random_log_loop_targets(base: CharacterPoint, rng,
+                            radius=(0.05, 0.25)) -> ConstraintFamily:
     """Per-cusp closed elliptical curves in normalized u-coordinates, passing
     through the base point's logs at tau = 0 and 1."""
     h = len(base.cusps)
     r1 = rng.uniform(*radius, size=h)
     r2 = rng.uniform(*radius, size=h)
     phase = rng.uniform(0, 2 * PI, size=h)
+    terms = [(c.u - c.base_u, a, b, ph) for c, a, b, ph in zip(base.cusps, r1, r2, phase)]
 
-    def factory(i):
-        c0 = base.cusps[i].u - base.cusps[i].base_u
-
-        def target(tau):
-            ang = 2 * PI * tau + phase[i]
-            return c0 + r1[i] * (cmath.cos(ang) - cmath.cos(phase[i])) + \
-                1j * r2[i] * (cmath.sin(ang) - cmath.sin(phase[i]))
-        return target
-
-    return [pin_log(i, factory(i)) for i in range(h)]
+    def target(tau):
+        return [c0 + a * (cmath.cos(2 * PI * tau + ph) - cmath.cos(ph)) +
+                1j * b * (cmath.sin(2 * PI * tau + ph) - cmath.sin(ph))
+                for c0, a, b, ph in terms]
+    return pin_log(target)
 
 
 def concatenate_paths(a: TrackedPath, b: TrackedPath) -> TrackedPath:
@@ -708,14 +684,14 @@ def concatenate_paths(a: TrackedPath, b: TrackedPath) -> TrackedPath:
 
 
 def track_closed_loop(problem: DeformationProblem, base: CharacterPoint,
-                      constraints, max_windings: int = 2,
+                      family: ConstraintFamily, max_windings: int = 2,
                       closure_tol: float = 1e-9, **opts) -> TrackedPath:
-    """Track the constraint loop until the eigenvalue coordinates close up.
+    """Track the family's loop until the eigenvalue coordinates close up.
 
     A loop in the meridian logs may permute the finitely many sheets of the
     eigenvalue variety over it; winding the same loop again closes any
     order-two monodromy.  Raises when the path refuses to close."""
-    total = track(problem, base, constraints, tau0=0.0, tau1=1.0, **opts)
+    total = track(problem, base, family, tau0=0.0, tau1=1.0, **opts)
     for winding in range(max_windings + 1):
         end = total.endpoint()
         gap = max(max(abs(ca.m - cb.m), abs(ca.l - cb.l))
@@ -724,17 +700,16 @@ def track_closed_loop(problem: DeformationProblem, base: CharacterPoint,
             return total
         if winding < max_windings:
             total = concatenate_paths(
-                total, track(problem, end, constraints, tau0=0.0, tau1=1.0, **opts))
+                total, track(problem, end, family, tau0=0.0, tau1=1.0, **opts))
     raise TrackingError(f"loop failed to close after {max_windings} windings "
                         f"(gap {gap:.2e})")
 
 
-def _monodromy_loop(problem, system, points, keys, z, rng, register):
+def _monodromy_loop(problem, points, z, rng, register):
     """Track a random u-coordinate ellipse from a random known fiber point;
     keep the endpoint only if its full trace vector returns to z."""
     base = points[int(rng.integers(len(points)))]
-    cons = random_log_loop_targets(base, rng)
-    path = track(problem, base, cons, tau0=0.0, tau1=1.0, tol=1e-11,
+    path = track(problem, base, random_log_loop_targets(base, rng), tau0=0.0, tau1=1.0,
                  first_step=0.05, max_step=0.08,
                  description="monodromy loop", allow_V_interior=True)
     if any(on_U(eigenvalues(pt), LOCUS_TOL["near"]) for pt in path.points):

@@ -100,9 +100,8 @@ def build_extended(gauged: GaugedSystem) -> ExtendedSystem:
 
 @dataclass
 class EigenvaluePoint:
-    """(m_1, l_1, ..., m_h, l_h) in (C \\ 0)^2h, with optional branch lifts."""
+    """(m_1, l_1, ..., m_h, l_h) in (C \\ 0)^2h."""
     values: np.ndarray
-    lifts: Optional[list[tuple[complex, complex]]] = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
@@ -116,18 +115,12 @@ class EigenvaluePoint:
     def cusp_count(self) -> int:
         return len(self.values) // 2
 
-    def to_json(self):
-        return {"values": [[z.real, z.imag] for z in self.values],
-                "lifts": None if self.lifts is None else
-                [[[u.real, u.imag], [v.real, v.imag]] for u, v in self.lifts]}
-
 
 def sample_point(ext: ExtendedSystem, pt: CharacterPoint,
                  tol: float = 1e-8) -> EigenvaluePoint:
     """Peripheral eigenvalue data of a character point, read off the
     eigenvalue slots and checked against the three trace generators."""
-    point = EigenvaluePoint(values=ext.gauged.ml_values(pt.coords),
-                            lifts=[(c.u, c.v) for c in pt.cusps])
+    point = EigenvaluePoint(values=ext.gauged.ml_values(pt.coords))
     _check_trace_consistency(pt, point, tol)
     return point
 
@@ -149,14 +142,10 @@ def _check_trace_consistency(pt: CharacterPoint, x: EigenvaluePoint, tol: float)
 def gamma_act(x: EigenvaluePoint, subset: Sequence[int]) -> EigenvaluePoint:
     """Invert (m_i, l_i) for the cusps in subset (0-based indices)."""
     vals = np.array(x.values, dtype=complex)
-    lifts = None if x.lifts is None else list(x.lifts)
     for i in subset:
         vals[2 * i] = 1 / vals[2 * i]
         vals[2 * i + 1] = 1 / vals[2 * i + 1]
-        if lifts is not None:
-            u, v = lifts[i]
-            lifts[i] = (-u, -v)
-    return EigenvaluePoint(values=vals, lifts=lifts)
+    return EigenvaluePoint(values=vals)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +205,7 @@ def _detect_slot_substitution(eq: Polynomial, gauge_vars, periph_vars):
 
 
 def eliminate(ext: ExtendedSystem, samples: Optional[Sequence[EigenvaluePoint]] = None,
-              var_budget: int = 6, sample_tol: float = 1e-8) -> EliminantSet:
+              sample_tol: float = 1e-8) -> EliminantSet:
     """Resultant-tree elimination of the gauge variables from the extended
     system, leaving defining equations in the peripheral variables only.
 
@@ -224,10 +213,10 @@ def eliminate(ext: ExtendedSystem, samples: Optional[Sequence[EigenvaluePoint]] 
     variety is stable under the per-cusp inversion action, certified by the
     gamma-invariance checks), then eliminates remaining gauge variables by
     pivot resultants in ascending degree, reducing each stage by gcds,
-    monomial stripping and squarefree parts.  Raises when more than
-    `var_budget` variables survive the substitutions.  The description
-    records every stage group whose gcd the term cap skipped or whose
-    members were cut to three."""
+    monomial stripping and squarefree parts.  Raises when more than six
+    variables survive the substitutions.  The description records every
+    stage group whose gcd the term cap skipped or whose members were cut to
+    three."""
     V = ext.vars
     periph = set(ext.peripheral_vars)
     gauge_vars = [v for v in V if v not in periph]
@@ -256,10 +245,10 @@ def eliminate(ext: ExtendedSystem, samples: Optional[Sequence[EigenvaluePoint]] 
     to_eliminate = [v for v in gauge_vars if v not in subs and
                     any(v in p.support_vars() for p in work)]
     live_vars = set().union(*[p.support_vars() for p in work]) if work else set()
-    if len(live_vars) > var_budget:
+    if len(live_vars) > 6:
         raise EliminationBudgetError(
             f"{len(live_vars)} variables remain after substitution "
-            f"(budget {var_budget}); use numerical fiber sampling instead")
+            "(budget 6); use numerical fiber sampling instead")
 
     if not to_eliminate:
         final = [p for p in work if p.support_vars() <= periph

@@ -213,6 +213,7 @@ class CharacterPoint:
     label: str = ""
 
     def trace_vector(self) -> np.ndarray:
+        """The boundary-trace vector (I_M, I_L, I_ML per cusp): the image r(chi)."""
         out = []
         for c in self.cusps:
             out.extend((c.trace_m, c.trace_l, c.trace_ml))
@@ -275,11 +276,6 @@ def make_character_point(system: GaugedSystem, coords, prev: Optional[CharacterP
             base_u=base_u, base_v=base_v))
     return CharacterPoint(coords=coords, cusps=states, residual=system.gauge_residual(vals),
                           label=label)
-
-
-def restriction_traces(pt: CharacterPoint) -> np.ndarray:
-    """The boundary-trace vector (I_M, I_L, I_ML per cusp): the image r(chi)."""
-    return pt.trace_vector()
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +462,7 @@ def thurston_rank(system: GaugedSystem, pt: CharacterPoint, threshold=1e-6) -> i
 
 
 def find_complete(spec: ManifoldSpec, system: Optional[GaugedSystem] = None,
-                  start_matrices=None, multistart: int = 40,
-                  rng=None, tol: float = 1e-12) -> CharacterPoint:
+                  start_matrices=None, multistart: int = 40) -> CharacterPoint:
     """Newton-refine the boundary-parabolic locus and select the discrete
     faithful character matching the shipped seed's orientation.
 
@@ -477,7 +472,7 @@ def find_complete(spec: ManifoldSpec, system: Optional[GaugedSystem] = None,
     are the transversal formulation; all 2^h sign choices are solved).
     """
     system = system or GaugedSystem(spec)
-    rng = rng or np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     h = spec.cusp_count
 
     starts = []
@@ -518,7 +513,7 @@ def find_complete(spec: ManifoldSpec, system: Optional[GaugedSystem] = None,
         F = pinned(np.array(eps))
         for x0 in starts:
             try:
-                x = gauss_newton(F, x0, tol, maxiter=80, max_step=5.0).x
+                x = gauss_newton(F, x0, 1e-12, maxiter=80, max_step=5.0).x
             except DivergenceError as e:
                 diagnostics.append(f"eps={eps}: residual {e.residual:.2e}")
                 continue

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .continuation import TrackedPath
-from .locus import TOLERANCES as LOCUS_TOL, eigenvalues, moving_along, on_U
+from .locus import eigenvalues, moving_along, on_U
 from .manifold import ManifoldSpec
 from .repvar import CharacterPoint
 
@@ -42,26 +42,14 @@ class EtaValue:
         return max((max(abs(a), abs(b)) for a, b in self.coefficients), default=0.0)
 
 
-def eta_at(x, handedness_sign: int = 1, u_tol: float = LOCUS_TOL["on"]) -> EtaValue:
-    """Evaluate the form's coefficients from branch lifts.
-
-    Accepts a CharacterPoint or an EigenvaluePoint carrying branch lifts;
-    raises when lifts are missing.  Points on U are flagged, not rejected
-    (the form extends by the same formula)."""
-    lifts = _branch_lifts(x)
-    if lifts is None:
-        raise VolumeError("eta needs branch lifts (u_i, v_i); none present")
+def eta_at(pt: CharacterPoint, handedness_sign: int = 1) -> EtaValue:
+    """Evaluate the form's coefficients from a character point's branch
+    lifts.  Points on U are flagged, not rejected (the form extends by the
+    same formula)."""
+    lifts = [(c.u, c.v) for c in pt.cusps]
     coeffs = [(handedness_sign * (-v.real), handedness_sign * (u.real)) for u, v in lifts]
-    onu = on_U([(np.exp(u), np.exp(v)) for u, v in lifts], u_tol)
+    onu = on_U([(np.exp(u), np.exp(v)) for u, v in lifts])
     return EtaValue(coefficients=coeffs, on_U=onu)
-
-
-def _branch_lifts(x):
-    if hasattr(x, "cusps"):
-        return [(c.u, c.v) for c in x.cusps]
-    if getattr(x, "lifts", None) is not None:
-        return list(x.lifts)
-    return None
 
 
 def _segment_increment(a: CharacterPoint, b: CharacterPoint, sign: int) -> float:
@@ -91,8 +79,7 @@ class IntegralResult:
         return self.value
 
 
-def integrate_eta(path: TrackedPath, handedness_sign: int = 1,
-                  u_tol: float = LOCUS_TOL["on"]) -> IntegralResult:
+def integrate_eta(path: TrackedPath, handedness_sign: int = 1) -> IntegralResult:
     """Composite trapezoid integral of the volume form along a tracked path.
 
     The coarse (every second sample) integral gives a Richardson error
@@ -103,7 +90,7 @@ def integrate_eta(path: TrackedPath, handedness_sign: int = 1,
         raise VolumeError("empty path")
     moving = moving_along(path.points)
     for pt in path.points[1:-1]:
-        if on_U(eigenvalues(pt), u_tol, moving):
+        if on_U(eigenvalues(pt), moving=moving):
             raise VolumeError("interior path sample lies on U")
     fine = running_integral(path, handedness_sign)
     value = float(fine[-1])
@@ -118,15 +105,14 @@ def integrate_eta(path: TrackedPath, handedness_sign: int = 1,
     return IntegralResult(value=value, error_estimate=err, samples=len(pts))
 
 
-def loop_integral(loop: TrackedPath, handedness_sign: int = 1,
-                  endpoint_tol: float = 1e-9) -> IntegralResult:
+def loop_integral(loop: TrackedPath, handedness_sign: int = 1) -> IntegralResult:
     """Integral around a closed path (closure measured in the eigenvalue
     coordinates; the branch lifts may return shifted by multiples of 2 pi i),
     with its Richardson error estimate.  Exactness predicts a value near
     zero."""
     a, b = loop.points[0], loop.points[-1]
     for ca, cb in zip(a.cusps, b.cusps):
-        if abs(ca.m - cb.m) >= endpoint_tol or abs(ca.l - cb.l) >= endpoint_tol:
+        if abs(ca.m - cb.m) >= 1e-9 or abs(ca.l - cb.l) >= 1e-9:
             raise VolumeError(
                 f"loop endpoints differ in eigenvalue coordinates: "
                 f"|dm| = {abs(ca.m - cb.m):.2e}, |dl| = {abs(ca.l - cb.l):.2e}")

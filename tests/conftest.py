@@ -47,13 +47,13 @@ def wlink_complete(wlink_spec, wlink_system):
 
 
 @pytest.fixture(scope="session")
-def fig8_problem(fig8_system, fig8_complete):
-    return DeformationProblem(fig8_system, fig8_complete)
+def fig8_problem(fig8_system):
+    return DeformationProblem(fig8_system)
 
 
 @pytest.fixture(scope="session")
-def wlink_problem(wlink_system, wlink_complete):
-    return DeformationProblem(wlink_system, wlink_complete)
+def wlink_problem(wlink_system):
+    return DeformationProblem(wlink_system)
 
 
 @pytest.fixture(scope="session")

@@ -57,10 +57,8 @@ def test_criterion_2_degree_one(fixture, budget, request):
         if "inf" in ktext:
             continue
         z = pt.trace_vector()
-        r1 = fiber_over(system, z, [pt], budget=budget, seed=7, spec=spec,
-                        monodromy_loops=1)
-        r2 = fiber_over(system, z, [pt], budget=2 * budget, seed=8, spec=spec,
-                        monodromy_loops=1)
+        r1 = fiber_over(system, z, [pt], budget=budget, seed=7, monodromy_loops=1)
+        r2 = fiber_over(system, z, [pt], budget=2 * budget, seed=8, monodromy_loops=1)
         good = (r1.psl2_count == 1 and r2.psl2_count == 1 and
                 r1.sl2_count == r2.sl2_count and
                 not r1.inconclusive and not r2.inconclusive and
@@ -83,10 +81,10 @@ def wlink_third_filling(wlink_spec, wlink_problem, wlink_complete):
     return solve_filling(wlink_problem, wlink_complete, kappa)
 
 
-def test_criterion_2_wlink_third_point(wlink_spec, wlink_system, wlink_third_filling):
+def test_criterion_2_wlink_third_point(wlink_system, wlink_third_filling):
     pt, _ = wlink_third_filling
     r = fiber_over(wlink_system, pt.trace_vector(), [pt], budget=24, seed=9,
-                   spec=wlink_spec, monodromy_loops=1)
+                   monodromy_loops=1)
     ok = r.psl2_count == 1 and not r.inconclusive
     report("criterion 2 degree one [wlink 1,5;1,5]", ok,
            f"psl2={r.psl2_count} sl2={r.sl2_count}")
@@ -106,7 +104,7 @@ def test_criterion_3_fiber_volume_equality(fig8_spec, fig8_system, fig8_fillings
             if "inf" in ktext:
                 continue
             rep = fiber_over(system, pt.trace_vector(), [pt], budget=16,
-                             seed=3, spec=spec, monodromy_loops=0)
+                             seed=3, monodromy_loops=0)
             paths = [path if np.max(np.abs(system.char_key(p.coords) -
                                            system.char_key(pt.coords))) < 1e-6
                      else None for p in rep.points]
@@ -142,7 +140,7 @@ def test_criterion_4_degree_bound(fig8_spec, wlink_spec, fig8_system, wlink_syst
             if "inf" in ktext:
                 continue
             rep = fiber_over(system, pt.trace_vector(), [pt], budget=16,
-                             seed=5, spec=spec, monodromy_loops=0)
+                             seed=5, monodromy_loops=0)
             ok &= rep.sl2_count <= rep.psl2_count * z2.degree_bound
     report("criterion 4 degree bound", ok, "; ".join(details) +
            "; sl2 <= psl2 x 2^k on every fiber")
@@ -235,10 +233,10 @@ def test_criterion_8_hygiene(tmp_path, fig8_system, fig8_extended, fig8_problem,
     base = step_off_complete(fig8_problem, fig8_complete, [0.3 + 0.1j])
     u0 = base.cusps[0].u - base.cusps[0].base_u
     seg = 0.3 + 0.3j
-    fwd = track(fig8_problem, base, [pin_log(0, lambda tau: u0 + tau * seg)],
+    fwd = track(fig8_problem, base, pin_log(lambda tau: np.array([u0 + tau * seg])),
                 first_step=0.02, max_step=0.02)
     rev = track(fig8_problem, fwd.endpoint(),
-                [pin_log(0, lambda tau: u0 + (1 - tau) * seg)],
+                pin_log(lambda tau: np.array([u0 + (1 - tau) * seg])),
                 first_step=0.02, max_step=0.02)
     reversal = float(np.max(np.abs(rev.endpoint().coords - base.coords)))
 

@@ -35,6 +35,26 @@ def test_benchmark_fingerprint_names_resolve():
     assert gaussian._mpq.__name__
 
 
+def test_correct_returns_convergence_flag_at_index_2(fig8_problem, fig8_complete):
+    """The tracer counts `continuation.correct.fail` from index 2 of
+    `DeformationProblem.correct`'s 3-tuple."""
+    from charvol.continuation import pin_log, step_off_complete
+    from charvol.repvar import CharacterPoint
+    base = step_off_complete(fig8_problem, fig8_complete, [0.3 + 0.1j])
+    u0 = base.cusps[0].u - base.cusps[0].base_u
+    near = pin_log(lambda tau: np.array([u0 + 0.01 * tau]))
+    far = pin_log(lambda tau: np.array([u0 + 40 * tau]))
+    for family, maxiter, converged in ((near, 30, True), (far, 2, False)):
+        result = fig8_problem.correct(base.coords, base, family, 1.0, maxiter=maxiter)
+        assert isinstance(result, tuple) and len(result) == 3
+        assert result[2] is converged
+        if converged:
+            assert isinstance(result[0], CharacterPoint) and result[1] < 1e-11
+        else:
+            assert result[0] is None
+        assert _spans._result_counts("continuation.correct", result, {}) is not converged
+
+
 def test_each_compiled_evaluation_counts_once():
     """The benchmark wraps `values`, `jacobian` and `values_and_jacobian`;
     none may reach the block through another wrapped method, or the

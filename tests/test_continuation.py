@@ -9,7 +9,7 @@ from charvol.continuation import (ContinuationError, DivergenceError,
                                   step_off_complete, track)
 from charvol.locus import eigenvalues, on_U
 from charvol.poly import CompiledSystem
-from charvol.repvar import gauss_newton
+from charvol.repvar import SignTwist, apply_twist, gauss_newton
 from charvol.volume import anchored_volume
 
 TWO_PI_I = 2j * np.pi
@@ -114,8 +114,7 @@ def test_correct_and_predict_evaluate_once_per_step(fig8_problem, fig8_complete,
     import charvol.continuation as cont
     du = 0.1 + 0.05j
     base = step_off_complete(fig8_problem, fig8_complete, [du])
-    branch = [(c.u, c.v, c.m, c.l) for c in base.cusps]
-    cons = [pin_log(0, lambda tau: du + 0.02 * tau)]
+    family = pin_log(lambda tau: np.array([du + 0.02 * tau]))
     evaluations = []
     kernel = cont.gauss_newton
 
@@ -127,13 +126,14 @@ def test_correct_and_predict_evaluate_once_per_step(fig8_problem, fig8_complete,
 
     monkeypatch.setattr(cont, "gauss_newton", counting_kernel)
     before = len(block_calls)
-    xpred = fig8_problem.predict(base.coords, branch, cons, 0.0, 1.0)
+    xpred = fig8_problem.predict(base, family, 0.0, 1.0)
     assert len(block_calls) - before == 1
     before = len(block_calls)
-    x, res, ok = fig8_problem.correct(xpred, branch, cons, 1.0)
+    pt, res, ok = fig8_problem.correct(xpred, base, family, 1.0)
     assert ok and res < 1e-11
     assert len(evaluations) >= 2
-    assert len(block_calls) - before == len(evaluations)
+    # plus one for building the returned point
+    assert len(block_calls) - before == len(evaluations) + 1
 
 
 # -- jacobian_check --------------------------------------------------------------
@@ -173,8 +173,8 @@ def test_jacobian_check_detects_mismatch():
 def test_track_constant_family(fig8_problem, fig8_fillings):
     _, pt, _ = fig8_fillings[0]
     u0 = pt.cusps[0].u - pt.cusps[0].base_u
-    cons = [pin_log(0, lambda tau: u0)]
-    path = track(fig8_problem, pt, cons, first_step=0.25, max_step=0.25)
+    family = pin_log(lambda tau: np.array([u0]))
+    path = track(fig8_problem, pt, family, first_step=0.25, max_step=0.25)
     assert len(path) >= 2
     for sample in path.points:
         assert np.max(np.abs(sample.coords - pt.coords)) < 1e-9
@@ -185,9 +185,30 @@ def test_track_out_and_back(fig8_problem, fig8_complete):
     base = step_off_complete(fig8_problem, fig8_complete, [0.3 + 0.1j])
     u0 = base.cusps[0].u - base.cusps[0].base_u
     seg = 0.4 + 0.25j
-    out = [pin_log(0, lambda tau: u0 + tau * seg)]
+    out = pin_log(lambda tau: np.array([u0 + tau * seg]))
     fwd = track(fig8_problem, base, out, first_step=0.02, max_step=0.02)
-    back = [pin_log(0, lambda tau: u0 + (1 - tau) * seg)]
+    back = pin_log(lambda tau: np.array([u0 + (1 - tau) * seg]))
+    rev = track(fig8_problem, fwd.endpoint(), back, first_step=0.02, max_step=0.02)
+    assert np.max(np.abs(rev.endpoint().coords - base.coords)) < 1e-9
+    assert abs(rev.endpoint().cusps[0].u - base.cusps[0].u) < 1e-9
+
+
+def test_track_from_sign_twisted_point(fig8_system, fig8_problem, fig8_complete):
+    """Constraints are measured from the tracked point's own lift reference:
+    a path from a sign-twisted point moves, stays the twist of the untwisted
+    path, and returns to the twisted coordinates."""
+    plain = step_off_complete(fig8_problem, fig8_complete, [0.3 + 0.1j])
+    twist = SignTwist((-1, -1))
+    base = apply_twist(plain, twist, fig8_system)
+    u0 = base.cusps[0].u - base.cusps[0].base_u
+    assert abs(u0 - (plain.cusps[0].u - plain.cusps[0].base_u)) < 1e-15
+    seg = 0.3 + 0.2j
+    out = pin_log(lambda tau: np.array([u0 + tau * seg]))
+    fwd = track(fig8_problem, base, out, first_step=0.02, max_step=0.02)
+    fwd_plain = track(fig8_problem, plain, out, first_step=0.02, max_step=0.02)
+    twisted_end = apply_twist(fwd_plain.endpoint(), twist, fig8_system)
+    assert np.max(np.abs(fwd.endpoint().coords - twisted_end.coords)) < 1e-9
+    back = pin_log(lambda tau: np.array([u0 + (1 - tau) * seg]))
     rev = track(fig8_problem, fwd.endpoint(), back, first_step=0.02, max_step=0.02)
     assert np.max(np.abs(rev.endpoint().coords - base.coords)) < 1e-9
     assert abs(rev.endpoint().cusps[0].u - base.cusps[0].u) < 1e-9
@@ -197,9 +218,9 @@ def test_track_reports_min_step_failure(fig8_problem, fig8_complete):
     base = step_off_complete(fig8_problem, fig8_complete, [0.3])
     u0 = base.cusps[0].u - base.cusps[0].base_u
     # demand an absurd jump in one step: the corrector cannot follow
-    cons = [pin_log(0, lambda tau: u0 + tau * (40 + 40j))]
+    family = pin_log(lambda tau: np.array([u0 + tau * (40 + 40j)]))
     with pytest.raises(TrackingError):
-        track(fig8_problem, base, cons, first_step=1.0, max_step=1.0,
+        track(fig8_problem, base, family, first_step=1.0, max_step=1.0,
               min_step=0.2)
 
 
@@ -299,10 +320,10 @@ def test_sample_dense_set_wlink_cartesian(wlink_problem, wlink_complete):
 
 # -- fibers ------------------------------------------------------------------------
 
-def test_fiber_over_filled_point_degree_one(fig8_spec, fig8_system, fig8_fillings):
+def test_fiber_over_filled_point_degree_one(fig8_system, fig8_fillings):
     _, pt, _ = fig8_fillings[0]
     report = fiber_over(fig8_system, pt.trace_vector(), [pt], budget=40,
-                        seed=3, spec=fig8_spec, monodromy_loops=2)
+                        seed=3, monodromy_loops=2)
     assert report.sl2_count == 1
     assert report.psl2_count == 1
     assert not report.inconclusive
@@ -310,19 +331,18 @@ def test_fiber_over_filled_point_degree_one(fig8_spec, fig8_system, fig8_filling
     assert all(report.branch_ok)
 
 
-def test_fiber_count_stable_under_budget_doubling(fig8_spec, fig8_system, fig8_fillings):
+def test_fiber_count_stable_under_budget_doubling(fig8_system, fig8_fillings):
     _, pt, _ = fig8_fillings[1]
     r1 = fiber_over(fig8_system, pt.trace_vector(), [pt], budget=30, seed=5,
-                    spec=fig8_spec, monodromy_loops=0)
+                    monodromy_loops=0)
     r2 = fiber_over(fig8_system, pt.trace_vector(), [pt], budget=60, seed=17,
-                    spec=fig8_spec, monodromy_loops=0)
+                    monodromy_loops=0)
     assert r1.sl2_count == r2.sl2_count == 1
 
 
-def test_fiber_at_complete_is_excluded(fig8_spec, fig8_system, fig8_complete):
+def test_fiber_at_complete_is_excluded(fig8_system, fig8_complete):
     report = fiber_over(fig8_system, fig8_complete.trace_vector(),
-                        [fig8_complete], budget=20, seed=0, spec=fig8_spec,
-                        monodromy_loops=0)
+                        [fig8_complete], budget=20, seed=0, monodromy_loops=0)
     assert report.excluded
     assert "U" in report.excluded_reason or "branch" in report.excluded_reason
 
@@ -331,7 +351,7 @@ def test_fiber_wlink_degree_one_and_bound(wlink_spec, wlink_system, wlink_fillin
     from charvol.manifold import h1_z2
     _, pt, _ = wlink_fillings[0]
     report = fiber_over(wlink_system, pt.trace_vector(), [pt], budget=30,
-                        seed=11, spec=wlink_spec, monodromy_loops=0)
+                        seed=11, monodromy_loops=0)
     z2 = h1_z2(wlink_spec)
     assert report.psl2_count == 1
     assert report.sl2_count <= report.psl2_count * z2.degree_bound
@@ -343,11 +363,11 @@ def test_point_on_U(fig8_complete, fig8_fillings):
     assert not on_U(eigenvalues(pt), 1e-3)
 
 
-def test_fiber_empty_search_is_inconclusive(fig8_spec, fig8_system, fig8_fillings):
+def test_fiber_empty_search_is_inconclusive(fig8_system, fig8_fillings):
     """A fiber search that finds nothing must never report a confident count."""
     _, pt, _ = fig8_fillings[0]
     rep = fiber_over(fig8_system, pt.trace_vector(), [], budget=6, seed=0,
-                     spec=fig8_spec, monodromy_loops=0)
+                     monodromy_loops=0)
     if rep.sl2_count == 0:
         assert rep.inconclusive
 

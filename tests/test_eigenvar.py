@@ -44,11 +44,10 @@ def test_sample_point_complete_unit_modulus(fig8_extended, fig8_complete):
 def test_sample_point_filled_satisfies_filling(fig8_extended, fig8_fillings):
     _, pt, _ = fig8_fillings[0]  # kappa = (1,5)
     x = sample_point(fig8_extended, pt)
-    assert x.lifts is not None
-    u, v = x.lifts[0]
-    base_u = pt.cusps[0].base_u
-    base_v = pt.cusps[0].base_v
-    assert abs((u - base_u) + 5 * (v - base_v) - 2j * np.pi) < 1e-9
+    c = pt.cusps[0]
+    # the sampled eigenvalues are those of the lifts on the filling line
+    assert abs(np.exp(c.u) - x.cusp(0)[0]) < 1e-9 and abs(np.exp(c.v) - x.cusp(0)[1]) < 1e-9
+    assert abs((c.u - c.base_u) + 5 * (c.v - c.base_v) - 2j * np.pi) < 1e-9
     assert not on_U([x.cusp(0)], 1e-3)
 
 
@@ -58,13 +57,11 @@ def test_eigenvalue_point_rejects_zero():
 
 
 def test_gamma_act_involution():
-    x = EigenvaluePoint(values=np.array([2.0 + 1j, 0.5]),
-                        lifts=[(0.1 + 0.2j, 0.3j)])
+    x = EigenvaluePoint(values=np.array([2.0 + 1j, 0.5]))
     y = gamma_act(x, [0])
     assert abs(y.values[0] - 1 / (2 + 1j)) < 1e-15
     z = gamma_act(y, [0])
     assert np.max(np.abs(z.values - x.values)) < 1e-15
-    assert abs(z.lifts[0][0] - x.lifts[0][0]) < 1e-15
     empty = gamma_act(x, [])
     assert np.max(np.abs(empty.values - x.values)) == 0
 

@@ -9,7 +9,7 @@ from charvol.matrices import random_sl2, regauge, numeric_word_matrix, sl2_inver
 from charvol.repvar import (GaugedSystem, NoCompleteStructureError, RepVarError,
                             apply_twist, enumerate_twists, find_complete,
                             irreducibility_defect, make_character_point,
-                            restriction_traces, thurston_rank)
+                            thurston_rank)
 from charvol.locus import on_V, traces
 
 
@@ -167,7 +167,7 @@ def test_make_character_point_evaluates_once(fig8_system, fig8_complete, block_c
 # -- traces, V, character points ------------------------------------------------
 
 def test_restriction_traces_vector(fig8_complete):
-    z = restriction_traces(fig8_complete)
+    z = fig8_complete.trace_vector()
     assert z.shape == (3,)
     assert abs(z[0] - 2) < 1e-10 and abs(z[1] + 2) < 1e-10
 
@@ -182,8 +182,7 @@ def test_restriction_traces_conjugation_invariant(fig8_system, fig8_fillings):
     conj = [C @ M @ sl2_inverse(C) for M in mats]
     coords = regauge(conj)
     pt = make_character_point(fig8_system, coords)
-    assert np.max(np.abs(restriction_traces(pt) -
-                         restriction_traces(filled))) < 1e-8
+    assert np.max(np.abs(pt.trace_vector() - filled.trace_vector())) < 1e-8
 
 
 def test_on_V_cases(fig8_complete, fig8_fillings):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from charvol.continuation import (TrackedPath, random_log_loop_targets,
-                                  step_off_complete, track)
+                                  step_off_complete)
 from charvol.repvar import CharacterPoint, PeripheralState
 from charvol.volume import (VolumeError, anchored_volume, eta_at,
                             fiber_volume_equality, integrate_eta, lobachevsky,
@@ -77,13 +77,6 @@ def test_eta_handedness_sign_flip():
     ev = eta_at(_synthetic_point(1.0, 0.5), handedness_sign=-1)
     (cu, cv), = ev.coefficients
     assert abs(cu - 0.5) < 1e-15 and abs(cv + 1.0) < 1e-15
-
-
-def test_eta_needs_lifts():
-    class NoLifts:
-        pass
-    with pytest.raises(VolumeError):
-        eta_at(NoLifts())
 
 
 def test_eta_matches_finite_difference_of_volume(fig8_spec, fig8_fillings):
@@ -212,8 +205,8 @@ def test_random_loops_are_exact(fig8_spec, fig8_problem, fig8_complete):
     base = step_off_complete(fig8_problem, fig8_complete, [0.35 + 0.1j])
     values = []
     for _ in range(3):
-        cons = random_log_loop_targets(base, rng, radius=(0.1, 0.25))
-        loop = track_closed_loop(fig8_problem, base, cons,
+        family = random_log_loop_targets(base, rng, radius=(0.1, 0.25))
+        loop = track_closed_loop(fig8_problem, base, family,
                                  first_step=0.004, max_step=0.004,
                                  description="test loop")
         values.append(loop_integral(loop).value)
@@ -243,7 +236,7 @@ def test_fiber_volume_singleton(fig8_spec, fig8_system, fig8_fillings):
     from charvol.continuation import fiber_over
     _, pt, path = fig8_fillings[0]
     report = fiber_over(fig8_system, pt.trace_vector(), [pt], budget=20,
-                        seed=2, spec=fig8_spec, monodromy_loops=0)
+                        seed=2, monodromy_loops=0)
     check = fiber_volume_equality(fig8_spec, report, [path])
     assert check.passed
     assert check.max_difference == 0.0
@@ -275,7 +268,7 @@ def test_fiber_volume_excludes_pathless(fig8_spec, fig8_system, fig8_fillings):
     from charvol.continuation import fiber_over
     _, pt, path = fig8_fillings[0]
     report = fiber_over(fig8_system, pt.trace_vector(), [pt], budget=10,
-                        seed=2, spec=fig8_spec, monodromy_loops=0)
+                        seed=2, monodromy_loops=0)
     check = fiber_volume_equality(fig8_spec, report, [None])
     assert check.passed  # nothing to compare
     assert check.excluded == [0]
