@@ -9,6 +9,7 @@ from the timing block.  Exit codes: 0 all checks passed, 1 failure or error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -21,8 +22,7 @@ from . import fixtures
 from .continuation import (ContinuationError, DeformationProblem,
                            FillingCoefficients, fiber_over, sample_dense_set, solve_filling,
                            track, track_closed_loop, random_log_loop_targets)
-from .eigenvar import (EliminationBudgetError, build_extended, eliminate,
-                       sample_point)
+from .eigenvar import EliminationBudgetError, build_extended, eliminate, extended_point
 from .locus import TOLERANCES as LOCUS_TOL, eigenvalues, on_U
 from .manifold import ManifoldSpec, SpecError, h1_z2, load_spec
 from .repvar import (GaugedSystem, NoCompleteStructureError, find_complete,
@@ -131,17 +131,18 @@ def cmd_apoly(config: RunConfig) -> int:
     spec = _load(config.spec_path)
     system = GaugedSystem(spec)
     ext = build_extended(system)
+    kappas = [FillingCoefficients.parse(k, spec.cusp_count) for k in config.kappas] or [
+        FillingCoefficients(tuple((1, q) for q in qs))
+        for qs in itertools.product((5, 7, 11), repeat=spec.cusp_count)]
     samples = None
     try:
         comp = find_complete(spec, system)
-        problem = DeformationProblem(system)
-        qs = [int(k.split(",")[-1]) for k in config.kappas] or [5, 7, 11]
-        filled = sample_dense_set(problem, comp, qs)
-        samples = [sample_point(ext, f.point) for f in filled if f.point is not None]
+        filled = sample_dense_set(DeformationProblem(system), comp, kappas)
+        samples = [extended_point(ext, f.point) for f in filled if f.point is not None]
         for f in filled:
             if f.path is not None:
                 for k in (len(f.path) // 3, 2 * len(f.path) // 3):
-                    samples.append(sample_point(ext, f.path.points[k]))
+                    samples.append(extended_point(ext, f.path.points[k]))
     except (NoCompleteStructureError, ContinuationError):
         samples = None
     try:
@@ -482,7 +483,6 @@ def _default_kappas(spec: ManifoldSpec) -> list[str]:
         return ["1,5", "1,7", "1,11"]
     qs = [5, 7]
     out = []
-    import itertools
     for combo in itertools.product(qs, repeat=spec.cusp_count):
         out.append(";".join(f"1,{q}" for q in combo))
     return out

@@ -155,8 +155,6 @@ class TrackedPath:
     points: list[CharacterPoint]
     taus: list[float]
     description: str = ""
-    start_on_V: bool = False
-    end_on_V: bool = False
     steps_rejected: int = 0
 
     def endpoint(self) -> CharacterPoint:
@@ -166,20 +164,10 @@ class TrackedPath:
         return TrackedPath(points=list(reversed(self.points)),
                            taus=[self.taus[-1] - t for t in reversed(self.taus)],
                            description=f"reversal of: {self.description}",
-                           start_on_V=self.end_on_V, end_on_V=self.start_on_V,
                            steps_rejected=self.steps_rejected)
 
     def __len__(self):
         return len(self.points)
-
-    def to_json(self) -> dict:
-        return {
-            "description": self.description,
-            "taus": list(self.taus),
-            "start_on_V": self.start_on_V,
-            "end_on_V": self.end_on_V,
-            "points": [p.to_json() for p in self.points],
-        }
 
     def export_csv(self, running_volume: Optional[Sequence[float]] = None) -> str:
         h = len(self.points[0].cusps)
@@ -246,11 +234,8 @@ def track(problem: DeformationProblem, start: CharacterPoint,
         taus.append(tau)
         if abs(dtau) < max_step:
             dtau *= 1.5
-    path = TrackedPath(points=points, taus=taus, description=description,
-                       start_on_V=on_V(traces(points[0])),
-                       end_on_V=on_V(traces(points[-1])),
+    return TrackedPath(points=points, taus=taus, description=description,
                        steps_rejected=rejected)
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +274,7 @@ def track_from_complete(problem: DeformationProblem, complete: CharacterPoint,
     longitude log, so paths used for volumes must come through here."""
     scale = max(abs(d) for d in du)
     if scale == 0:
-        return TrackedPath(points=[complete], taus=[0.0], start_on_V=True,
-                           end_on_V=True, description="trivial segment")
+        return TrackedPath(points=[complete], taus=[0.0], description="trivial segment")
     first = min(1e-2 / scale, 0.2)
     start = step_off_complete(problem, complete, [d * first for d in du], tol=tol)
     path = track(problem, start, pin_log(lambda tau: [tau * d for d in du]),
@@ -299,8 +283,7 @@ def track_from_complete(problem: DeformationProblem, complete: CharacterPoint,
                  description="segment from the complete structure",
                  allow_V_interior=False)
     return TrackedPath(points=[complete] + path.points, taus=[0.0] + path.taus,
-                       description=path.description, start_on_V=True,
-                       end_on_V=path.end_on_V,
+                       description=path.description,
                        steps_rejected=path.steps_rejected)
 
 
@@ -368,8 +351,7 @@ def solve_filling(problem: DeformationProblem, complete: CharacterPoint,
     filled = [i for i, s in enumerate(kappa.slopes) if s is not None]
     if not filled:
         path = TrackedPath(points=[complete], taus=[0.0],
-                           description=f"trivial filling of {system.spec.name}",
-                           start_on_V=True, end_on_V=True)
+                           description=f"trivial filling of {system.spec.name}")
         return complete, path
 
     # unfilled cusps stay pinned: (p, q) = (1, 0) with target 0
@@ -419,7 +401,6 @@ def solve_filling(problem: DeformationProblem, complete: CharacterPoint,
 
     full_path = TrackedPath(points=[complete] + path.points, taus=[0.0] + path.taus,
                             description=path.description,
-                            start_on_V=True, end_on_V=path.end_on_V,
                             steps_rejected=path.steps_rejected)
     end.label = f"filled:{system.spec.name}:{kappa.label()}"
     return end, full_path
@@ -453,27 +434,23 @@ class FilledCharacter:
     kappa: FillingCoefficients
     point: Optional[CharacterPoint]
     path: Optional[TrackedPath]
-    trace_point: Optional[np.ndarray]
     off_pU: bool
     error: Optional[str] = None
 
 
 def sample_dense_set(problem: DeformationProblem, complete: CharacterPoint,
-                     prime_list: Sequence[int]) -> list[FilledCharacter]:
-    """Filled characters chi_kappa for kappa in the cartesian product of
-    (1, q) slopes, q drawn from prime_list on every cusp: a finite sample of
+                     kappas: Sequence[FillingCoefficients]) -> list[FilledCharacter]:
+    """Filled characters chi_kappa for the given slopes: a finite sample of
     the Zariski-dense filled set, with each trace point checked off the image
-    of U."""
+    of U.  A filling that fails is recorded with its error."""
     out = []
-    for qs in itertools.product(prime_list, repeat=len(problem.system.cusps)):
-        kappa = FillingCoefficients(tuple((1, int(q)) for q in qs))
+    for kappa in kappas:
         try:
             pt, path = solve_filling(problem, complete, kappa)
-            z = pt.trace_vector()
             off = not on_V(traces(pt), LOCUS_TOL["near"])
-            out.append(FilledCharacter(kappa, pt, path, z, off))
+            out.append(FilledCharacter(kappa, pt, path, off))
         except ContinuationError as e:
-            out.append(FilledCharacter(kappa, None, None, None, False, error=str(e)))
+            out.append(FilledCharacter(kappa, None, None, False, error=str(e)))
     return out
 
 
@@ -679,7 +656,6 @@ def concatenate_paths(a: TrackedPath, b: TrackedPath) -> TrackedPath:
     return TrackedPath(points=list(a.points) + list(b.points[1:]),
                        taus=list(a.taus) + [shift + t - b.taus[0] for t in b.taus[1:]],
                        description=a.description,
-                       start_on_V=a.start_on_V, end_on_V=b.end_on_V,
                        steps_rejected=a.steps_rejected + b.steps_rejected)
 
 

@@ -6,9 +6,10 @@ system with the three trace generators per cusp
     I_M - (m + 1/m),  I_L - (l + 1/l),  I_ML - (ml + 1/(ml))
 
 gives the extended system.  Projecting its zero locus to the (m_i, l_i)
-coordinates sweeps the eigenvalue variety; for few enough variables an
-explicit defining eliminant is computed by a resultant tree (the
-A-polynomial when there is one cusp).
+coordinates sweeps the eigenvalue variety; for few enough variables a
+resultant chain localized at the Dehn surgery component X0 gives explicit
+eliminants cutting out X0's image (its A-polynomial factor when there is
+one cusp).
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .poly import (Polynomial, PolySystem, ResultantError, exact_div, factor_list,
-                   poly_gcd, pseudo_rem, resultant, squarefree_part)
+from .poly import Polynomial, PolySystem, factor_list, resultant
 from .repvar import CharacterPoint, GaugedSystem
 
 
@@ -148,14 +148,20 @@ def gamma_act(x: EigenvaluePoint, subset: Sequence[int]) -> EigenvaluePoint:
     return EigenvaluePoint(values=vals)
 
 
+def extended_point(ext: ExtendedSystem, pt: CharacterPoint) -> np.ndarray:
+    """A character point with its checked slot eigenvalues adjoined: a point
+    of the extended variety in `ext.vars` order."""
+    return np.concatenate([pt.coords, sample_point(ext, pt).values])
+
+
 # ---------------------------------------------------------------------------
 # elimination
 # ---------------------------------------------------------------------------
 
 @dataclass
 class EliminantSet:
-    """Polynomials in the peripheral variables cutting out (a superset of)
-    the eigenvalue variety's projection, with bookkeeping flags."""
+    """Polynomials in the peripheral variables cutting out the image of the
+    component the samples lie on, with bookkeeping flags."""
     polynomials: list[Polynomial]
     description: str
     cleared_monomials: list[str] = field(default_factory=list)
@@ -188,48 +194,80 @@ def _strip(p: Polynomial, log: list[str], units=None) -> Polynomial:
     return stripped
 
 
-def _detect_slot_substitution(eq: Polynomial, gauge_vars, periph_vars):
+def _detect_slot_substitution(eq: Polynomial, gauge_vars, periph_vars, samples, tol):
     """Recognize a trace equation equivalent to (g - w^s)(g w^s - 1) = 0 for a
-    gauge variable g and peripheral variable w; returns (g, monomial) or None."""
+    gauge variable g and peripheral variable w; returns (g, w^s) for the
+    branch g = w^s that the samples lie on (s = 1 without samples), or None.
+    Raises when every sample lies on both branches (w = +-1 throughout)."""
     support = eq.support_vars()
     gs = [v for v in gauge_vars if v in support]
     ps = [v for v in periph_vars if v in support]
     if len(gs) != 1 or len(ps) != 1:
         return None
     g, w = gs[0], ps[0]
-    for power in (1, -1):
-        cand = Polynomial.variable(w, eq.vars, eq.laurent, power)
-        if eq.subs_var(g, cand).is_zero():
-            return g, cand
-    return None
+    ig, iw = eq.vars.index(g), eq.vars.index(w)
+    branches = [Polynomial.variable(w, eq.vars, eq.laurent, power) for power in (1, -1)
+                if all(abs(x[ig] - x[iw] ** power) < tol * max(1.0, abs(x[ig]))
+                       for x in samples or ())]
+    branches = [b for b in branches if eq.subs_var(g, b).is_zero()]
+    if samples and len(branches) == 2:
+        raise EigenvarError(
+            f"every sample has {w} = +-1, where both branches of the slot {g} meet: "
+            "the samples do not determine X0 (fill every cusp)")
+    return (g, branches[0]) if branches else None
 
 
-def eliminate(ext: ExtendedSystem, samples: Optional[Sequence[EigenvaluePoint]] = None,
+def _localize(p: Polynomial, samples, tol, removed_log: list[str]) -> Polynomial:
+    """The product of p's irreducible factors that vanish at every sample,
+    normalized to lex-leading coefficient 1; every factor is kept without
+    samples (a constant stays 1).  The dropped factors are appended to
+    removed_log."""
+    kept = Polynomial.constant(1, p.vars)
+    for factor, _ in factor_list(p):
+        if all(_scaled_residual(factor, x) < tol for x in samples or ()):
+            kept = kept * factor
+        else:
+            removed_log.append(factor.as_text())
+    if samples and not kept.support_vars():
+        raise EigenvarError(f"no factor of a {p.total_terms()}-term polynomial "
+                            "vanishes at every sample")
+    return kept
+
+
+def eliminate(ext: ExtendedSystem, samples: Optional[Sequence[np.ndarray]] = None,
               sample_tol: float = 1e-8) -> EliminantSet:
-    """Resultant-tree elimination of the gauge variables from the extended
-    system, leaving defining equations in the peripheral variables only.
+    """Resultant-chain elimination of the gauge variables from the extended
+    system, localized at the component X0 that the samples lie on.
 
-    Substitutes eigenvalue-slot branches first (valid because the eigenvalue
-    variety is stable under the per-cusp inversion action, certified by the
-    gamma-invariance checks), then eliminates remaining gauge variables by
-    pivot resultants in ascending degree, reducing each stage by gcds,
-    monomial stripping and squarefree parts.  Raises when more than six
-    variables survive the substitutions.  The description records every
-    stage group whose gcd the term cap skipped or whose members were cut to
-    three."""
+    Samples are points in `ext.vars` order (see `extended_point`) on one
+    irreducible component of the extended variety, such as characters
+    continued from the complete structure along filling paths.  Slot
+    equations are solved first, on the branch the samples lie on; each
+    remaining gauge variable is eliminated by the resultants of its
+    lowest-degree user (the pivot) with every other user.  Every polynomial
+    the chain produces is replaced by the product of its irreducible factors
+    that vanish at every sample: X0 is irreducible and lies in the zero set
+    of each of them, so exactly the factors containing X0 survive.  Without
+    samples every factor is kept and the result is not validated.  Raises
+    when more than six variables survive the substitutions, and when no
+    factor of a polynomial vanishes at every sample (samples off the
+    variety, or on two of its components)."""
     V = ext.vars
     periph = set(ext.peripheral_vars)
     gauge_vars = [v for v in V if v not in periph]
     cleared_log: list[str] = []
     removed_log: list[str] = []
 
-    polys = [p for p in ext.system.polynomials if not p.is_zero()]
-    # slot substitutions
+    def localize(p: Polynomial) -> Polynomial:
+        return _localize(_strip(p, cleared_log, ext.laurent), samples, sample_tol,
+                         removed_log)
+
     tree = []
     subs: dict[str, Polynomial] = {}
     remaining = []
-    for eq in polys:
-        hit = _detect_slot_substitution(eq, gauge_vars, ext.peripheral_vars)
+    for eq in ext.system.polynomials:
+        hit = _detect_slot_substitution(eq, gauge_vars, ext.peripheral_vars,
+                                        samples, sample_tol)
         if hit is not None and hit[0] not in subs:
             subs[hit[0]] = hit[1]
             tree.append(f"substitute {hit[0]} -> {hit[1].as_text()}")
@@ -240,143 +278,50 @@ def eliminate(ext: ExtendedSystem, samples: Optional[Sequence[EigenvaluePoint]] 
         for g, val in subs.items():
             p = p.subs_var(g, val)
         if not p.is_zero():
-            work.append(_strip(p, cleared_log, ext.laurent))
+            work.append(localize(p))
 
-    to_eliminate = [v for v in gauge_vars if v not in subs and
-                    any(v in p.support_vars() for p in work)]
-    live_vars = set().union(*[p.support_vars() for p in work]) if work else set()
+    live_vars = set().union(*[p.support_vars() for p in work])
     if len(live_vars) > 6:
         raise EliminationBudgetError(
             f"{len(live_vars)} variables remain after substitution "
             "(budget 6); use numerical fiber sampling instead")
 
-    if not to_eliminate:
-        final = [p for p in work if p.support_vars() <= periph
-                 and p.support_vars() and not p.is_zero()]
-        out = []
-        for p in final:
-            q = _project_to_periph(ext, squarefree_part(p))
-            if q not in out:
-                out.append(q)
-        es = EliminantSet(out, "; ".join(tree) or "already peripheral",
-                          cleared_log, removed_log)
-        return _validate(es, samples, sample_tol)
-
+    to_eliminate = [v for v in gauge_vars if v in live_vars]
     for var in sorted(to_eliminate, key=lambda v: max(p.degree(v) for p in work)):
-        stage = []
-        users = sorted((p for p in work if p.degree(var) > 0 or p.min_degree(var) < 0),
-                       key=lambda p: (p.clear_laurent()[0].degree(var), p.total_terms()))
-        passthrough = [p for p in work if p not in users]
+        users = sorted((p for p in work if p.degree(var) > 0),
+                       key=lambda p: (p.degree(var), p.total_terms()))
         if not users:
             continue
-        pivot = _strip(users[0], cleared_log, ext.laurent)
+        passthrough = [p for p in work if p.degree(var) == 0]
+        stage = []
         for f in users[1:]:
-            f = _strip(f, cleared_log, ext.laurent)
-            r = pseudo_rem(f, pivot, var)
-            if r.is_zero():
-                continue
-            r = _strip(r, cleared_log, ext.laurent)
-            cand = None
-            # a vanishing resultant means the remainder shares a whole
-            # component with the pivot; divide the shared factor out and
-            # retry, the honest projection lives in the cofactor
-            for _ in range(6):
-                if r.degree(var) == 0 and r.min_degree(var) == 0:
-                    cand = r
-                    break
-                try:
-                    cand = resultant(pivot, r, var)
-                except ResultantError:
-                    cand = None
-                    break
-                if not cand.is_zero():
-                    break
-                cand = None
-                g = poly_gcd(r, pivot)
-                if not g.support_vars():
-                    break
-                r = _strip(exact_div(r, g), cleared_log, ext.laurent)
-                removed_log.append(g.as_text())
-                if r.is_zero():
-                    break
-            if cand is None or cand.is_zero():
-                continue
-            stage.append(_strip(cand, cleared_log, ext.laurent))
+            r = resultant(users[0], f, var)
+            # a zero resultant: the pair shares its factor through X0
+            if not r.is_zero():
+                stage.append(localize(r))
         if not stage and not passthrough:
             raise DimensionAnomalyError(
                 f"all resultants vanished while eliminating {var}: "
                 "the projection is degenerate")
         tree.append(f"eliminate {var} against pivot with {len(stage)} resultants")
-        stage, shortcuts = _reduce_stage(stage, cleared_log, ext.laurent)
-        tree.extend(shortcuts)
         work = passthrough + stage
 
-    finals = [p for p in work if p.support_vars() <= periph and p.support_vars()
-              and not p.is_zero()]
+    finals = list(dict.fromkeys(p for p in work if p.support_vars()
+                                and p.support_vars() <= periph))
     if not finals:
         raise DimensionAnomalyError("no eliminant in peripheral variables survived")
-    h = len(ext.gauged.cusps)
-    out_polys: list[Polynomial]
-    if h == 1:
-        # one cusp: the eigenvalue variety is a plane curve, its defining
-        # polynomial is the gcd of all elimination paths
-        g = finals[0]
-        for f in finals[1:]:
-            cand = poly_gcd(g, f)
-            if cand.support_vars():
-                g = cand
-        tree.append(f"gcd of {len(finals)} candidates")
-        g = squarefree_part(_strip(g, cleared_log, ext.laurent))
-        g, removed = _remove_extraneous_factors(g, samples)
-        removed_log.extend(removed)
-        out_polys = [g]
-    else:
-        # higher-codimension projection: return a reduced equation set
-        tree.append(f"{len(finals)} final candidates (codimension > 1)")
-        out_polys = []
-        for f in sorted(finals, key=lambda p: p.total_terms())[:2 * h]:
-            f = squarefree_part(_strip(f, cleared_log, ext.laurent))
-            f, removed = _remove_extraneous_factors(f, samples)
-            removed_log.extend(removed)
-            if f.support_vars() and f not in out_polys:
-                out_polys.append(f)
-    # each removed factor is logged once, in the order first seen
-    es = EliminantSet([_project_to_periph(ext, g) for g in out_polys],
-                      "; ".join(tree), cleared_log, list(dict.fromkeys(removed_log)))
-    return _validate(es, samples, sample_tol)
+    # each cleared monomial and removed factor is logged once, in the order first seen
+    es = EliminantSet([_project_to_periph(ext, p) for p in finals],
+                      "; ".join(tree), list(dict.fromkeys(cleared_log)),
+                      list(dict.fromkeys(removed_log)))
+    # the peripheral coordinates close `ext.vars`
+    return _validate(es, None if samples is None else
+                     [x[len(gauge_vars):] for x in samples], sample_tol)
 
 
-def _remove_extraneous_factors(p: Polynomial, samples):
-    """Divide out the irreducible factors of p that vanish at no validation
-    sample (extraneous components such as the reducible locus), returning
-    the quotient and the removed factors' texts."""
-    removed = []
-    if samples is None:
-        return p, removed
-    for factor, k in factor_list(p):
-        if not any(abs(factor.evaluate(_periph_point(factor, x))) < 1e-6 for x in samples):
-            p = exact_div(p, factor ** k)
-            removed.append(factor.as_text())
-    return p, removed
-
-
-def _periph_point(p: Polynomial, x: EigenvaluePoint) -> list:
-    """x's peripheral eigenvalues in the order of p's variables: m_i and l_i
-    from the sample, 0 for any other variable."""
-    point = []
-    for v in p.vars:
-        if v.startswith("m") and v[1:].isdigit():
-            point.append(x.values[2 * (int(v[1:]) - 1)])
-        elif v.startswith("l") and v[1:].isdigit():
-            point.append(x.values[2 * (int(v[1:]) - 1) + 1])
-        else:
-            point.append(0.0)
-    return point
-
-
-def _scaled_residual(p: Polynomial, x: EigenvaluePoint) -> float:
-    """|p(x)| scaled by the largest term magnitude at x."""
-    pt = [complex(z) for z in _periph_point(p, x)]
+def _scaled_residual(p: Polynomial, x) -> float:
+    """|p(x)| scaled by the largest term magnitude at x (ordered as p.vars)."""
+    pt = [complex(z) for z in x]
     total = 0j
     scale = 0.0
     for e, c in p.terms.items():
@@ -398,44 +343,6 @@ def _project_to_periph(ext: ExtendedSystem, p: Polynomial) -> Polynomial:
                 raise EigenvarError("projection hit a non-peripheral variable")
         terms[tuple(e[k] for k in idx)] = c
     return Polynomial(ext.peripheral_vars, terms, frozenset(ext.peripheral_vars))
-
-
-def _reduce_stage(stage: list[Polynomial], cleared_log, units=None,
-                  gcd_term_cap: int = 120) -> tuple[list[Polynomial], list[str]]:
-    """Pairwise gcd reduction of a stage's output grouped by variable support.
-
-    gcd attempts are capped by term count.  The cap decides which
-    polynomials the next stage sees, and so shapes the elimination tree.
-    Returns the reduced stage and one note per shortcut taken: a gcd the
-    cap skipped, or a group cut to its three smallest members."""
-    groups: dict[frozenset, list[Polynomial]] = {}
-    for p in stage:
-        groups.setdefault(frozenset(p.support_vars()), []).append(p)
-    out, notes = [], []
-    for sup, ps in groups.items():
-        ps = sorted(ps, key=lambda p: p.total_terms())
-        group = "{" + ",".join(sorted(sup)) + "} group"
-        over = [f.total_terms() for f in ps[1:3] if f.total_terms() > gcd_term_cap]
-        if over:
-            notes.append(f"gcd skipped in the {group}: {over[0]}-term member "
-                         f"over the {gcd_term_cap}-term cap")
-        g = ps[0]
-        reduced = False
-        for f in ps[1:3]:
-            if f.total_terms() > gcd_term_cap:
-                break
-            cand = poly_gcd(g, f)
-            if cand.support_vars():
-                g = cand
-                reduced = True
-        if reduced:
-            out.append(_strip(g, cleared_log, units))
-            out.extend(ps[1:2])
-        else:
-            if len(ps) > 3:
-                notes.append(f"kept 3 of {len(ps)} members of the {group}")
-            out.extend(ps[:3])
-    return out, notes
 
 
 def _validate(es: EliminantSet, samples, tol) -> EliminantSet:

@@ -579,41 +579,41 @@ class CompiledSystem:
 
 
 class _CompiledBlock:
+    """Every term's coefficient times its monomial, summed per polynomial.
+
+    The per-variable exponent ranges, each term's index into them and a
+    sum buffer with one trailing zero (for polynomials without terms) are
+    built once per block."""
+
     def __init__(self, polys: list[Polynomial], vars):
-        nv = len(vars)
         exps, coeffs, bounds = [], [], [0]
         for p in polys:
             for e, c in p.sorted_terms():
                 exps.append(e)
                 coeffs.append(complex(c))
             bounds.append(len(coeffs))
-        self.nterms = len(coeffs)
         self.npolys = len(polys)
-        self.bounds = np.array(bounds, dtype=np.int64)
-        if self.nterms == 0:
-            self.E = np.zeros((0, nv), dtype=np.int64)
-            self.coeffs = np.zeros(0, dtype=complex)
-            self.emin = np.zeros(nv, dtype=np.int64)
-            self.eidx = self.E
-            self.espan = np.ones(nv, dtype=np.int64)
-            return
-        self.E = np.array(exps, dtype=np.int64)
         self.coeffs = np.array(coeffs, dtype=complex)
-        self.emin = self.E.min(axis=0)
-        self.emax = self.E.max(axis=0)
-        self.eidx = self.E - self.emin
-        self.espan = self.emax - self.emin + 1
+        bounds = np.array(bounds, dtype=np.int64)
+        self.starts = bounds[:-1]
+        self.empty = bounds[:-1] == bounds[1:]
+        self.buf = np.zeros(len(coeffs) + 1, dtype=complex)
+        self.ranges, self.columns = [], []
+        if coeffs:  # a block without terms evaluates to zeros
+            E = np.array(exps, dtype=np.int64)
+            emin, emax = E.min(axis=0), E.max(axis=0)
+            for v in range(len(vars)):
+                self.ranges.append(np.arange(emin[v], emax[v] + 1))
+                self.columns.append(np.ascontiguousarray(E[:, v] - emin[v]))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        if self.nterms == 0:
+        if not len(self.coeffs):
             return np.zeros(self.npolys, dtype=complex)
-        vals = self.coeffs.copy()
+        vals = self.buf[:-1]
+        vals[:] = self.coeffs
         with np.errstate(divide="ignore", invalid="ignore"):
-            for v in range(len(x)):
-                span = int(self.espan[v])
-                lo = int(self.emin[v])
-                powers = x[v] ** np.arange(lo, lo + span)
-                vals *= powers[self.eidx[:, v]]
-        out = np.add.reduceat(np.append(vals, 0j), self.bounds[:-1])
-        out[self.bounds[:-1] == self.bounds[1:]] = 0
-        return out[: self.npolys]
+            for xv, exps, col in zip(x, self.ranges, self.columns):
+                vals *= (xv ** exps)[col]
+        out = np.add.reduceat(self.buf, self.starts)
+        out[self.empty] = 0
+        return out

@@ -9,7 +9,8 @@ import pytest
 from charvol.cli import main, report_bytes_without_timings, run_exactness_loops
 from charvol.continuation import (fiber_over, jacobian_check, pin_log,
                                   step_off_complete, track)
-from charvol.eigenvar import eliminate, gamma_act, sample_point, _scaled_residual
+from charvol.eigenvar import (eliminate, extended_point, gamma_act, sample_point,
+                              _scaled_residual)
 from charvol.manifold import h1_z2
 from charvol.poly import CompiledSystem
 from charvol.volume import (anchored_volume, eta_at, fiber_volume_equality,
@@ -185,29 +186,35 @@ def test_criterion_6_eta_critical(fig8_spec, wlink_spec, fig8_complete, wlink_co
 @pytest.fixture(scope="session")
 def fig8_forty_samples(fig8_system, fig8_extended, fig8_problem, fig8_complete,
                        fig8_fillings):
-    """40 independently sampled eigenvalue-variety points: filled characters,
-    tracked path interiors, and fiber solutions over random deformations."""
-    samples = []
+    """40 independently sampled characters on X0, as two lists: filled
+    characters and tracked path interiors, then fiber solutions over random
+    deformations."""
+    tracked = []
     for _, pt, path in fig8_fillings:
-        samples.append(sample_point(fig8_extended, pt))
+        tracked.append(pt)
         step = max(1, len(path) // 6)
         for k in range(step, len(path) - 1, step):
-            samples.append(sample_point(fig8_extended, path.points[k]))
+            tracked.append(path.points[k])
+    deformed = []
     rng = np.random.default_rng(33)
-    while len(samples) < 40:
+    while len(tracked) + len(deformed) < 40:
         du = 0.15 + rng.uniform(0.0, 0.4) + 1j * rng.uniform(-0.3, 0.3)
-        pt = step_off_complete(fig8_problem, fig8_complete, [du])
-        samples.append(sample_point(fig8_extended, pt))
-    return samples[:40]
+        deformed.append(step_off_complete(fig8_problem, fig8_complete, [du]))
+    return tracked, deformed
 
 
 def test_criterion_7_eliminant(fig8_extended, fig8_forty_samples):
-    es = eliminate(fig8_extended, samples=fig8_forty_samples)
+    """The eliminant is localized at the tracked samples, which lie on one
+    sheet of the gauge slice over X0, and checked at all 40 characters:
+    the random deformations land on both sheets (p = m1 and p = 1/m1)."""
+    tracked, deformed = fig8_forty_samples
+    es = eliminate(fig8_extended, samples=[extended_point(fig8_extended, pt)
+                                           for pt in tracked])
     p = es.polynomials[0]
-    residuals = [_scaled_residual(p, x) for x in fig8_forty_samples]
-    gamma_residuals = [_scaled_residual(p, gamma_act(x, [0]))
-                       for x in fig8_forty_samples]
-    ok = (len(fig8_forty_samples) == 40 and es.validated and
+    points = [sample_point(fig8_extended, pt) for pt in tracked + deformed]
+    residuals = [_scaled_residual(p, x.values) for x in points]
+    gamma_residuals = [_scaled_residual(p, gamma_act(x, [0]).values) for x in points]
+    ok = (len(points) == 40 and es.validated and
           max(residuals) < 1e-8 and max(gamma_residuals) < 1e-8)
     report("criterion 7 eliminant validity", ok,
            f"40 samples: max residual {max(residuals):.2e}, "

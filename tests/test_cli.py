@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from charvol.cli import main, report_bytes_without_timings
 from charvol.fixtures import fixture_text
 
@@ -74,6 +76,40 @@ def test_apoly_command_fig8(tmp_path):
     el = doc["report"]["eliminants"]
     assert el["validated"]
     assert len(el["polynomials"]) == 1
+
+
+@pytest.fixture
+def filled_slopes(monkeypatch):
+    """The slopes that `apoly` fills, read off its `sample_dense_set` call."""
+    import charvol.cli as cli
+    labels = []
+    original = cli.sample_dense_set
+
+    def recording(problem, complete, kappas):
+        out = original(problem, complete, kappas)
+        labels.extend(f.kappa.label() for f in out)
+        return out
+
+    monkeypatch.setattr(cli, "sample_dense_set", recording)
+    return labels
+
+
+def test_apoly_fills_exactly_the_given_slope(tmp_path, filled_slopes):
+    code = run(["apoly", "--spec", "fig8", "--kappa", "2,5", "--out", str(tmp_path)])
+    assert code == 0
+    assert filled_slopes == ["2,5"]
+    doc = json.loads((tmp_path / "fig8_apoly.json").read_text())
+    assert doc["report"]["eliminants"]["validated"]
+
+
+def test_apoly_two_cusp_kappa_with_unfilled_cusp(tmp_path, filled_slopes, capsys):
+    """The slope is filled as given; every sample then has m2 = 1, where both
+    branches of cusp 2's slot meet, and the elimination says so."""
+    code = run(["apoly", "--spec", "wlink", "--kappa", "1,5;inf", "--out", str(tmp_path)])
+    assert code == 1
+    assert filled_slopes == ["1,5;inf"]
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "both branches of the slot p meet" in err
 
 
 def test_apoly_command_abelian(tmp_path):

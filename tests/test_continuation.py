@@ -7,7 +7,7 @@ from charvol.continuation import (ContinuationError, DivergenceError,
                                   newton_correct, pin_log,
                                   sample_dense_set, solve_filling,
                                   step_off_complete, track)
-from charvol.locus import eigenvalues, on_U
+from charvol.locus import eigenvalues, on_U, on_V, traces
 from charvol.poly import CompiledSystem
 from charvol.repvar import SignTwist, apply_twist, gauss_newton
 from charvol.volume import anchored_volume
@@ -257,7 +257,7 @@ def test_filling_equation_residual(fig8_fillings):
         c = pt.cusps[0]
         resid = abs((c.u - c.base_u) + q * (c.v - c.base_v) - TWO_PI_I)
         assert resid < 1e-9
-        assert path.start_on_V and not path.end_on_V
+        assert on_V(traces(path.points[0])) and not on_V(traces(path.endpoint()))
 
 
 def test_filling_trace_identities(fig8_fillings):
@@ -297,7 +297,8 @@ def test_whitehead_symmetry_in_volumes(wlink_spec, wlink_fillings):
 
 
 def test_sample_dense_set_fig8(fig8_spec, fig8_problem, fig8_complete):
-    out = sample_dense_set(fig8_problem, fig8_complete, [5, 7])
+    kappas = [FillingCoefficients.parse(k, 1) for k in ("1,5", "1,7")]
+    out = sample_dense_set(fig8_problem, fig8_complete, kappas)
     assert len(out) == 2
     assert all(f.error is None and f.off_pU for f in out)
     vols = [anchored_volume(fig8_spec, f.path).value for f in out]
@@ -312,10 +313,13 @@ def test_sample_dense_set_empty():
 
 
 def test_sample_dense_set_wlink_cartesian(wlink_problem, wlink_complete):
-    out = sample_dense_set(wlink_problem, wlink_complete, [5, 7])
-    assert len(out) == 4
-    labels = {f.kappa.label() for f in out}
-    assert labels == {"1,5;1,5", "1,5;1,7", "1,7;1,5", "1,7;1,7"}
+    texts = ["1,5;1,5", "1,5;1,7", "1,7;1,5", "1,7;1,7", "2,5;inf"]
+    out = sample_dense_set(wlink_problem, wlink_complete,
+                           [FillingCoefficients.parse(k, 2) for k in texts])
+    assert [f.kappa.label() for f in out] == texts
+    assert all(f.error is None for f in out)
+    # only the unfilled cusp of the last slope stays parabolic
+    assert [f.off_pU for f in out] == [True, True, True, True, False]
 
 
 # -- fibers ------------------------------------------------------------------------

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import charvol
-from charvol.eigenvar import (EigenvaluePoint, EliminationBudgetError,
-                              _remove_extraneous_factors, _scaled_residual,
-                              build_extended, eliminate, gamma_act, sample_point)
+from charvol.eigenvar import (EigenvaluePoint, EigenvarError, EliminationBudgetError,
+                              _localize, _scaled_residual, build_extended, eliminate,
+                              extended_point, gamma_act, sample_point)
+from charvol.continuation import step_off_complete
 from charvol.fixtures import fixture_text
 from charvol.locus import on_U
 from charvol.manifold import parse_spec
@@ -28,10 +29,9 @@ def test_build_extended_counts(fig8_extended, wlink_system):
 
 def test_extended_system_vanishes_on_samples(fig8_extended, fig8_fillings):
     _, pt, _ = fig8_fillings[0]
-    x = sample_point(fig8_extended, pt)
-    point = list(pt.coords) + [x.values[0], x.values[1]]
-    res = fig8_extended.system.residual(point)
-    assert res < 1e-8
+    point = extended_point(fig8_extended, pt)
+    assert len(point) == len(fig8_extended.vars)
+    assert fig8_extended.system.residual(point) < 1e-8
 
 
 def test_sample_point_complete_unit_modulus(fig8_extended, fig8_complete):
@@ -78,8 +78,8 @@ def test_on_U_cases():
 def fig8_samples(fig8_extended, fig8_fillings):
     out = []
     for _, pt, path in fig8_fillings:
-        out.append(sample_point(fig8_extended, pt))
-        out.append(sample_point(fig8_extended, path.points[len(path) // 2]))
+        out.append(extended_point(fig8_extended, pt))
+        out.append(extended_point(fig8_extended, path.points[len(path) // 2]))
     return out
 
 
@@ -137,17 +137,43 @@ def test_fig8_eliminant_equals_published_a_polynomial(fig8_eliminant):
 
 
 def test_fig8_elimination_log_records_shortcuts(fig8_eliminant):
-    assert ("eliminate t against pivot with 5 resultants; gcd skipped in the "
-            "{l1,m1,p} group: 220-term member over the 120-term cap; "
-            "eliminate p") in fig8_eliminant.description
+    """The chain takes no shortcut: the log holds only the substitution and
+    the elimination stages."""
+    assert fig8_eliminant.description == (
+        "substitute s -> 1*m1; eliminate t against pivot with 5 resultants; "
+        "eliminate p against pivot with 2 resultants")
+    for note in ("gcd skipped", "kept 3 of", "gcd of", "codimension"):
+        assert note not in fig8_eliminant.description
     assert fig8_eliminant.removed_factors.count("-1*m1 + 1*p") == 1
+    assert len(set(fig8_eliminant.cleared_monomials)) == \
+        len(fig8_eliminant.cleared_monomials)
+
+
+def test_eliminate_raises_for_samples_on_two_sheets(fig8_extended, fig8_problem,
+                                                    fig8_complete, fig8_samples):
+    """Over X0 the gauge slice has two sheets, p = m1 and p = 1/m1, which
+    meet at the complete structure.  The tracked samples lie on one; with a
+    sample from the other sheet no factor vanishes at every sample."""
+    V = fig8_extended.vars
+    on_first = [abs(x[V.index("p")] - x[V.index("m1")]) < 1e-8 for x in fig8_samples]
+    assert len(set(on_first)) == 1
+    rng = np.random.default_rng(33)
+    for _ in range(10):
+        du = 0.15 + rng.uniform(0.0, 0.4) + 1j * rng.uniform(-0.3, 0.3)
+        x = extended_point(fig8_extended, step_off_complete(fig8_problem, fig8_complete, [du]))
+        if (abs(x[V.index("p")] - x[V.index("m1")]) < 1e-8) != on_first[0]:
+            break
+    else:
+        pytest.fail("no random deformation reached the other sheet")
+    with pytest.raises(EigenvarError, match="vanishes at every sample"):
+        eliminate(fig8_extended, samples=fig8_samples + [x])
 
 
 def test_fig8_eliminant_gamma_invariance(fig8_eliminant, fig8_samples):
     p = fig8_eliminant.polynomials[0]
     for x in fig8_samples:
-        gx = gamma_act(x, [0])
-        assert _scaled_residual(p, gx) < 1e-8
+        gx = gamma_act(EigenvaluePoint(values=x[-2:]), [0])
+        assert _scaled_residual(p, gx.values) < 1e-8
 
 
 def test_fig8_eliminant_no_unit_monomial_factor(fig8_eliminant):
@@ -159,20 +185,21 @@ def test_fig8_eliminant_no_unit_monomial_factor(fig8_eliminant):
 
 
 def test_abelian_eliminant_binomial(abelian_spec):
+    """No complete structure, so no samples: every factor is kept and the
+    result is not validated.  The binomial vanishes on the reducible
+    characters (m arbitrary, l = +-1)."""
     ext = build_extended(GaugedSystem(abelian_spec))
+    es = eliminate(ext)
+    assert not es.validated and es.sample_residuals == []
+    assert [p.as_text() for p in es.polynomials] == ["-1 + 1*l1^2"]
     rng = np.random.default_rng(3)
-    samples = []
     for _ in range(8):
         s = rng.normal() + 1j * rng.normal()
         for l in (1.0, -1.0):
-            samples.append(EigenvaluePoint(values=np.array([s, l])))
-    es = eliminate(ext, samples=samples)
-    assert es.validated
-    # l^2 - 1 divides the binomial relation m^0 l^2 - 1
-    assert [p.as_text() for p in es.polynomials] == ["-1 + 1*l1^2"]
+            assert _scaled_residual(es.polynomials[0], [s, l]) == 0
 
 
-# -- removal of extraneous factors ---------------------------------------------
+# -- localizing at the samples ------------------------------------------------
 
 PERIPH = ("m1", "l1")
 _m = Polynomial.variable("m1", PERIPH)
@@ -181,48 +208,73 @@ _ONE = Polynomial.constant(1, PERIPH)
 
 
 def _curve_samples(ms):
-    """Eigenvalue points on l = m^2."""
-    return [EigenvaluePoint(values=np.array([m, m * m])) for m in ms]
+    """Points (m, l) on l = m^2."""
+    return [np.array([m, m * m]) for m in ms]
 
 
-def test_extraneous_factor_divided_out_and_logged():
+def test_localize_keeps_factor_vanishing_at_every_sample():
     p = (_m + _ONE) * (_l - _m * _m)
-    q, removed = _remove_extraneous_factors(p, _curve_samples([2.0, 0.5j, 3 - 1j]))
+    removed = []
+    q = _localize(p, _curve_samples([2.0, 0.5j, 3 - 1j]), 1e-8, removed)
     assert removed == ["1 + 1*m1"]
-    assert q == _l - _m * _m or q == _m * _m - _l
+    assert q == _m * _m - _l
 
 
-def test_factor_vanishing_at_a_sample_is_kept():
+def test_localize_drops_factor_vanishing_at_some_samples_only():
     p = (_m + _ONE) * (_l - _m * _m)
-    q, removed = _remove_extraneous_factors(p, _curve_samples([2.0, -1.0]))
+    removed = []
+    q = _localize(p, _curve_samples([2.0, -1.0]), 1e-8, removed)
+    assert removed == ["1 + 1*m1"]
+    assert q == _m * _m - _l
+
+
+def test_localize_keeps_every_factor_without_samples():
+    p = (_m + _ONE) * (_l - _m * _m) * (_l - _m * _m)
+    removed = []
+    q = _localize(p, None, 1e-8, removed)
     assert removed == []
-    assert q == p
+    assert q == (_m + _ONE) * (_m * _m - _l)
 
 
-def test_no_factor_removed_without_samples():
+def test_localize_raises_for_samples_off_the_variety():
     p = (_m + _ONE) * (_l - _m * _m)
-    assert _remove_extraneous_factors(p, None) == (p, [])
+    with pytest.raises(EigenvarError):
+        _localize(p, [np.array([2.0, 3.0])], 1e-8, [])
 
 
-def test_wlink_elimination(wlink_system, wlink_fillings):
+@pytest.fixture(scope="module")
+def wlink_eliminant(wlink_system, wlink_fillings):
     ext = build_extended(wlink_system)
     samples = []
     for _, pt, path in wlink_fillings:
-        samples.append(sample_point(ext, pt))
-        samples.append(sample_point(ext, path.points[len(path) // 2]))
-    es = eliminate(ext, samples=samples)
+        samples.append(extended_point(ext, pt))
+        samples.append(extended_point(ext, path.points[len(path) // 2]))
+    return eliminate(ext, samples=samples)
+
+
+def test_wlink_elimination(wlink_eliminant):
+    es = wlink_eliminant
     assert es.validated
-    assert "1 + 1*m2^2" in es.removed_factors
     assert len(set(es.removed_factors)) == len(es.removed_factors)
-    # both stage groups over the gcd cap and the cut group are on record
-    for note in ("gcd skipped in the {l1,l2,m1,m2} group: 1095-term member",
-                 "gcd skipped in the {l1,m1,m2} group: 257-term member",
-                 "kept 3 of 5 members of the {l1,m1,m2} group"):
-        assert note in es.description
+    # the slot is p = 1/m2, and the substitution takes that branch
+    assert "substitute p -> 1*m2^-1" in es.description
+    assert [sorted(p.support_vars()) for p in es.polynomials] == [
+        ["l1", "m1", "m2"], ["l2", "m1", "m2"]]
     for p in es.polynomials:
         m2 = Polynomial.variable("m2", p.vars)
         with pytest.raises(ValueError):
             exact_div(p, m2 * m2 + Polynomial.constant(1, p.vars))
+
+
+def test_wlink_eliminants_exchanged_by_cusp_swap(wlink_eliminant):
+    """The Whitehead link has a symmetry exchanging its two cusps, so the
+    swap (m1, l1) <-> (m2, l2) exchanges the two eliminants up to a unit."""
+    first, second = wlink_eliminant.polynomials
+    assert first.vars == ("m1", "l1", "m2", "l2")
+    swapped = Polynomial(first.vars, {(e[2], e[3], e[0], e[1]): c
+                                      for e, c in first.terms.items()})
+    quotient = exact_div(second, swapped)
+    assert not quotient.support_vars() and not quotient.is_zero()
 
 
 def test_setup_does_not_import_sympy():
