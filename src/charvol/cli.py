@@ -22,7 +22,8 @@ from . import fixtures
 from .continuation import (ContinuationError, DeformationProblem,
                            FillingCoefficients, fiber_over, sample_dense_set, solve_filling,
                            track, track_closed_loop, random_log_loop_targets)
-from .eigenvar import EliminationBudgetError, build_extended, eliminate, extended_point
+from .eigenvar import (EigenvarError, EliminationBudgetError, build_extended, eliminate,
+                       extended_point)
 from .locus import TOLERANCES as LOCUS_TOL, eigenvalues, on_U
 from .manifold import ManifoldSpec, SpecError, h1_z2, load_spec
 from .repvar import (GaugedSystem, NoCompleteStructureError, find_complete,
@@ -134,28 +135,38 @@ def cmd_apoly(config: RunConfig) -> int:
     kappas = [FillingCoefficients.parse(k, spec.cusp_count) for k in config.kappas] or [
         FillingCoefficients(tuple((1, q) for q in qs))
         for qs in itertools.product((5, 7, 11), repeat=spec.cusp_count)]
-    samples = None
+    samples, slopes = None, []
     try:
         comp = find_complete(spec, system)
-        filled = sample_dense_set(DeformationProblem(system), comp, kappas)
-        samples = [extended_point(ext, f.point) for f in filled if f.point is not None]
+        filled = [f for f in sample_dense_set(DeformationProblem(system), comp, kappas)
+                  if f.point is not None]
+        slopes = [f.kappa.label() for f in filled]
+        samples = [extended_point(ext, f.point) for f in filled]
         for f in filled:
-            if f.path is not None:
-                for k in (len(f.path) // 3, 2 * len(f.path) // 3):
-                    samples.append(extended_point(ext, f.path.points[k]))
+            for k in (len(f.path) // 3, 2 * len(f.path) // 3):
+                samples.append(extended_point(ext, f.path.points[k]))
     except (NoCompleteStructureError, ContinuationError):
-        samples = None
+        samples, slopes = None, []
+    # every report says which slopes were filled and how many samples were used
+    sampled = {"filled_slopes": slopes, "samples": len(samples or ())}
     try:
         es = eliminate(ext, samples=samples,
                        sample_tol=config.tolerances["eliminant_residual"])
     except EliminationBudgetError as e:
         body = {"status": "budget_exceeded", "message": str(e),
-                "hint": "use the fiber/certify commands for numerical sampling"}
+                "hint": "use the fiber/certify commands for numerical sampling", **sampled}
         path = write_report(config, f"{spec.name}_apoly", body,
                             {"total_s": time.perf_counter() - t0})
         print(f"apoly: variable budget exceeded -> {path}")
         return 0
-    body = {"status": "ok", "eliminants": es.to_json()}
+    except EigenvarError as e:
+        body = {"status": "failed", "message": str(e), **sampled}
+        path = write_report(config, f"{spec.name}_apoly", body,
+                            {"total_s": time.perf_counter() - t0})
+        print(f"error: {e}", file=sys.stderr)
+        print(f"apoly: FAILED -> {path}")
+        return 1
+    body = {"status": "ok", "eliminants": es.to_json(), **sampled}
     path = write_report(config, f"{spec.name}_apoly", body,
                         {"total_s": time.perf_counter() - t0})
     for p in es.polynomials:

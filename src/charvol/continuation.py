@@ -22,7 +22,8 @@ from .locus import TOLERANCES as LOCUS_TOL, eigenvalues, moved, on_U, on_V, trac
 # the Newton kernel and its errors live in repvar and are re-exported here
 from .repvar import (CharacterPoint, ContinuationError, DivergenceError, GaugedSystem,
                      NewtonResult, SignTwist, SingularJacobianError, TWO_PI_I,
-                     enumerate_twists, gauss_newton, make_character_point)
+                     enumerate_twists, gauss_newton, gauss_newton_lockstep,
+                     make_character_point)
 
 PI = cmath.pi
 
@@ -41,9 +42,10 @@ class FillingError(ContinuationError):
 
 def newton_correct(F, start, tol: float = 1e-12, maxiter: int = 50,
                    condition_limit: float = 1e8) -> NewtonResult:
-    """The fiber multistart's Newton solve: `gauss_newton` on
-    F(x) -> (values, Jacobian), refusing a start whose Jacobian condition
-    exceeds condition_limit."""
+    """`gauss_newton` on F(x) -> (values, Jacobian), refusing a start whose
+    Jacobian condition exceeds condition_limit: one start of the fiber
+    multistart, which solves all its starts at once with
+    `gauss_newton_lockstep` under the same rules."""
     return gauss_newton(F, start, tol, maxiter, condition_limit=condition_limit)
 
 
@@ -102,10 +104,14 @@ class DeformationProblem:
 
     def __init__(self, system: GaugedSystem):
         self.system = system
+        # the stacked Jacobian at the point the last converged `correct`
+        # returned, for the next `predict` under the same family
+        self.jacobian: Optional[np.ndarray] = None
 
     def _rows(self, prev: CharacterPoint, family: ConstraintFamily, tau):
         """F(x) -> (values, Jacobian): the gauge rows and the family's rows at
-        tau, every row from one evaluation of the compiled system."""
+        tau, every row from one evaluation of the compiled system, whose row
+        vector F keeps as `F.vals`."""
         system = self.system
         # per cusp: coefficients, target and the lift to continue from
         terms = list(zip(family.p, family.q, family.target(tau), prev.cusps))
@@ -113,6 +119,7 @@ class DeformationProblem:
 
         def F(x):
             vals, J = system.compiled.values_and_jacobian(x)
+            F.vals = vals
             ml, Jml = vals[system.ml_rows], J[system.ml_rows]
             rows, grads = [], []
             for i, (p, q, t, c) in enumerate(terms):
@@ -128,17 +135,24 @@ class DeformationProblem:
                 tol=1e-11, maxiter=30):
         """Newton-correct x0 onto the gauge system plus the family at tau;
         returns (point or None, residual, converged), the point lifted from
-        prev."""
+        prev and built from the last Newton evaluation, whose stacked
+        Jacobian is kept as `self.jacobian`."""
+        F = self._rows(prev, family, tau)
         try:
-            r = gauss_newton(self._rows(prev, family, tau), x0, tol, maxiter)
+            r = gauss_newton(F, x0, tol, maxiter)
         except DivergenceError as e:
             return None, e.residual, False
-        return make_character_point(self.system, r.x, prev=prev), r.residual, True
+        self.jacobian = r.jacobian
+        return (make_character_point(self.system, r.x, prev=prev, vals=F.vals),
+                r.residual, True)
 
-    def predict(self, pt: CharacterPoint, family: ConstraintFamily, tau, dtau):
-        """First-order predictor from the family's target motion at pt."""
+    def predict(self, pt: CharacterPoint, family: ConstraintFamily, tau, dtau,
+                J: Optional[np.ndarray] = None):
+        """First-order predictor from the family's target motion at pt.  J,
+        the family's stacked Jacobian at pt, saves the evaluation."""
         h = 1e-6
-        _, J = self._rows(pt, family, tau)(pt.coords)
+        if J is None:
+            _, J = self._rows(pt, family, tau)(pt.coords)
         dtarget = [(a - b) / (2 * h)
                    for a, b in zip(family.target(tau + h), family.target(tau - h))]
         b = np.concatenate([np.zeros(J.shape[0] - len(dtarget), dtype=complex), dtarget])
@@ -199,6 +213,7 @@ def track(problem: DeformationProblem, start: CharacterPoint,
     points = [start]
     taus = [tau0]
     rejected = 0
+    J = None  # the family's stacked Jacobian at pt, once a correction has made it
     dtau = min(first_step, abs(tau1 - tau0)) * (1 if tau1 >= tau0 else -1)
     tau = tau0
     while (tau1 - tau) * (1 if tau1 >= tau0 else -1) > 1e-14:
@@ -207,7 +222,7 @@ def track(problem: DeformationProblem, start: CharacterPoint,
         step = dtau
         if (tau + step - tau1) * (1 if tau1 >= tau0 else -1) > 0:
             step = tau1 - tau
-        xpred = problem.predict(pt, family, tau, step)
+        xpred = problem.predict(pt, family, tau, step, J)
         new_pt, res, accept = problem.correct(xpred, pt, family, tau + step, tol=tol)
         if accept:
             for c_new, c_old in zip(new_pt.cusps, pt.cusps):
@@ -228,7 +243,7 @@ def track(problem: DeformationProblem, start: CharacterPoint,
         if interior and not allow_V_interior and \
                 on_V(traces(new_pt), moving=[moved(c) for c in new_pt.cusps]):
             raise TrackingError(f"path crossed V at tau={tau + step:.6f}")
-        pt = new_pt
+        pt, J = new_pt, problem.jacobian
         tau += step
         points.append(pt)
         taus.append(tau)
@@ -525,10 +540,10 @@ def fiber_over(system: GaugedSystem, z: np.ndarray,
     rng = np.random.default_rng(seed)
     gauge, trace = system.gauge_rows, system.trace_rows
 
-    def F(x):
-        vals, J = system.compiled.values_and_jacobian(x)
-        return (np.concatenate([vals[gauge], vals[trace] - z]),
-                np.vstack([J[gauge], J[trace]]))
+    def F(X):
+        vals, J = system.compiled.values_and_jacobian(X)
+        return (np.concatenate([vals[:, gauge], vals[:, trace] - z], axis=1),
+                np.concatenate([J[:, gauge], J[:, trace]], axis=1))
     seed_coords = [np.asarray(s.coords, dtype=complex) for s in seeds]
     scale = max((float(np.max(np.abs(c))) for c in seed_coords), default=1.0)
 
@@ -536,34 +551,39 @@ def fiber_over(system: GaugedSystem, z: np.ndarray,
     keys: list[np.ndarray] = []
     history: list[int] = []
 
-    def register(x) -> bool:
-        key = system.char_key(x)
+    def register(x, vals=None) -> bool:
+        """Keep x unless its character is known; vals is the compiled row
+        vector at x when it has been evaluated."""
+        if vals is None:
+            vals = system.compiled.values(x)
+        key = vals[system.key_rows]
         for k in keys:
             if _char_distance(key, k) < dedup_tol:
                 return False
-        pt = make_character_point(system, x, label="fiber")
-        points.append(pt)
+        points.append(make_character_point(system, x, label="fiber", vals=vals))
         keys.append(key)
         return True
 
-    attempts = 0
-    while attempts < budget:
-        attempts += 1
-        if seed_coords and attempts <= len(seed_coords):
-            x0 = seed_coords[attempts - 1]
+    # all starts are drawn before any is solved (no draw depends on a Newton
+    # outcome), in attempt order, and registered in attempt order
+    n = len(system.vars)
+    starts = np.empty((budget, n), dtype=complex)
+    for attempt in range(1, budget + 1):
+        if seed_coords and attempt <= len(seed_coords):
+            x0 = seed_coords[attempt - 1]
         elif seed_coords and rng.uniform() < 0.7:
             base = seed_coords[rng.integers(len(seed_coords))]
             sigma = 10.0 ** rng.uniform(-2, 0.3)
             x0 = base + sigma * (rng.normal(size=base.shape) + 1j * rng.normal(size=base.shape))
         else:
-            n = len(system.vars)
             x0 = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
-        try:
-            result = newton_correct(F, x0, tol=1e-10, maxiter=40,
-                                    condition_limit=1e12)
-            register(result.x)
-        except ContinuationError:
-            pass
+        starts[attempt - 1] = x0
+    xs, converged, _ = gauss_newton_lockstep(F, starts, 1e-10, 40, 1e12)
+    # the compiled rows at every converged start, from one stacked evaluation
+    found = zip(xs[converged], system.compiled.values_and_jacobian(xs[converged])[0])
+    for hit in converged:
+        if hit:
+            register(*next(found))
         history.append(len(points))
 
     # monodromy loops around the meridian-log coordinates, filtered by z-return

@@ -251,7 +251,8 @@ def eliminate(ext: ExtendedSystem, samples: Optional[Sequence[np.ndarray]] = Non
     samples every factor is kept and the result is not validated.  Raises
     when more than six variables survive the substitutions, and when no
     factor of a polynomial vanishes at every sample (samples off the
-    variety, or on two of its components)."""
+    variety, or on two of its components), and when the chain contains a
+    nonzero constant (the variety is empty)."""
     V = ext.vars
     periph = set(ext.peripheral_vars)
     gauge_vars = [v for v in V if v not in periph]
@@ -259,8 +260,12 @@ def eliminate(ext: ExtendedSystem, samples: Optional[Sequence[np.ndarray]] = Non
     removed_log: list[str] = []
 
     def localize(p: Polynomial) -> Polynomial:
-        return _localize(_strip(p, cleared_log, ext.laurent), samples, sample_tol,
+        kept = _localize(_strip(p, cleared_log, ext.laurent), samples, sample_tol,
                          removed_log)
+        # a nonzero constant (or a unit monomial, stripped to one) vanishes nowhere
+        if not kept.support_vars():
+            raise EigenvarError("empty variety: the chain contains a nonzero constant")
+        return kept
 
     tree = []
     subs: dict[str, Polynomial] = {}

@@ -554,7 +554,9 @@ class CompiledSystem:
 
     One block holds the polynomials followed by their partial derivatives,
     so values and Jacobian come from a single evaluation; the per-call
-    overhead, not the term count, dominates its cost."""
+    overhead, not the term count, dominates its cost.  `values_and_jacobian`
+    also evaluates a stack of points (N, nvars) in one call, row by row
+    bit-identical to single points; `values` and `jacobian` take one point."""
 
     def __init__(self, polys: list[Polynomial], vars: tuple[str, ...]):
         self.vars = tuple(vars)
@@ -574,8 +576,13 @@ class CompiledSystem:
         return out[self.npolys:].reshape(self.npolys, self.nvars)
 
     def values_and_jacobian(self, x):
+        """(npolys,) values and (npolys, nvars) Jacobian at a point, or
+        (N, npolys) and (N, npolys, nvars) at a stack of N points."""
         out = self._block(np.asarray(x, dtype=complex))
-        return out[:self.npolys], out[self.npolys:].reshape(self.npolys, self.nvars)
+        if out.ndim == 1:
+            return out[:self.npolys], out[self.npolys:].reshape(self.npolys, self.nvars)
+        return (out[:, :self.npolys],
+                out[:, self.npolys:].reshape(len(out), self.npolys, self.nvars))
 
 
 class _CompiledBlock:
@@ -583,7 +590,9 @@ class _CompiledBlock:
 
     The per-variable exponent ranges, each term's index into them and a
     sum buffer with one trailing zero (for polynomials without terms) are
-    built once per block."""
+    built once per block.  A stack of points (N, nvars) multiplies the same
+    factors in the same order into an (N, terms) buffer and reduces each
+    row like a single point."""
 
     def __init__(self, polys: list[Polynomial], vars):
         exps, coeffs, bounds = [], [], [0]
@@ -608,7 +617,9 @@ class _CompiledBlock:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if not len(self.coeffs):
-            return np.zeros(self.npolys, dtype=complex)
+            return np.zeros(x.shape[:-1] + (self.npolys,), dtype=complex)
+        if x.ndim == 2:
+            return self._stacked(x)
         vals = self.buf[:-1]
         vals[:] = self.coeffs
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -616,4 +627,15 @@ class _CompiledBlock:
                 vals *= (xv ** exps)[col]
         out = np.add.reduceat(self.buf, self.starts)
         out[self.empty] = 0
+        return out
+
+    def _stacked(self, x: np.ndarray) -> np.ndarray:
+        buf = np.zeros((len(x), len(self.buf)), dtype=complex)
+        vals = buf[:, :-1]
+        vals[:] = self.coeffs
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for xv, exps, col in zip(x.T, self.ranges, self.columns):
+                vals *= (xv[:, None] ** exps)[:, col]
+        out = np.add.reduceat(buf, self.starts, axis=1)
+        out[:, self.empty] = 0
         return out

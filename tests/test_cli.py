@@ -76,6 +76,9 @@ def test_apoly_command_fig8(tmp_path):
     el = doc["report"]["eliminants"]
     assert el["validated"]
     assert len(el["polynomials"]) == 1
+    # each filling gives its endpoint and two path samples
+    assert doc["report"]["filled_slopes"] == ["1,5", "1,7"]
+    assert doc["report"]["samples"] == 6
 
 
 @pytest.fixture
@@ -110,6 +113,20 @@ def test_apoly_two_cusp_kappa_with_unfilled_cusp(tmp_path, filled_slopes, capsys
     assert filled_slopes == ["1,5;inf"]
     err = capsys.readouterr().err
     assert err.startswith("error:") and "both branches of the slot p meet" in err
+    report = json.loads((tmp_path / "wlink_apoly.json").read_text())["report"]
+    assert report["status"] == "failed" and "both branches" in report["message"]
+    assert report["filled_slopes"] == ["1,5;inf"] and report["samples"] == 3
+
+
+def test_apoly_empty_variety_fails_with_report(tmp_path, capsys):
+    """nonhyp's extended system contains the constant 1: no eliminant."""
+    code = run(["apoly", "--spec", "nonhyp", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: empty variety")
+    report = json.loads((tmp_path / "nonhyp_apoly.json").read_text())["report"]
+    assert report["status"] == "failed" and "empty variety" in report["message"]
+    assert "eliminants" not in report
+    assert report["filled_slopes"] == [] and report["samples"] == 0
 
 
 def test_apoly_command_abelian(tmp_path):
@@ -118,6 +135,8 @@ def test_apoly_command_abelian(tmp_path):
     doc = json.loads((tmp_path / "abelian_apoly.json").read_text())
     texts = doc["report"]["eliminants"]["text"]
     assert texts == ["-1 + 1*l1^2"]
+    # no complete structure, so nothing is filled or sampled
+    assert doc["report"]["filled_slopes"] == [] and doc["report"]["samples"] == 0
 
 
 def test_fiber_command(tmp_path):

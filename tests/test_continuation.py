@@ -9,7 +9,7 @@ from charvol.continuation import (ContinuationError, DivergenceError,
                                   step_off_complete, track)
 from charvol.locus import eigenvalues, on_U, on_V, traces
 from charvol.poly import CompiledSystem
-from charvol.repvar import SignTwist, apply_twist, gauss_newton
+from charvol.repvar import SignTwist, apply_twist, gauss_newton, gauss_newton_lockstep
 from charvol.volume import anchored_volume
 
 TWO_PI_I = 2j * np.pi
@@ -109,8 +109,9 @@ def test_newton_reconverges_near_filled(fig8_system, fig8_fillings):
 
 def test_correct_and_predict_evaluate_once_per_step(fig8_problem, fig8_complete,
                                                    block_calls, monkeypatch):
-    """One compiled block call per Newton evaluation in `correct` and one per
-    `predict`."""
+    """One compiled block call per Newton evaluation in `correct`, which
+    builds its point from the last one, one per `predict`, and none for a
+    `predict` given the stacked Jacobian that `correct` kept."""
     import charvol.continuation as cont
     du = 0.1 + 0.05j
     base = step_off_complete(fig8_problem, fig8_complete, [du])
@@ -132,8 +133,11 @@ def test_correct_and_predict_evaluate_once_per_step(fig8_problem, fig8_complete,
     pt, res, ok = fig8_problem.correct(xpred, base, family, 1.0)
     assert ok and res < 1e-11
     assert len(evaluations) >= 2
-    # plus one for building the returned point
-    assert len(block_calls) - before == len(evaluations) + 1
+    assert len(block_calls) - before == len(evaluations)
+    before = len(block_calls)
+    xnext = fig8_problem.predict(pt, family, 1.0, 0.5, fig8_problem.jacobian)
+    assert len(block_calls) == before
+    assert xnext.tobytes() == fig8_problem.predict(pt, family, 1.0, 0.5).tobytes()
 
 
 # -- jacobian_check --------------------------------------------------------------
@@ -359,6 +363,50 @@ def test_fiber_wlink_degree_one_and_bound(wlink_spec, wlink_system, wlink_fillin
     z2 = h1_z2(wlink_spec)
     assert report.psl2_count == 1
     assert report.sl2_count <= report.psl2_count * z2.degree_bound
+
+
+def _fiber_solve(system, pt, monkeypatch):
+    """fiber_over's residual map and starts (budget 64, seed 0), read off
+    its lockstep call."""
+    import charvol.continuation as cont
+    calls, kernel = [], cont.gauss_newton_lockstep
+
+    def recording(F, starts, *args):
+        calls.append((F, np.array(starts)))
+        return kernel(F, starts, *args)
+    monkeypatch.setattr(cont, "gauss_newton_lockstep", recording)
+    fiber_over(system, pt.trace_vector(), [pt], budget=64, seed=0, monodromy_loops=0)
+    (F, starts), = calls
+    return F, starts
+
+
+@pytest.mark.parametrize("name", ["fig8", "wlink"])
+def test_lockstep_matches_gauss_newton_per_start(name, fig8_system, fig8_fillings,
+                                                 wlink_system, wlink_fillings,
+                                                 monkeypatch):
+    """Each fiber start ends as gauss_newton ends it: the same outcome, the
+    same number of steps and the same point to roundoff."""
+    system, fillings = {"fig8": (fig8_system, fig8_fillings),
+                        "wlink": (wlink_system, wlink_fillings)}[name]
+    _, pt, _ = fillings[0]
+    F, starts = _fiber_solve(system, pt, monkeypatch)
+    xs, converged, iterations = gauss_newton_lockstep(F, starts, 1e-10, 40, 1e12)
+    assert 0 < converged.sum() < len(starts)
+    for x0, x, ok, its in zip(starts, xs, converged, iterations):
+        steps = []
+
+        def F1(y):
+            steps.append(1)
+            vals, J = F(y[None])
+            return vals[0], J[0]
+        try:
+            r = gauss_newton(F1, x0, 1e-10, 40, condition_limit=1e12)
+        except ContinuationError:
+            r = None
+        assert ok == (r is not None)
+        assert its == len(steps) - 1
+        if r is not None:
+            assert np.max(np.abs(r.x - x)) <= 1e-12
 
 
 def test_point_on_U(fig8_complete, fig8_fillings):

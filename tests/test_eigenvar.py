@@ -199,6 +199,15 @@ def test_abelian_eliminant_binomial(abelian_spec):
             assert _scaled_residual(es.polynomials[0], [s, l]) == 0
 
 
+def test_eliminate_raises_on_a_nonzero_constant(nonhyp_spec):
+    """nonhyp's relator makes the two gauge generators equal, which their
+    unit off-diagonal entry forbids: the system contains the constant 1."""
+    ext = build_extended(GaugedSystem(nonhyp_spec))
+    assert any(not p.support_vars() and not p.is_zero() for p in ext.system.polynomials)
+    with pytest.raises(EigenvarError, match="empty variety"):
+        eliminate(ext)
+
+
 # -- localizing at the samples ------------------------------------------------
 
 PERIPH = ("m1", "l1")

@@ -8,8 +8,8 @@ from charvol.manifold import parse_spec
 from charvol.matrices import random_sl2, regauge, numeric_word_matrix, sl2_inverse
 from charvol.repvar import (GaugedSystem, NoCompleteStructureError, RepVarError,
                             apply_twist, enumerate_twists, find_complete,
-                            irreducibility_defect, make_character_point,
-                            thurston_rank)
+                            gauss_newton_lockstep, irreducibility_defect,
+                            make_character_point, thurston_rank)
 from charvol.locus import on_V, traces
 
 
@@ -258,3 +258,23 @@ def test_apply_twist_same_psl2_character(fig8_spec, fig8_system, fig8_fillings):
 
 def test_irreducibility_defect(fig8_system, fig8_complete):
     assert irreducibility_defect(fig8_system, fig8_complete.coords) > 1e-3
+
+
+def test_lockstep_start_at_s_zero_fails_alone(fig8_system, fig8_fillings):
+    """A start with s = 0 has non-finite values (the gauge is Laurent in s):
+    it fails at once without taking the rest of the stack with it."""
+    _, pt, _ = fig8_fillings[0]
+    z, g, tr = pt.trace_vector(), fig8_system.gauge_rows, fig8_system.trace_rows
+
+    def F(X):
+        vals, J = fig8_system.compiled.values_and_jacobian(X)
+        return (np.concatenate([vals[:, g], vals[:, tr] - z], axis=1),
+                np.concatenate([J[:, g], J[:, tr]], axis=1))
+    near = pt.coords + np.array([1e-3, -2e-3j, 1e-3 + 1e-3j])
+    at_zero = np.array(near)
+    at_zero[0] = 0
+    xs, converged, iterations = gauss_newton_lockstep(
+        F, [near, at_zero, pt.coords], 1e-10, 40, 1e12)
+    assert list(converged) == [True, False, True]
+    assert iterations[1] == 0 and iterations[0] > 0 and iterations[2] == 0
+    assert np.max(np.abs(xs[0] - pt.coords)) < 1e-8
