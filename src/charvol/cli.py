@@ -135,11 +135,12 @@ def cmd_apoly(config: RunConfig) -> int:
     kappas = [FillingCoefficients.parse(k, spec.cusp_count) for k in config.kappas] or [
         FillingCoefficients(tuple((1, q) for q in qs))
         for qs in itertools.product((5, 7, 11), repeat=spec.cusp_count)]
-    samples, slopes = None, []
+    samples, slopes, filling_errors = None, [], {}
     try:
         comp = find_complete(spec, system)
-        filled = [f for f in sample_dense_set(DeformationProblem(system), comp, kappas)
-                  if f.point is not None]
+        fillings = sample_dense_set(DeformationProblem(system), comp, kappas)
+        filled = [f for f in fillings if f.point is not None]
+        filling_errors = {f.kappa.label(): f.error for f in fillings if f.point is None}
         slopes = [f.kappa.label() for f in filled]
         samples = [extended_point(ext, f.point) for f in filled]
         for f in filled:
@@ -160,7 +161,8 @@ def cmd_apoly(config: RunConfig) -> int:
         print(f"apoly: variable budget exceeded -> {path}")
         return 0
     except EigenvarError as e:
-        body = {"status": "failed", "message": str(e), **sampled}
+        body = {"status": "failed", "message": str(e), **sampled,
+                "filling_errors": filling_errors}
         path = write_report(config, f"{spec.name}_apoly", body,
                             {"total_s": time.perf_counter() - t0})
         print(f"error: {e}", file=sys.stderr)
@@ -265,11 +267,11 @@ def cmd_loops(config: RunConfig) -> int:
     system = GaugedSystem(spec)
     comp = find_complete(spec, system)
     problem = DeformationProblem(system)
-    results, failures = run_exactness_loops(
+    results, failures, dropped = run_exactness_loops(
         spec, problem, comp, config.loops, config.seed,
         config.tolerances["loop_exactness"])
     body = {"status": "ok" if not failures else "failed",
-            "loop_integrals": results, "failures": failures,
+            "loop_integrals": results, "failures": failures, "dropped": dropped,
             "tolerance": config.tolerances["loop_exactness"]}
     path = write_report(config, f"{spec.name}_loops", body,
                         {"total_s": time.perf_counter() - t0})
@@ -280,19 +282,22 @@ def cmd_loops(config: RunConfig) -> int:
 
 def run_exactness_loops(spec, problem, comp, count, seed, tol):
     """Closed U-avoiding loops in deformation space; exactness predicts
-    integrals ~ 0.  Returns (integrals, failures)."""
+    integrals ~ 0.  A loop that passes near U, fails to track, or whose
+    quadrature is still unresolved at the finest step is dropped and another
+    is drawn.  Returns (integrals, failures, dropped), dropped counting the
+    loops dropped for each reason."""
     rng = np.random.default_rng(seed)
     sign = handedness_sign(spec)
     base = _generic_base_point(spec, problem, comp)
     results = []
     failures = []
+    dropped = {"near_U": 0, "unresolved": 0, "tracking_failed": 0}
     attempts = 0
     while len(results) < count and attempts < 6 * count + 20:
         attempts += 1
         try:
             family = random_log_loop_targets(base, rng, radius=(0.08, 0.3))
             step = 0.004
-            val = None
             # refine until the quadrature estimate is well inside tolerance
             # (loops passing near the branch locus need finer sampling)
             for _ in range(4):
@@ -300,23 +305,22 @@ def run_exactness_loops(spec, problem, comp, count, seed, tol):
                     problem, base, family, first_step=step, max_step=step,
                     description=f"exactness loop {len(results)} on {spec.name}")
                 if any(on_U(eigenvalues(pt), LOCUS_TOL["near"]) for pt in loop.points):
-                    val = None
+                    dropped["near_U"] += 1
                     break
                 integ = loop_integral(loop, sign)
-                val = integ.value
                 if integ.error_estimate < tol / 20:
+                    results.append(integ.value)
+                    if abs(integ.value) >= tol:
+                        failures.append({"loop": len(results) - 1, "value": integ.value})
                     break
                 step /= 3
-            if val is None:
-                continue
-            results.append(val)
-            if abs(val) >= tol:
-                failures.append({"loop": len(results) - 1, "value": val})
+            else:
+                dropped["unresolved"] += 1
         except (ContinuationError, VolumeError):
-            continue
+            dropped["tracking_failed"] += 1
     if len(results) < count:
         failures.append({"error": f"only {len(results)} of {count} loops tracked"})
-    return results, failures
+    return results, failures, dropped
 
 
 def cmd_fiber(config: RunConfig) -> int:
@@ -430,11 +434,12 @@ def cmd_certify(config: RunConfig) -> int:
     # exactness loops
     t1 = time.perf_counter()
     if config.loops > 0:
-        integrals, failures = run_exactness_loops(
+        integrals, failures, dropped = run_exactness_loops(
             spec, problem, comp, config.loops, config.seed, tol["loop_exactness"])
         worst = max(map(abs, integrals), default=float("inf"))
         check("loop_exactness", not failures, worst, tol["loop_exactness"],
-              f"{len(integrals)} loops, max |integral| = {worst:.2e}")
+              f"{len(integrals)} loops, max |integral| = {worst:.2e}; dropped: " +
+              ", ".join(f"{n} {why.replace('_', ' ')}" for why, n in dropped.items()))
     else:
         checks.append({"name": "loop_exactness", "status": "skipped",
                        "value": None, "tolerance": tol["loop_exactness"],

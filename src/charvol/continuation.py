@@ -104,9 +104,6 @@ class DeformationProblem:
 
     def __init__(self, system: GaugedSystem):
         self.system = system
-        # the stacked Jacobian at the point the last converged `correct`
-        # returned, for the next `predict` under the same family
-        self.jacobian: Optional[np.ndarray] = None
 
     def _rows(self, prev: CharacterPoint, family: ConstraintFamily, tau):
         """F(x) -> (values, Jacobian): the gauge rows and the family's rows at
@@ -135,29 +132,43 @@ class DeformationProblem:
                 tol=1e-11, maxiter=30):
         """Newton-correct x0 onto the gauge system plus the family at tau;
         returns (point or None, residual, converged), the point lifted from
-        prev and built from the last Newton evaluation, whose stacked
-        Jacobian is kept as `self.jacobian`."""
+        prev and built from the last Newton evaluation."""
         F = self._rows(prev, family, tau)
         try:
             r = gauss_newton(F, x0, tol, maxiter)
         except DivergenceError as e:
             return None, e.residual, False
-        self.jacobian = r.jacobian
         return (make_character_point(self.system, r.x, prev=prev, vals=F.vals),
                 r.residual, True)
 
-    def predict(self, pt: CharacterPoint, family: ConstraintFamily, tau, dtau,
-                J: Optional[np.ndarray] = None):
-        """First-order predictor from the family's target motion at pt.  J,
-        the family's stacked Jacobian at pt, saves the evaluation."""
-        h = 1e-6
-        if J is None:
+    def predict(self, points: Sequence[CharacterPoint], taus: Sequence[float],
+                family: ConstraintFamily, step):
+        """Predicted coordinates at taus[-1] + step on the path through the
+        accepted samples `points` at `taus`.
+
+        From one sample: the first-order tangent of the family's target
+        motion (one evaluation and one least-squares solve).  From more: the
+        polynomial in tau through the last four samples (cubic once four
+        exist), evaluated in Lagrange form with no evaluation or solve."""
+        tau = taus[-1]
+        if len(points) == 1:
+            pt, h = points[0], 1e-6
             _, J = self._rows(pt, family, tau)(pt.coords)
-        dtarget = [(a - b) / (2 * h)
-                   for a, b in zip(family.target(tau + h), family.target(tau - h))]
-        b = np.concatenate([np.zeros(J.shape[0] - len(dtarget), dtype=complex), dtarget])
-        dxdtau, *_ = np.linalg.lstsq(J, b, rcond=None)
-        return pt.coords + dtau * dxdtau
+            dtarget = [(a - b) / (2 * h)
+                       for a, b in zip(family.target(tau + h), family.target(tau - h))]
+            b = np.concatenate([np.zeros(J.shape[0] - len(dtarget), dtype=complex), dtarget])
+            dxdtau, *_ = np.linalg.lstsq(J, b, rcond=None)
+            return pt.coords + step * dxdtau
+        nodes = taus[-4:]
+        t = tau + step
+        x = 0
+        for j, (tj, pt) in enumerate(zip(nodes, points[-4:])):
+            w = 1.0
+            for k, tk in enumerate(nodes):
+                if k != j:
+                    w *= (t - tk) / (tj - tk)
+            x = x + w * pt.coords
+        return x
 
 
 # ---------------------------------------------------------------------------
@@ -206,14 +217,15 @@ def track(problem: DeformationProblem, start: CharacterPoint,
           min_step: float = 1e-7, tol: float = 1e-11,
           description: str = "", allow_V_interior: bool = False) -> TrackedPath:
     """Adaptive predictor-corrector tracking of the constraint family from
-    tau0 to tau1.  Every accepted sample satisfies the residual tolerance;
-    branch continuity is enforced by rejecting steps whose log increments
-    reach pi/2 in imaginary part."""
+    tau0 to tau1.  Each step is predicted from the path's own accepted
+    samples (`DeformationProblem.predict`) and corrected by Newton.  Every
+    accepted sample satisfies the residual tolerance; branch continuity is
+    enforced by rejecting steps whose log increments reach pi/2 in
+    imaginary part."""
     pt = start
     points = [start]
     taus = [tau0]
     rejected = 0
-    J = None  # the family's stacked Jacobian at pt, once a correction has made it
     dtau = min(first_step, abs(tau1 - tau0)) * (1 if tau1 >= tau0 else -1)
     tau = tau0
     while (tau1 - tau) * (1 if tau1 >= tau0 else -1) > 1e-14:
@@ -222,7 +234,7 @@ def track(problem: DeformationProblem, start: CharacterPoint,
         step = dtau
         if (tau + step - tau1) * (1 if tau1 >= tau0 else -1) > 0:
             step = tau1 - tau
-        xpred = problem.predict(pt, family, tau, step, J)
+        xpred = problem.predict(points, taus, family, step)
         new_pt, res, accept = problem.correct(xpred, pt, family, tau + step, tol=tol)
         if accept:
             for c_new, c_old in zip(new_pt.cusps, pt.cusps):
@@ -243,7 +255,7 @@ def track(problem: DeformationProblem, start: CharacterPoint,
         if interior and not allow_V_interior and \
                 on_V(traces(new_pt), moving=[moved(c) for c in new_pt.cusps]):
             raise TrackingError(f"path crossed V at tau={tau + step:.6f}")
-        pt, J = new_pt, problem.jacobian
+        pt = new_pt
         tau += step
         points.append(pt)
         taus.append(tau)

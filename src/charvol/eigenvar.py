@@ -248,11 +248,15 @@ def eliminate(ext: ExtendedSystem, samples: Optional[Sequence[np.ndarray]] = Non
     the chain produces is replaced by the product of its irreducible factors
     that vanish at every sample: X0 is irreducible and lies in the zero set
     of each of them, so exactly the factors containing X0 survive.  Without
-    samples every factor is kept and the result is not validated.  Raises
+    samples (None) every factor is kept and the result is not validated; an
+    empty sample list is an error, since it says nothing about X0.  Raises
     when more than six variables survive the substitutions, and when no
     factor of a polynomial vanishes at every sample (samples off the
     variety, or on two of its components), and when the chain contains a
     nonzero constant (the variety is empty)."""
+    if samples is not None and len(samples) == 0:
+        raise EigenvarError("no samples on X0: the eliminant cannot be localized "
+                            "or validated")
     V = ext.vars
     periph = set(ext.peripheral_vars)
     gauge_vars = [v for v in V if v not in periph]

@@ -384,7 +384,6 @@ class NewtonResult:
     residual: float
     iterations: int
     quad_ratios: list[float]
-    jacobian: np.ndarray    # F's Jacobian at x, from the last evaluation
 
 
 def gauss_newton(F, start, tol: float, maxiter: int, max_step: Optional[float] = None,
@@ -408,7 +407,7 @@ def gauss_newton(F, start, tol: float, maxiter: int, max_step: Optional[float] =
     x = np.asarray(start, dtype=complex).copy()
     vals, J, res = evaluate(x)
     if res < tol:
-        return NewtonResult(x, res, 0, [], J)
+        return NewtonResult(x, res, 0, [])
     if condition_limit is not None:
         sv = np.linalg.svd(J, compute_uv=False) if J.size else np.array([1.0])
         cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
@@ -435,7 +434,7 @@ def gauss_newton(F, start, tol: float, maxiter: int, max_step: Optional[float] =
                 raise DivergenceError(f"residual diverging at iteration {it}", x, res)
         prev_norm = norm
         if res < tol:
-            return NewtonResult(x, res, it, ratios, J)
+            return NewtonResult(x, res, it, ratios)
     raise DivergenceError(f"no convergence in {maxiter} iterations (residual {res:.2e})",
                           x, res)
 

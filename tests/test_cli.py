@@ -129,6 +129,49 @@ def test_apoly_empty_variety_fails_with_report(tmp_path, capsys):
     assert report["filled_slopes"] == [] and report["samples"] == 0
 
 
+def test_apoly_fails_when_every_filling_fails(tmp_path, monkeypatch, capsys):
+    """The complete structure is found but no slope fills: no sample lies on
+    X0, so there is no eliminant, and the report gives each filling's error."""
+    import charvol.cli as cli
+    from charvol.continuation import FilledCharacter
+    monkeypatch.setattr(cli, "sample_dense_set", lambda problem, complete, kappas: [
+        FilledCharacter(k, None, None, False, error=f"kappa={k.label()}: tracking failed")
+        for k in kappas])
+    code = run(["apoly", "--spec", "fig8", "--kappa", "1,5", "--kappa", "1,7",
+                "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: no samples on X0")
+    report = json.loads((tmp_path / "fig8_apoly.json").read_text())["report"]
+    assert report["status"] == "failed" and "eliminants" not in report
+    assert report["filling_errors"] == {"1,5": "kappa=1,5: tracking failed",
+                                        "1,7": "kappa=1,7: tracking failed"}
+    assert report["filled_slopes"] == [] and report["samples"] == 0
+
+
+def test_unresolved_exactness_loop_is_dropped(fig8_spec, fig8_problem, fig8_complete,
+                                              monkeypatch):
+    """A loop whose quadrature estimate stays above tol/20 after the last
+    refinement is not counted; the next loop is drawn instead."""
+    import charvol.cli as cli
+    from types import SimpleNamespace
+    from charvol.continuation import TrackedPath
+    steps = []
+
+    def cheap_loop(problem, base, family, first_step, **opts):
+        steps.append(first_step)
+        return TrackedPath(points=[base], taus=[0.0])
+    # the first loop never resolves; the next two do
+    estimates = iter([1.0] * 4 + [0.0] * 2)
+    monkeypatch.setattr(cli, "track_closed_loop", cheap_loop)
+    monkeypatch.setattr(cli, "loop_integral", lambda loop, sign: SimpleNamespace(
+        value=1e-12, error_estimate=next(estimates)))
+    integrals, failures, dropped = cli.run_exactness_loops(
+        fig8_spec, fig8_problem, fig8_complete, count=2, seed=0, tol=1e-6)
+    assert integrals == [1e-12, 1e-12] and failures == []
+    assert dropped == {"near_U": 0, "unresolved": 1, "tracking_failed": 0}
+    assert steps == pytest.approx([0.004, 0.004 / 3, 0.004 / 9, 0.004 / 27, 0.004, 0.004])
+
+
 def test_apoly_command_abelian(tmp_path):
     code = run(["apoly", "--spec", "abelian", "--out", str(tmp_path)])
     assert code == 0

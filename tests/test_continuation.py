@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -110,8 +112,8 @@ def test_newton_reconverges_near_filled(fig8_system, fig8_fillings):
 def test_correct_and_predict_evaluate_once_per_step(fig8_problem, fig8_complete,
                                                    block_calls, monkeypatch):
     """One compiled block call per Newton evaluation in `correct`, which
-    builds its point from the last one, one per `predict`, and none for a
-    `predict` given the stacked Jacobian that `correct` kept."""
+    builds its point from the last one, and one per `predict` from a single
+    sample."""
     import charvol.continuation as cont
     du = 0.1 + 0.05j
     base = step_off_complete(fig8_problem, fig8_complete, [du])
@@ -127,17 +129,70 @@ def test_correct_and_predict_evaluate_once_per_step(fig8_problem, fig8_complete,
 
     monkeypatch.setattr(cont, "gauss_newton", counting_kernel)
     before = len(block_calls)
-    xpred = fig8_problem.predict(base, family, 0.0, 1.0)
+    xpred = fig8_problem.predict([base], [0.0], family, 1.0)
     assert len(block_calls) - before == 1
     before = len(block_calls)
     pt, res, ok = fig8_problem.correct(xpred, base, family, 1.0)
     assert ok and res < 1e-11
     assert len(evaluations) >= 2
     assert len(block_calls) - before == len(evaluations)
-    before = len(block_calls)
-    xnext = fig8_problem.predict(pt, family, 1.0, 0.5, fig8_problem.jacobian)
-    assert len(block_calls) == before
-    assert xnext.tobytes() == fig8_problem.predict(pt, family, 1.0, 0.5).tobytes()
+
+
+def test_predict_from_samples_is_exact_on_cubic_paths(fig8_problem, fig8_complete,
+                                                     block_calls):
+    """From two to four samples, `predict` returns the value of the polynomial
+    through them (degree at most three, at uneven taus, as after a rejected
+    step) with no evaluation; from more, it uses the last four."""
+    base = step_off_complete(fig8_problem, fig8_complete, [0.1 + 0.05j])
+    family = pin_log(lambda tau: np.array([0.1 + 0.05j]))
+    rng = np.random.default_rng(5)
+    taus = [0.3, 0.34, 0.36, 0.365, 0.3675]
+    for degree in range(4):
+        coeffs = rng.normal(size=(degree + 1, 3)) + 1j * rng.normal(size=(degree + 1, 3))
+
+        def path(tau):
+            return sum(c * tau ** k for k, c in enumerate(coeffs))
+        samples = []
+        for tau in taus:
+            pt = copy.copy(base)
+            pt.coords = path(tau)
+            samples.append(pt)
+        for n in range(max(2, degree + 1), len(taus) + 1):
+            before = len(block_calls)
+            x = fig8_problem.predict(samples[:n], taus[:n], family, 0.00125)
+            assert len(block_calls) == before
+            assert np.max(np.abs(x - path(taus[n - 1] + 0.00125))) < 1e-12
+
+
+def test_predict_keeps_an_exactness_loop_to_one_newton_step(fig8_spec, fig8_problem,
+                                                           fig8_complete, monkeypatch):
+    """On a fig8 exactness loop at step 0.004, the extrapolating predictor
+    leaves Newton about one step per sample (the tangent predictor needed
+    two, with three least-squares solves per sample)."""
+    import charvol.continuation as cont
+    from charvol.cli import _generic_base_point
+    from charvol.continuation import random_log_loop_targets
+    base = _generic_base_point(fig8_spec, fig8_problem, fig8_complete)
+    family = random_log_loop_targets(base, np.random.default_rng(1000), radius=(0.08, 0.3))
+    steps, solves = [], []
+    kernel, lstsq = cont.gauss_newton, np.linalg.lstsq
+
+    def counting_kernel(*args, **kwargs):
+        r = kernel(*args, **kwargs)
+        steps.append(r.iterations)
+        return r
+
+    def counting_lstsq(*args, **kwargs):
+        solves.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(cont, "gauss_newton", counting_kernel)
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    path = track(fig8_problem, base, family, first_step=0.004, max_step=0.004)
+    samples = len(path) - 1
+    assert samples == 250 and path.steps_rejected == 0
+    assert sum(steps) / samples <= 1.4
+    assert len(solves) / samples <= 1.4
 
 
 # -- jacobian_check --------------------------------------------------------------

@@ -208,6 +208,17 @@ def test_eliminate_raises_on_a_nonzero_constant(nonhyp_spec):
         eliminate(ext)
 
 
+def test_eliminate_raises_for_an_empty_sample_list(abelian_spec, fig8_extended):
+    """An empty sample list says nothing about X0; None means "do not localize"."""
+    abelian = build_extended(GaugedSystem(abelian_spec))
+    for ext in (abelian, fig8_extended):
+        with pytest.raises(EigenvarError, match="no samples on X0"):
+            eliminate(ext, samples=[])
+    es = eliminate(abelian, samples=None)
+    assert [p.as_text() for p in es.polynomials] == ["-1 + 1*l1^2"]
+    assert not es.validated
+
+
 # -- localizing at the samples ------------------------------------------------
 
 PERIPH = ("m1", "l1")
