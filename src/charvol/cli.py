@@ -1,9 +1,10 @@
 """Command-line entry point: fixture loading, computations, certification.
 
-Reports are JSON with a recorded seed and tolerance table; identical run
-configurations (including the seed) produce byte-identical reports apart
-from the timing block.  Exit codes: 0 all checks passed, 1 failure or error,
-2 inconclusive.
+Each command takes `--spec`, `--seed` and `--out` and its own options (the
+`COMMANDS` table); a report's `config` records exactly these.  Reports are
+JSON; identical run configurations (including the seed) produce
+byte-identical reports apart from the timing block.  Exit codes: 0 all
+checks passed, 1 failure, error or usage error, 2 inconclusive.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,43 +29,17 @@ from .manifold import ManifoldSpec, SpecError, h1_z2, load_spec
 from .repvar import (GaugedSystem, NoCompleteStructureError, find_complete,
                      enumerate_twists)
 from .volume import (anchored_volume, eta_at, fiber_volume_equality,
-                     handedness_sign, integrate_eta, loop_integral,
+                     handedness_sign, loop_integral,
                      reference_volume_from_formula, running_integral,
                      VolumeError)
 
 DEFAULT_TOLERANCES = {
-    "residual": 1e-10,
     "dedup": 1e-6,
     "loop_exactness": 1e-6,
     "volume_equality": 1e-6,
-    "parabolic_trace": 1e-9,
     "quadrature": 1e-7,
     "eliminant_residual": 1e-8,
 }
-
-
-@dataclass
-class RunConfig:
-    command: str
-    spec_path: str
-    seed: int = 0
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-    budget: int = 64
-    loops: int = 10
-    kappas: list = field(default_factory=list)
-    out_dir: str = "."
-    csv: bool = False
-
-    def __post_init__(self):
-        for k, v in self.tolerances.items():
-            if v <= 0:
-                raise ValueError(f"tolerance {k} must be positive")
-
-    def to_json(self):
-        return {"command": self.command, "spec": self.spec_path,
-                "seed": self.seed, "tolerances": self.tolerances,
-                "budget": self.budget, "loops": self.loops,
-                "kappas": self.kappas, "out": self.out_dir, "csv": self.csv}
 
 
 def _load(spec_arg: str) -> ManifoldSpec:
@@ -77,10 +51,21 @@ def _load(spec_arg: str) -> ManifoldSpec:
     raise SpecError(f"no such spec file or fixture: {spec_arg}")
 
 
-def write_report(config: RunConfig, name: str, body: dict, timings: dict) -> Path:
-    out = Path(config.out_dir)
+def config_json(args) -> dict:
+    """The parsed options of one command, its tolerances grouped."""
+    config = {"tolerances": {}}
+    for name, value in vars(args).items():
+        if name.startswith("tol_"):
+            config["tolerances"][name[4:]] = value
+        else:
+            config[name] = value
+    return config
+
+
+def write_report(args, name: str, body: dict, timings: dict) -> Path:
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    report = {"config": config.to_json(), "report": body, "timings": timings}
+    report = {"config": config_json(args), "report": body, "timings": timings}
     path = out / f"{name}.json"
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return path
@@ -96,45 +81,43 @@ def report_bytes_without_timings(path: Path) -> bytes:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_complete(config: RunConfig) -> int:
+def cmd_complete(args) -> int:
     t0 = time.perf_counter()
-    spec = _load(config.spec_path)
+    spec = _load(args.spec)
     try:
         system = GaugedSystem(spec)
         pt = find_complete(spec, system)
     except (NoCompleteStructureError, SpecError) as e:
-        write_report(config, f"{spec.name}_complete",
+        write_report(args, f"{spec.name}_complete",
                      {"status": "failed", "error": str(e)},
                      {"total_s": time.perf_counter() - t0})
         print(f"complete: FAILED ({e})")
         return 1
     body = {"status": "ok", "point": pt.to_json(),
             "eta_max": eta_at(pt, handedness_sign(spec)).max_abs()}
-    path = write_report(config, f"{spec.name}_complete", body,
+    path = write_report(args, f"{spec.name}_complete", body,
                         {"total_s": time.perf_counter() - t0})
     print(f"complete: ok -> {path}")
     return 0
 
 
-def cmd_h1z2(config: RunConfig) -> int:
-    spec = _load(config.spec_path)
+def cmd_h1z2(args) -> int:
+    spec = _load(args.spec)
     z2 = h1_z2(spec)
     body = {"h1_dim": z2.h1_dim, "cusps": z2.cusp_count, "k": z2.k,
             "degree_bound": z2.degree_bound,
             "twists": [list(t.epsilon) for t in enumerate_twists(spec)]}
-    path = write_report(config, f"{spec.name}_h1z2", body, {})
+    path = write_report(args, f"{spec.name}_h1z2", body, {})
     print(f"h1z2: dim H^1 = {z2.h1_dim}, k = {z2.k}, bound = {z2.degree_bound} -> {path}")
     return 0
 
 
-def cmd_apoly(config: RunConfig) -> int:
+def cmd_apoly(args) -> int:
     t0 = time.perf_counter()
-    spec = _load(config.spec_path)
+    spec = _load(args.spec)
     system = GaugedSystem(spec)
     ext = build_extended(system)
-    kappas = [FillingCoefficients.parse(k, spec.cusp_count) for k in config.kappas] or [
-        FillingCoefficients(tuple((1, q) for q in qs))
-        for qs in itertools.product((5, 7, 11), repeat=spec.cusp_count)]
+    kappas = _kappas(spec, args.kappas)
     samples, slopes, filling_errors = None, [], {}
     try:
         comp = find_complete(spec, system)
@@ -151,25 +134,24 @@ def cmd_apoly(config: RunConfig) -> int:
     # every report says which slopes were filled and how many samples were used
     sampled = {"filled_slopes": slopes, "samples": len(samples or ())}
     try:
-        es = eliminate(ext, samples=samples,
-                       sample_tol=config.tolerances["eliminant_residual"])
+        es = eliminate(ext, samples=samples, sample_tol=args.tol_eliminant_residual)
     except EliminationBudgetError as e:
         body = {"status": "budget_exceeded", "message": str(e),
                 "hint": "use the fiber/certify commands for numerical sampling", **sampled}
-        path = write_report(config, f"{spec.name}_apoly", body,
+        path = write_report(args, f"{spec.name}_apoly", body,
                             {"total_s": time.perf_counter() - t0})
         print(f"apoly: variable budget exceeded -> {path}")
         return 0
     except EigenvarError as e:
         body = {"status": "failed", "message": str(e), **sampled,
                 "filling_errors": filling_errors}
-        path = write_report(config, f"{spec.name}_apoly", body,
+        path = write_report(args, f"{spec.name}_apoly", body,
                             {"total_s": time.perf_counter() - t0})
         print(f"error: {e}", file=sys.stderr)
         print(f"apoly: FAILED -> {path}")
         return 1
     body = {"status": "ok", "eliminants": es.to_json(), **sampled}
-    path = write_report(config, f"{spec.name}_apoly", body,
+    path = write_report(args, f"{spec.name}_apoly", body,
                         {"total_s": time.perf_counter() - t0})
     for p in es.polynomials:
         print("eliminant:", p.as_text())
@@ -177,44 +159,39 @@ def cmd_apoly(config: RunConfig) -> int:
     return 0
 
 
-def _fill_one(spec, system, comp, kappa_text):
-    kappa = FillingCoefficients.parse(kappa_text, spec.cusp_count)
-    return solve_filling(DeformationProblem(system), comp, kappa)
-
-
-def cmd_fill(config: RunConfig) -> int:
+def cmd_fill(args) -> int:
     t0 = time.perf_counter()
-    spec = _load(config.spec_path)
+    spec = _load(args.spec)
     system = GaugedSystem(spec)
     comp = find_complete(spec, system)
-    if not config.kappas:
-        raise ValueError("fill needs --kappa")
-    pt, path_ = _fill_one(spec, system, comp, config.kappas[0])
+    kappa = FillingCoefficients.parse(args.kappa, spec.cusp_count)
+    pt, path_ = solve_filling(DeformationProblem(system), comp, kappa)
     vol = anchored_volume(spec, path_)
-    body = {"status": "ok", "kappa": config.kappas[0], "point": pt.to_json(),
-            "volume": vol.to_json(), "samples": len(path_)}
-    path = write_report(config, f"{spec.name}_fill", body,
+    body = {"status": "ok", "kappa": args.kappa, "point": pt.to_json(),
+            "volume": vol.to_json(), "samples": len(path_),
+            "eta_integral": vol.eta_integral, "reference": spec.reference_volume.value}
+    path = write_report(args, f"{spec.name}_fill", body,
                         {"total_s": time.perf_counter() - t0})
-    if config.csv:
-        csv_path = Path(config.out_dir) / f"{spec.name}_fill.csv"
+    if args.csv:
+        csv_path = Path(args.out) / f"{spec.name}_fill.csv"
         sign0 = path_.points[0].orientation or 1
         rv = running_integral(path_, handedness_sign(spec)) + \
             sign0 * spec.reference_volume.value
         csv_path.write_text(path_.export_csv(rv))
         print(f"fill csv -> {csv_path}")
-    print(f"fill {config.kappas[0]}: volume {vol.value:.9f} -> {path}")
+    print(f"fill {args.kappa}: volume {vol.value:.9f} -> {path}")
     return 0
 
 
-def cmd_track(config: RunConfig) -> int:
+def cmd_track(args) -> int:
     """Track a closed random loop in the log-eigenvalue coordinates and
     report the endpoint match (a smoke test of the path tracker)."""
     t0 = time.perf_counter()
-    spec = _load(config.spec_path)
+    spec = _load(args.spec)
     system = GaugedSystem(spec)
     comp = find_complete(spec, system)
     problem = DeformationProblem(system)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(args.seed)
     base = _generic_base_point(spec, problem, comp)
     loop = track(problem, base, random_log_loop_targets(base, rng),
                  tau0=0.0, tau1=1.0, first_step=0.01, max_step=0.01,
@@ -223,33 +200,13 @@ def cmd_track(config: RunConfig) -> int:
     mismatch = max(max(abs(a.m - b.m), abs(a.l - b.l))
                    for a, b in zip(base.cusps, end.cusps))
     body = {"status": "ok", "samples": len(loop), "endpoint_mismatch": mismatch}
-    path = write_report(config, f"{spec.name}_track", body,
+    path = write_report(args, f"{spec.name}_track", body,
                         {"total_s": time.perf_counter() - t0})
-    if config.csv:
-        csv_path = Path(config.out_dir) / f"{spec.name}_track.csv"
+    if args.csv:
+        csv_path = Path(args.out) / f"{spec.name}_track.csv"
         csv_path.write_text(loop.export_csv(running_integral(loop, handedness_sign(spec))))
         print(f"track csv -> {csv_path}")
     print(f"track: loop of {len(loop)} samples, endpoint mismatch {mismatch:.2e} -> {path}")
-    return 0
-
-
-def cmd_volume(config: RunConfig) -> int:
-    t0 = time.perf_counter()
-    spec = _load(config.spec_path)
-    system = GaugedSystem(spec)
-    comp = find_complete(spec, system)
-    if not config.kappas:
-        raise ValueError("volume needs --kappa")
-    pt, path_ = _fill_one(spec, system, comp, config.kappas[0])
-    vol = anchored_volume(spec, path_)
-    integ = integrate_eta(path_, handedness_sign(spec))
-    body = {"status": "ok", "kappa": config.kappas[0], "volume": vol.to_json(),
-            "eta_integral": integ.value, "quadrature_error": integ.error_estimate,
-            "reference": spec.reference_volume.value}
-    path = write_report(config, f"{spec.name}_volume", body,
-                        {"total_s": time.perf_counter() - t0})
-    print(f"volume {config.kappas[0]}: {vol.value:.9f} "
-          f"(reference {spec.reference_volume.value:.9f}) -> {path}")
     return 0
 
 
@@ -261,19 +218,18 @@ def _generic_base_point(spec, problem, comp):
     return step_off_complete(problem, comp, du)
 
 
-def cmd_loops(config: RunConfig) -> int:
+def cmd_loops(args) -> int:
     t0 = time.perf_counter()
-    spec = _load(config.spec_path)
+    spec = _load(args.spec)
     system = GaugedSystem(spec)
     comp = find_complete(spec, system)
     problem = DeformationProblem(system)
     results, failures, dropped = run_exactness_loops(
-        spec, problem, comp, config.loops, config.seed,
-        config.tolerances["loop_exactness"])
+        spec, problem, comp, args.loops, args.seed, args.tol_loop_exactness)
     body = {"status": "ok" if not failures else "failed",
             "loop_integrals": results, "failures": failures, "dropped": dropped,
-            "tolerance": config.tolerances["loop_exactness"]}
-    path = write_report(config, f"{spec.name}_loops", body,
+            "tolerance": args.tol_loop_exactness}
+    path = write_report(args, f"{spec.name}_loops", body,
                         {"total_s": time.perf_counter() - t0})
     print(f"loops: {len(results)} loop integrals, max |I| = "
           f"{max(map(abs, results), default=0):.2e} -> {path}")
@@ -323,24 +279,22 @@ def run_exactness_loops(spec, problem, comp, count, seed, tol):
     return results, failures, dropped
 
 
-def cmd_fiber(config: RunConfig) -> int:
+def cmd_fiber(args) -> int:
     t0 = time.perf_counter()
-    spec = _load(config.spec_path)
+    spec = _load(args.spec)
     system = GaugedSystem(spec)
     comp = find_complete(spec, system)
     problem = DeformationProblem(system)
-    if not config.kappas:
-        raise ValueError("fiber needs --kappa for the base point")
-    kappa = FillingCoefficients.parse(config.kappas[0], spec.cusp_count)
+    kappa = FillingCoefficients.parse(args.kappa, spec.cusp_count)
     pt, path_ = solve_filling(problem, comp, kappa)
     z = pt.trace_vector()
-    report = fiber_over(system, z, [pt], budget=config.budget, seed=config.seed,
-                        dedup_tol=config.tolerances["dedup"])
+    report = fiber_over(system, z, [pt], budget=args.budget, seed=args.seed,
+                        dedup_tol=args.tol_dedup)
     body = {"status": "inconclusive" if report.inconclusive else "ok",
             "fiber": report.to_json()}
-    path = write_report(config, f"{spec.name}_fiber", body,
+    path = write_report(args, f"{spec.name}_fiber", body,
                         {"total_s": time.perf_counter() - t0})
-    print(f"fiber over kappa={config.kappas[0]}: sl2 {report.sl2_count}, "
+    print(f"fiber over kappa={args.kappa}: sl2 {report.sl2_count}, "
           f"psl2 {report.psl2_count}{' INCONCLUSIVE' if report.inconclusive else ''} -> {path}")
     return 2 if report.inconclusive else 0
 
@@ -349,9 +303,9 @@ def cmd_fiber(config: RunConfig) -> int:
 # certification
 # ---------------------------------------------------------------------------
 
-def cmd_certify(config: RunConfig) -> int:
+def cmd_certify(args) -> int:
     t0 = time.perf_counter()
-    spec = _load(config.spec_path)
+    spec = _load(args.spec)
     checks: list[dict] = []
     timings: dict = {}
 
@@ -364,19 +318,18 @@ def cmd_certify(config: RunConfig) -> int:
         flag = "INCONCLUSIVE" if inconclusive else ("PASS" if passed else "FAIL")
         print(f"  [{flag}] {name}: {details or value}")
 
-    print(f"certify {spec.name} (seed {config.seed})")
+    print(f"certify {spec.name} (seed {args.seed})")
     system = GaugedSystem(spec)
     try:
         comp = find_complete(spec, system)
     except NoCompleteStructureError as e:
         check("complete_structure", False, None, None, str(e))
-        path = write_report(config, f"{spec.name}_certify",
+        path = write_report(args, f"{spec.name}_certify",
                             {"checks": checks, "overall": "fail"},
                             {"total_s": time.perf_counter() - t0})
         print(f"certify: FAIL -> {path}")
         return 1
     problem = DeformationProblem(system)
-    tol = config.tolerances
 
     # volume anchor cross-check against the Lobachevsky oracle
     t1 = time.perf_counter()
@@ -399,50 +352,41 @@ def cmd_certify(config: RunConfig) -> int:
 
     # filled characters: volumes below reference, increasing, quadrature-stable
     t1 = time.perf_counter()
-    kappa_texts = config.kappas or _default_kappas(spec)
-    filled: list[tuple[str, object, object]] = []
-    for ktext in kappa_texts:
-        try:
-            kappa = FillingCoefficients.parse(ktext, spec.cusp_count)
-            pt, path_ = solve_filling(problem, comp, kappa)
-            filled.append((ktext, pt, path_))
-        except ContinuationError as e:
-            check(f"filling_{ktext}", False, None, None, str(e))
-    vols = []
-    quad_ok = True
-    quad_worst = 0.0
-    for ktext, pt, path_ in filled:
-        vol = anchored_volume(spec, path_)
-        vols.append((ktext, vol.value))
-        quad_worst = max(quad_worst, vol.quadrature_error)
-        if vol.quadrature_error >= tol["quadrature"]:
-            quad_ok = False
+    kappas = _kappas(spec, args.kappas)
+    fillings = sample_dense_set(problem, comp, kappas)
+    for f in fillings:
+        if f.point is None:
+            check(f"filling_{f.kappa.label()}", False, None, None, f.error)
+    filled = [f for f in fillings if f.point is not None]
+    vols = [(f.kappa.label(), anchored_volume(spec, f.path)) for f in filled]
     if filled:
-        below = all(v < spec.reference_volume.value for _, v in vols)
+        below = all(v.value < spec.reference_volume.value for _, v in vols)
         check("filled_volumes_below_reference", below,
-              {k: v for k, v in vols}, spec.reference_volume.value,
-              "; ".join(f"{k}: {v:.9f}" for k, v in vols))
-        ordered = [v for _, v in vols]
+              {k: v.value for k, v in vols}, spec.reference_volume.value,
+              "; ".join(f"{k}: {v.value:.9f}" for k, v in vols))
+        ordered = [v.value for _, v in vols]
         increasing = all(a < b for a, b in zip(ordered, ordered[1:])) \
-            if _kappas_are_increasing_series(kappa_texts) else True
+            if _is_increasing_series(kappas) else True
         check("filled_volumes_increase_toward_reference", increasing and below,
               ordered, spec.reference_volume.value)
-        check("quadrature_richardson_estimate", quad_ok, quad_worst, tol["quadrature"],
+        quad_worst = max(v.quadrature_error for _, v in vols)
+        check("quadrature_richardson_estimate", quad_worst < args.tol_quadrature,
+              quad_worst, args.tol_quadrature,
               f"worst Richardson difference {quad_worst:.2e}")
     timings["fillings_s"] = time.perf_counter() - t1
 
     # exactness loops
     t1 = time.perf_counter()
-    if config.loops > 0:
+    if args.loops > 0:
         integrals, failures, dropped = run_exactness_loops(
-            spec, problem, comp, config.loops, config.seed, tol["loop_exactness"])
+            spec, problem, comp, args.loops, args.seed, args.tol_loop_exactness)
         worst = max(map(abs, integrals), default=float("inf"))
-        check("loop_exactness", not failures, worst, tol["loop_exactness"],
+        check("loop_exactness", not failures, worst, args.tol_loop_exactness,
               f"{len(integrals)} loops, max |integral| = {worst:.2e}; dropped: " +
               ", ".join(f"{n} {why.replace('_', ' ')}" for why, n in dropped.items()))
     else:
         checks.append({"name": "loop_exactness", "status": "skipped",
-                       "value": None, "tolerance": tol["loop_exactness"],
+                       "value": None, "tolerance": args.tol_loop_exactness,
                        "details": "loop count 0"})
         print("  [SKIP] loop_exactness")
     timings["loops_s"] = time.perf_counter() - t1
@@ -450,12 +394,13 @@ def cmd_certify(config: RunConfig) -> int:
     # fibers: degree one, stability under budget doubling, volume equality
     t1 = time.perf_counter()
     overall_inconclusive = False
-    for ktext, pt, path_ in filled:
+    for f in filled:
+        ktext, pt = f.kappa.label(), f.point
         z = pt.trace_vector()
-        rep1 = fiber_over(system, z, [pt], budget=config.budget,
-                          seed=config.seed, dedup_tol=tol["dedup"])
-        rep2 = fiber_over(system, z, [pt], budget=2 * config.budget,
-                          seed=config.seed + 1, dedup_tol=tol["dedup"])
+        rep1 = fiber_over(system, z, [pt], budget=args.budget,
+                          seed=args.seed, dedup_tol=args.tol_dedup)
+        rep2 = fiber_over(system, z, [pt], budget=2 * args.budget,
+                          seed=args.seed + 1, dedup_tol=args.tol_dedup)
         stable = (rep1.sl2_count == rep2.sl2_count and
                   rep1.psl2_count == rep2.psl2_count)
         inconclusive = rep1.inconclusive or rep2.inconclusive or not stable
@@ -471,13 +416,13 @@ def cmd_certify(config: RunConfig) -> int:
         check(f"fiber_sl2_bound_{ktext}", bound_ok,
               rep1.sl2_count, rep1.psl2_count * z2.degree_bound,
               f"sl2 {rep1.sl2_count} <= psl2 {rep1.psl2_count} x 2^k {z2.degree_bound}")
-        paths = [path_ if np.max(np.abs(p.trace_vector() - z)) < 1e-6 and
+        paths = [f.path if np.max(np.abs(p.trace_vector() - z)) < 1e-6 and
                  np.max(np.abs(system.char_key(p.coords) -
                                system.char_key(pt.coords))) < 1e-6 else None
                  for p in rep1.points]
-        fv = fiber_volume_equality(spec, rep1, paths, tol["volume_equality"])
+        fv = fiber_volume_equality(spec, rep1, paths, args.tol_volume_equality)
         check(f"fiber_volume_equality_{ktext}", fv.passed, fv.max_difference,
-              tol["volume_equality"],
+              args.tol_volume_equality,
               f"max pairwise difference {fv.max_difference:.2e}"
               + (f"; notes: {'; '.join(fv.notes)}" if fv.notes else ""))
     timings["fibers_s"] = time.perf_counter() - t1
@@ -488,104 +433,127 @@ def cmd_certify(config: RunConfig) -> int:
     body = {"checks": checks, "overall": overall,
             "reference_volume": spec.reference_volume.value,
             "h1z2": {"h1_dim": z2.h1_dim, "k": z2.k, "bound": z2.degree_bound}}
-    path = write_report(config, f"{spec.name}_certify", body,
+    path = write_report(args, f"{spec.name}_certify", body,
                         {"total_s": time.perf_counter() - t0, **timings})
     print(f"certify: {overall.upper()} -> {path}")
     return 0 if overall == "pass" else (2 if overall == "inconclusive" else 1)
 
 
-def _default_kappas(spec: ManifoldSpec) -> list[str]:
-    if spec.cusp_count == 1:
-        return ["1,5", "1,7", "1,11"]
-    qs = [5, 7]
-    out = []
-    for combo in itertools.product(qs, repeat=spec.cusp_count):
-        out.append(";".join(f"1,{q}" for q in combo))
-    return out
+def _kappas(spec: ManifoldSpec, texts: list[str]) -> list[FillingCoefficients]:
+    """The slopes given on the command line, or by default (1,q) on every
+    cusp: q in 5, 7, 11 for one cusp, every combination of q in 5, 7 for
+    more."""
+    if texts:
+        return [FillingCoefficients.parse(k, spec.cusp_count) for k in texts]
+    qs = (5, 7, 11) if spec.cusp_count == 1 else (5, 7)
+    return [FillingCoefficients(tuple((1, q) for q in combo))
+            for combo in itertools.product(qs, repeat=spec.cusp_count)]
 
 
-def _kappas_are_increasing_series(kappa_texts: list[str]) -> bool:
+def _is_increasing_series(kappas: list[FillingCoefficients]) -> bool:
     """True for a single-cusp series (1,q1), (1,q2), ... with increasing q."""
-    qs = []
-    for k in kappa_texts:
-        if ";" in k:
-            return False
-        parts = k.split(",")
-        if len(parts) != 2 or parts[0].strip() != "1":
-            return False
-        qs.append(int(parts[1]))
-    return qs == sorted(qs) and len(set(qs)) == len(qs)
+    if any(len(k.slopes) != 1 or k.slopes[0] is None or k.slopes[0][0] != 1
+           for k in kappas):
+        return False
+    qs = [k.slopes[0][1] for k in kappas]
+    return all(a < b for a, b in zip(qs, qs[1:]))
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error by raising, so that `main` returns 1 (exit
+    code 2 means "inconclusive")."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(f"{self.prog}: {message}")
+
+
+class _Once(argparse.Action):
+    """An option that may be given once."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error(f"{option_string} may be given once")
+        setattr(namespace, self.dest, value)
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+_KAPPA_HELP = "filling coefficients, e.g. '1,5' or '1,5;inf'"
+
+# option name (its attribute on the parsed arguments) -> flag, argparse keywords
+OPTIONS = {
+    "kappas": ("--kappa", {"action": "append", "default": [], "metavar": "KAPPA",
+                           "help": _KAPPA_HELP + " (repeatable; default: (1,q) slopes)"}),
+    "kappa": ("--kappa", {"action": _Once, "required": True, "help": _KAPPA_HELP}),
+    "budget": ("--budget", {"type": int, "default": 64,
+                            "help": "multistart attempts per fiber"}),
+    "loops": ("--loops", {"type": int, "default": 10, "help": "exactness loops"}),
+    "csv": ("--csv", {"action": "store_true", "help": "also write a CSV trace"}),
+    **{f"tol_{name}": (f"--tol-{name.replace('_', '-')}",
+                       {"type": _positive, "default": value})
+       for name, value in DEFAULT_TOLERANCES.items()},
+}
+
+# command -> function, help, its own options
+COMMANDS = {
+    "complete": (cmd_complete, "solve for the complete hyperbolic structure", ()),
+    "apoly": (cmd_apoly, "eliminate to defining equations of the eigenvalue variety",
+              ("kappas", "tol_eliminant_residual")),
+    "fill": (cmd_fill, "solve a Dehn filling by continuation and give its anchored volume",
+             ("kappa", "csv")),
+    "track": (cmd_track, "track a random closed deformation loop", ("csv",)),
+    "loops": (cmd_loops, "exactness loop integrals of the volume form",
+              ("loops", "tol_loop_exactness")),
+    "fiber": (cmd_fiber, "count the fiber of the boundary-trace map over a filled point",
+              ("kappa", "budget", "tol_dedup")),
+    "h1z2": (cmd_h1z2, "mod-2 cohomology data and the degree bound", ()),
+    "certify": (cmd_certify, "run the full certification suite",
+                ("kappas", "budget", "loops", "tol_dedup", "tol_loop_exactness",
+                 "tol_quadrature", "tol_volume_equality")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="charvol",
         description="character varieties, eigenvalue varieties and the "
                     "volume differential for cusped hyperbolic 3-manifolds")
     sub = ap.add_subparsers(dest="command", required=True)
-    commands = {
-        "complete": "solve for the complete hyperbolic structure",
-        "apoly": "eliminate to defining equations of the eigenvalue variety",
-        "fill": "solve a Dehn filling by continuation",
-        "track": "track a random closed deformation loop",
-        "volume": "anchored volume of a filled character",
-        "loops": "exactness loop integrals of the volume form",
-        "fiber": "count the fiber of the boundary-trace map over a filled point",
-        "h1z2": "mod-2 cohomology data and the degree bound",
-        "certify": "run the full certification suite",
-    }
-    for name, help_ in commands.items():
-        p = sub.add_parser(name, help=help_)
+    for command, (_, help_, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
         p.add_argument("--spec", required=True,
                        help="path to a .spec file or a fixture name "
                             f"({', '.join(fixtures.FIXTURE_NAMES)})")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=64)
-        p.add_argument("--loops", type=int, default=10)
-        p.add_argument("--kappa", action="append", default=[],
-                       help="filling coefficients, e.g. '1,5' or '1,5;inf' "
-                            "(repeatable)")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--csv", action="store_true", help="also write CSV traces")
-        for tname in DEFAULT_TOLERANCES:
-            p.add_argument(f"--tol-{tname.replace('_', '-')}", type=float,
-                           default=None, dest=f"tol_{tname}")
+        for name in options:
+            flag, kwargs = OPTIONS[name]
+            p.add_argument(flag, dest=name, **kwargs)
     return ap
 
 
-def config_from_args(args) -> RunConfig:
-    tolerances = dict(DEFAULT_TOLERANCES)
-    for k in DEFAULT_TOLERANCES:
-        v = getattr(args, f"tol_{k}", None)
-        if v is not None:
-            tolerances[k] = v
-    return RunConfig(command=args.command, spec_path=args.spec, seed=args.seed,
-                     tolerances=tolerances, budget=args.budget, loops=args.loops,
-                     kappas=list(args.kappa), out_dir=args.out, csv=args.csv)
-
-
-COMMANDS = {
-    "complete": cmd_complete,
-    "apoly": cmd_apoly,
-    "fill": cmd_fill,
-    "track": cmd_track,
-    "volume": cmd_volume,
-    "loops": cmd_loops,
-    "fiber": cmd_fiber,
-    "h1z2": cmd_h1z2,
-    "certify": cmd_certify,
-}
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-        return COMMANDS[config.command](config)
+        args = build_parser().parse_args(argv)
+    except UsageError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    try:
+        return COMMANDS[args.command][0](args)
     except (SpecError, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

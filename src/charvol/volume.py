@@ -130,6 +130,7 @@ class VolumeLabel:
     anchor: str
     path_id: str
     quadrature_error: float
+    eta_integral: float     # the path integral added to the anchor
 
     def to_json(self):
         return {"value": self.value, "anchor": self.anchor,
@@ -151,13 +152,14 @@ def anchored_volume(spec: ManifoldSpec, path: TrackedPath) -> VolumeLabel:
                            anchor=f"complete structure of {spec.name} "
                                   f"({'+' if sign > 0 else '-'}reference)",
                            path_id=path.description or "trivial path",
-                           quadrature_error=0.0)
+                           quadrature_error=0.0, eta_integral=0.0)
     integ = integrate_eta(path, handedness_sign(spec))
     return VolumeLabel(value=anchor_value + integ.value,
                        anchor=f"complete structure of {spec.name} "
                               f"({'+' if sign > 0 else '-'}reference)",
                        path_id=path.description or f"path[{len(path.points)}]",
-                       quadrature_error=integ.error_estimate)
+                       quadrature_error=integ.error_estimate,
+                       eta_integral=integ.value)
 
 
 # ---------------------------------------------------------------------------

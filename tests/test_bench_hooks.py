@@ -3,6 +3,7 @@ charvol must not silently break it."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -72,3 +73,17 @@ def test_each_compiled_evaluation_counts_once():
             assert tracer.hot["poly.compiled"][0] == before + 1, method
     finally:
         tracer.uninstall()
+
+
+def test_benchmark_workload_command_lines_parse(monkeypatch, tmp_path):
+    """perfbench/run.py appends `--seed N --out DIR` to each workload's
+    command line; the CLI must accept every one, or the benchmark stops."""
+    from charvol import cli
+    monkeypatch.syspath_prepend(str(SPANS.parent))  # run.py imports its siblings
+    spec = importlib.util.spec_from_file_location("perfbench_run", SPANS.parent / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look it up
+    spec.loader.exec_module(run)
+    for name, wl in run.WORKLOADS.items():
+        args = cli.build_parser().parse_args([*wl.argv, "--seed", "0", "--out", str(tmp_path)])
+        assert (args.command, args.seed, args.out) == (wl.argv[0], 0, str(tmp_path)), name

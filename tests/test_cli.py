@@ -61,9 +61,9 @@ def test_fill_and_volume_commands(tmp_path):
     assert csv[0].startswith("t,re_u1")
     assert len(csv) > 100
 
-    code = run(["volume", "--spec", "fig8", "--kappa", "1,7", "--out", str(tmp_path)])
+    code = run(["fill", "--spec", "fig8", "--kappa", "1,7", "--out", str(tmp_path)])
     assert code == 0
-    doc = json.loads((tmp_path / "fig8_volume.json").read_text())
+    doc = json.loads((tmp_path / "fig8_fill.json").read_text())
     assert doc["report"]["volume"]["value"] < doc["report"]["reference"]
 
 
@@ -229,9 +229,54 @@ def test_different_seed_changes_search(tmp_path):
 
 
 def test_tolerance_flags_must_be_positive(tmp_path):
-    code = run(["h1z2", "--spec", "fig8", "--out", str(tmp_path),
-                "--tol-residual", "-1"])
+    code = run(["loops", "--spec", "fig8", "--out", str(tmp_path),
+                "--tol-loop-exactness", "-1"])
     assert code == 1
+
+
+# a valid command line for each command; the usage tests add one bad option
+VALID = {
+    "complete": ["complete", "--spec", "nonhyp"],
+    "apoly": ["apoly", "--spec", "abelian"],
+    "fill": ["fill", "--spec", "fig8", "--kappa", "1,5"],
+    "track": ["track", "--spec", "fig8"],
+    "loops": ["loops", "--spec", "fig8", "--loops", "1"],
+    "fiber": ["fiber", "--spec", "fig8", "--kappa", "1,5", "--budget", "4"],
+    "h1z2": ["h1z2", "--spec", "fig8"],
+    "certify": ["certify", "--spec", "nonhyp"],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    VALID["h1z2"] + ["--budget", "5"],
+    VALID["complete"] + ["--tol-dedup", "1e-3"],
+    VALID["certify"] + ["--csv"],
+    VALID["certify"] + ["--bogus"],
+    VALID["fill"] + ["--kappa", "1,7"],
+    VALID["fiber"] + ["--kappa", "1,7"],
+    *(VALID[c] + [flag, "1e-3"] for c in VALID
+      for flag in ("--tol-residual", "--tol-parabolic-trace")),
+], ids=" ".join)
+def test_usage_errors_exit_1(argv, tmp_path, capsys):
+    """An option the command does not read is a usage error: an `error:`
+    line and exit code 1 (2 means inconclusive)."""
+    assert run(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert any(line.startswith("error: ") for line in err)
+    assert not list(tmp_path.iterdir())
+
+
+def test_report_config_records_exactly_the_command_options(tmp_path):
+    assert run(["certify", "--spec", "nonhyp", "--out", str(tmp_path)]) == 1
+    config = json.loads((tmp_path / "nonhyp_certify.json").read_text())["config"]
+    assert config == {"command": "certify", "spec": "nonhyp", "seed": 0,
+                      "out": str(tmp_path), "kappas": [], "budget": 64, "loops": 10,
+                      "tolerances": {"dedup": 1e-6, "loop_exactness": 1e-6,
+                                     "quadrature": 1e-7, "volume_equality": 1e-6}}
+    assert run(["h1z2", "--spec", "fig8", "--out", str(tmp_path)]) == 0
+    config = json.loads((tmp_path / "fig8_h1z2.json").read_text())["config"]
+    assert config == {"command": "h1z2", "spec": "fig8", "seed": 0,
+                      "out": str(tmp_path), "tolerances": {}}
 
 
 def test_certify_small_fig8(tmp_path):
