@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -210,6 +210,16 @@ class TrackedPath:
         return "\n".join(lines) + "\n"
 
 
+def _branch_jump(old: CharacterPoint, new: CharacterPoint) -> Optional[str]:
+    """The branch check of one step: None when every log increment stays
+    below pi/2 in imaginary part, else which one reached it."""
+    for i, (a, b) in enumerate(zip(old.cusps, new.cusps), 1):
+        for name, d in (("u", b.u - a.u), ("v", b.v - a.v)):
+            if abs(d.imag) >= PI / 2:
+                return f"the branch check (cusp {i}, log {name}, increment {d:.3g})"
+    return None
+
+
 def track(problem: DeformationProblem, start: CharacterPoint,
           family: ConstraintFamily,
           tau0: float = 0.0, tau1: float = 1.0,
@@ -235,19 +245,15 @@ def track(problem: DeformationProblem, start: CharacterPoint,
         if (tau + step - tau1) * (1 if tau1 >= tau0 else -1) > 0:
             step = tau1 - tau
         xpred = problem.predict(points, taus, family, step)
-        new_pt, res, accept = problem.correct(xpred, pt, family, tau + step, tol=tol)
-        if accept:
-            for c_new, c_old in zip(new_pt.cusps, pt.cusps):
-                if abs((c_new.u - c_old.u).imag) >= PI / 2 or \
-                   abs((c_new.v - c_old.v).imag) >= PI / 2:
-                    accept = False
-                    break
-        if not accept:
+        new_pt, res, converged = problem.correct(xpred, pt, family, tau + step, tol=tol)
+        cause = _branch_jump(pt, new_pt) if converged else \
+            f"Newton (residual {res:.2e})"
+        if cause:
             rejected += 1
             dtau *= 0.5
             if abs(dtau) < min_step:
-                raise TrackingError(
-                    f"minimum step reached at tau={tau:.6f} (residual {res:.2e})")
+                raise TrackingError(f"minimum step reached at tau={tau:.6f}; "
+                                    f"the last step was rejected by {cause}")
             continue
         interior = abs(tau + step - tau1) > 1e-14
         # a cusp that has deformed away from its base lift yet returned to
@@ -501,7 +507,7 @@ class FiberReport:
     count_history: list[int]
     seed: int
     budget: int
-    volumes: Optional[list[float]] = None
+    monodromy_dropped: dict = field(default_factory=dict)  # monodromy loops dropped, by reason
 
     def to_json(self) -> dict:
         c = lambda zz: [zz.real, zz.imag]
@@ -518,7 +524,7 @@ class FiberReport:
             "count_history": self.count_history,
             "seed": self.seed,
             "budget": self.budget,
-            "volumes": self.volumes,
+            "monodromy_dropped": self.monodromy_dropped,
             "points": [p.to_json() for p in self.points],
         }
 
@@ -599,14 +605,16 @@ def fiber_over(system: GaugedSystem, z: np.ndarray,
         history.append(len(points))
 
     # monodromy loops around the meridian-log coordinates, filtered by z-return
-    if monodromy_loops and points:
-        try:
-            problem = DeformationProblem(system)
-            for _ in range(monodromy_loops):
-                _monodromy_loop(problem, points, z, rng, register)
-                history.append(len(points))
-        except ContinuationError:
-            pass
+    dropped = {"near_U": 0, "tracking_failed": 0}
+    if points:
+        problem = DeformationProblem(system)
+        for _ in range(monodromy_loops):
+            try:
+                if not _monodromy_loop(problem, points, z, rng, register):
+                    dropped["near_U"] += 1
+            except ContinuationError:
+                dropped["tracking_failed"] += 1
+            history.append(len(points))
 
     quarter = max(1, len(history) // 4)
     inconclusive = (not points) or \
@@ -657,7 +665,8 @@ def fiber_over(system: GaugedSystem, z: np.ndarray,
         z=z, points=points, keys=keys, twist_pairs=twist_pairs, orbits=orbits,
         sl2_count=len(points), psl2_count=len(orbits),
         inconclusive=inconclusive, excluded=excluded, excluded_reason=reason,
-        branch_ok=branch_ok, count_history=history, seed=seed, budget=budget)
+        branch_ok=branch_ok, count_history=history, seed=seed, budget=budget,
+        monodromy_dropped=dropped)
 
 
 def _twist_key(system: GaugedSystem, key: np.ndarray, tw: SignTwist) -> np.ndarray:
@@ -715,13 +724,16 @@ def track_closed_loop(problem: DeformationProblem, base: CharacterPoint,
 
 def _monodromy_loop(problem, points, z, rng, register):
     """Track a random u-coordinate ellipse from a random known fiber point;
-    keep the endpoint only if its full trace vector returns to z."""
+    keep the endpoint only if its full trace vector returns to z.  Returns
+    False for a loop that passes near U, which is not a legal monodromy
+    loop."""
     base = points[int(rng.integers(len(points)))]
     path = track(problem, base, random_log_loop_targets(base, rng), tau0=0.0, tau1=1.0,
                  first_step=0.05, max_step=0.08,
                  description="monodromy loop", allow_V_interior=True)
     if any(on_U(eigenvalues(pt), LOCUS_TOL["near"]) for pt in path.points):
-        return  # loop passed too close to U; not a legal monodromy loop
+        return False
     end = path.endpoint()
     if np.max(np.abs(end.trace_vector() - z)) < 1e-7:
         register(end.coords)
+    return True

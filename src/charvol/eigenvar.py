@@ -310,8 +310,10 @@ def eliminate(ext: ExtendedSystem, samples: Optional[Sequence[np.ndarray]] = Non
                 stage.append(localize(r))
         if not stage and not passthrough:
             raise DimensionAnomalyError(
-                f"all resultants vanished while eliminating {var}: "
-                "the projection is degenerate")
+                f"all resultants vanished while eliminating {var}: " +
+                ("the projection is degenerate" if samples is not None else
+                 "nothing was localized at X0, so the pivot shares its factor "
+                 "with every other user; the chain needs samples on X0"))
         tree.append(f"eliminate {var} against pivot with {len(stage)} resultants")
         work = passthrough + stage
 

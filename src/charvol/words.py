@@ -36,13 +36,6 @@ def invert_word(w: Sequence[int]) -> Word:
     return tuple(-g for g in reversed(w))
 
 
-def concat(*ws: Sequence[int]) -> Word:
-    out: list[int] = []
-    for w in ws:
-        out.extend(w)
-    return free_reduce(out)
-
-
 def exponent_sums(w: Sequence[int], ngens: int) -> list[int]:
     """Abelianized image of the word in Z^ngens."""
     a = [0] * ngens

@@ -283,6 +283,31 @@ def test_track_reports_min_step_failure(fig8_problem, fig8_complete):
               min_step=0.2)
 
 
+def test_track_min_step_error_names_the_branch_check(fig8_problem, fig8_complete,
+                                                     monkeypatch):
+    """When Newton converges but every step moves a log by pi/2 or more, the
+    minimum-step error names the branch check, the cusp, the log and the
+    increment rather than a residual."""
+    base = step_off_complete(fig8_problem, fig8_complete, [0.3])
+    u0 = base.cusps[0].u - base.cusps[0].base_u
+    family = pin_log(lambda tau: np.array([u0 + 0.01 * tau]))
+    correct = fig8_problem.correct
+
+    def jumping(*args, **kwargs):
+        pt, res, ok = correct(*args, **kwargs)
+        pt = copy.deepcopy(pt)
+        pt.cusps[0].u += 2j
+        return pt, res, ok
+    monkeypatch.setattr(fig8_problem, "correct", jumping)
+    with pytest.raises(TrackingError, match=r"rejected by the branch check "
+                                            r"\(cusp 1, log u, increment .*2j\)"):
+        track(fig8_problem, base, family, first_step=0.1, max_step=0.1, min_step=0.01)
+    monkeypatch.undo()
+    far = pin_log(lambda tau: np.array([u0 + tau * (40 + 40j)]))
+    with pytest.raises(TrackingError, match=r"rejected by Newton \(residual "):
+        track(fig8_problem, base, far, first_step=1.0, max_step=1.0, min_step=0.2)
+
+
 def test_tracked_path_samples_validate(fig8_fillings):
     _, _, path = fig8_fillings[0]
     for pt in path.points[:: max(1, len(path) // 7)]:
@@ -392,6 +417,28 @@ def test_fiber_over_filled_point_degree_one(fig8_system, fig8_fillings):
     assert not report.inconclusive
     assert not report.excluded
     assert all(report.branch_ok)
+
+
+def test_fiber_monodromy_loop_failure_is_counted(fig8_system, fig8_fillings,
+                                                monkeypatch):
+    """A monodromy loop that fails to track is counted, and the other loops
+    still run."""
+    import charvol.continuation as cont
+    calls, loop = [], cont._monodromy_loop
+
+    def first_fails(*args):
+        calls.append(1)
+        if len(calls) == 1:
+            raise TrackingError("minimum step reached")
+        return loop(*args)
+    monkeypatch.setattr(cont, "_monodromy_loop", first_fails)
+    _, pt, _ = fig8_fillings[0]
+    report = fiber_over(fig8_system, pt.trace_vector(), [pt], budget=8,
+                        seed=3, monodromy_loops=3)
+    assert len(calls) == 3 and len(report.count_history) == 8 + 3
+    assert report.monodromy_dropped == {"near_U": 0, "tracking_failed": 1}
+    assert report.to_json()["monodromy_dropped"] == report.monodromy_dropped
+    assert report.sl2_count == 1
 
 
 def test_fiber_count_stable_under_budget_doubling(fig8_system, fig8_fillings):

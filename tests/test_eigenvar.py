@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import charvol
-from charvol.eigenvar import (EigenvaluePoint, EigenvarError, EliminationBudgetError,
-                              _localize, _scaled_residual, build_extended, eliminate,
-                              extended_point, gamma_act, sample_point)
+from charvol.eigenvar import (DimensionAnomalyError, EigenvaluePoint, EigenvarError,
+                              EliminationBudgetError, _localize, _scaled_residual,
+                              build_extended, eliminate, extended_point, gamma_act,
+                              sample_point)
 from charvol.continuation import step_off_complete
 from charvol.fixtures import fixture_text
 from charvol.locus import on_U
@@ -217,6 +218,14 @@ def test_eliminate_raises_for_an_empty_sample_list(abelian_spec, fig8_extended):
     es = eliminate(abelian, samples=None)
     assert [p.as_text() for p in es.polynomials] == ["-1 + 1*l1^2"]
     assert not es.validated
+
+
+def test_eliminate_without_samples_on_fig8_says_the_chain_needs_samples(fig8_extended):
+    """Unlocalized, fig8's pivot shares its factor through X0 with every
+    other user of p; the error says so rather than blaming the projection."""
+    with pytest.raises(DimensionAnomalyError, match="nothing was localized at X0.*"
+                                                    "the chain needs samples"):
+        eliminate(fig8_extended, samples=None)
 
 
 # -- localizing at the samples ------------------------------------------------
