@@ -141,26 +141,13 @@ class DeformationProblem:
         return (make_character_point(self.system, r.x, prev=prev, vals=F.vals),
                 r.residual, True)
 
-    def predict(self, points: Sequence[CharacterPoint], taus: Sequence[float],
-                family: ConstraintFamily, step):
+    def predict(self, points: Sequence[CharacterPoint], taus: Sequence[float], step):
         """Predicted coordinates at taus[-1] + step on the path through the
-        accepted samples `points` at `taus`.
-
-        From one sample: the first-order tangent of the family's target
-        motion (one evaluation and one least-squares solve).  From more: the
-        polynomial in tau through the last four samples (cubic once four
-        exist), evaluated in Lagrange form with no evaluation or solve."""
-        tau = taus[-1]
-        if len(points) == 1:
-            pt, h = points[0], 1e-6
-            _, J = self._rows(pt, family, tau)(pt.coords)
-            dtarget = [(a - b) / (2 * h)
-                       for a, b in zip(family.target(tau + h), family.target(tau - h))]
-            b = np.concatenate([np.zeros(J.shape[0] - len(dtarget), dtype=complex), dtarget])
-            dxdtau, *_ = np.linalg.lstsq(J, b, rcond=None)
-            return pt.coords + step * dxdtau
+        accepted samples `points` at `taus`: the polynomial in tau through
+        the last four samples (cubic once four exist, constant from one),
+        evaluated in Lagrange form with no evaluation or solve."""
         nodes = taus[-4:]
-        t = tau + step
+        t = taus[-1] + step
         x = 0
         for j, (tj, pt) in enumerate(zip(nodes, points[-4:])):
             w = 1.0
@@ -244,7 +231,7 @@ def track(problem: DeformationProblem, start: CharacterPoint,
         step = dtau
         if (tau + step - tau1) * (1 if tau1 >= tau0 else -1) > 0:
             step = tau1 - tau
-        xpred = problem.predict(points, taus, family, step)
+        xpred = problem.predict(points, taus, step)
         new_pt, res, converged = problem.correct(xpred, pt, family, tau + step, tol=tol)
         cause = _branch_jump(pt, new_pt) if converged else \
             f"Newton (residual {res:.2e})"
