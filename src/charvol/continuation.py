@@ -494,7 +494,8 @@ class FiberReport:
     count_history: list[int]
     seed: int
     budget: int
-    monodromy_dropped: dict = field(default_factory=dict)  # monodromy loops dropped, by reason
+    # monodromy loops dropped, by reason
+    monodromy_dropped: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         c = lambda zz: [zz.real, zz.imag]
