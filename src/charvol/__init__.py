@@ -13,9 +13,8 @@ from .eigenvar import (EigenvaluePoint, EliminantSet, ExtendedSystem,
 from .continuation import (DeformationProblem, FillingCoefficients, FiberReport,
                            TrackedPath, fiber_over, jacobian_check, newton_correct,
                            sample_dense_set, solve_filling, track)
-from .volume import (EtaValue, VolumeLabel, anchored_volume, eta_at,
-                     fiber_volume_equality, integrate_eta, lobachevsky,
-                     loop_integral)
+from .volume import (EtaValue, VolumeLabel, anchored_volume, eta_at, integrate_eta,
+                     lobachevsky, loop_integral)
 
 __all__ = [
     "ManifoldSpec", "SpecError", "Z2CohomologyData", "h1_z2", "load_spec",
@@ -26,5 +25,5 @@ __all__ = [
     "FillingCoefficients", "FiberReport", "TrackedPath", "fiber_over",
     "jacobian_check", "newton_correct", "sample_dense_set", "solve_filling",
     "track", "EtaValue", "VolumeLabel", "anchored_volume", "eta_at",
-    "fiber_volume_equality", "integrate_eta", "lobachevsky", "loop_integral",
+    "integrate_eta", "lobachevsky", "loop_integral",
 ]

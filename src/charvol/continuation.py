@@ -282,31 +282,6 @@ def step_off_complete(problem: DeformationProblem, complete: CharacterPoint,
     return pt
 
 
-def track_from_complete(problem: DeformationProblem, complete: CharacterPoint,
-                        du: Sequence[complex], max_step: float = 0.02,
-                        tol: float = 1e-11) -> TrackedPath:
-    """Finely tracked straight segment in normalized meridian logs from the
-    complete structure to the given offsets.
-
-    The first micro-step leaves the branch point by direct slot seeding; the
-    rest is pinned-log tracking.  Integrating the volume form over a single
-    long jump from the complete structure misses the cubic terms of the
-    longitude log, so paths used for volumes must come through here."""
-    scale = max(abs(d) for d in du)
-    if scale == 0:
-        return TrackedPath(points=[complete], taus=[0.0], description="trivial segment")
-    first = min(1e-2 / scale, 0.2)
-    start = step_off_complete(problem, complete, [d * first for d in du], tol=tol)
-    path = track(problem, start, pin_log(lambda tau: [tau * d for d in du]),
-                 tau0=first, tau1=1.0, first_step=min(max_step / scale, 0.05),
-                 max_step=min(max_step / scale, 0.05), tol=tol,
-                 description="segment from the complete structure",
-                 allow_V_interior=False)
-    return TrackedPath(points=[complete] + path.points, taus=[0.0] + path.taus,
-                       description=path.description,
-                       steps_rejected=path.steps_rejected)
-
-
 def cusp_shape_matrix(problem: DeformationProblem, complete: CharacterPoint,
                       delta: float = 1e-2) -> np.ndarray:
     """tau[i][j] ~ d v_i / d u_j at the complete structure, by one-sided
@@ -342,17 +317,25 @@ class FillingCoefficients:
 
     @staticmethod
     def parse(text: str, cusp_count: int) -> "FillingCoefficients":
-        """'1,5' or '1,5;inf' style."""
+        """One slope per cusp, separated by ';': integers 'p,q', or 'inf' for
+        an unfilled cusp, as in '1,5' or '1,5;inf'.  Malformed text raises a
+        ValueError that quotes it."""
+        def malformed(why: str) -> ValueError:
+            return ValueError(f"filling coefficients {text!r}: {why}; expected p,q or inf "
+                              f"for each of {cusp_count} cusp(s), separated by ';'")
         parts = [p.strip() for p in text.split(";")]
         if len(parts) != cusp_count:
-            raise ValueError(f"expected {cusp_count} slope(s), got {len(parts)}")
+            raise malformed(f"{len(parts)} slope(s)")
         slopes = []
         for p in parts:
             if p in ("inf", "oo", "*"):
                 slopes.append(None)
-            else:
+                continue
+            try:
                 a, b = p.split(",")
                 slopes.append((int(a), int(b)))
+            except ValueError:
+                raise malformed(f"{p!r} is not p,q") from None
         return FillingCoefficients(tuple(slopes))
 
     def label(self) -> str:
@@ -431,14 +414,21 @@ def make_filling_route_via_detour(problem: DeformationProblem,
                                   slope: tuple[int, int], detour: complex,
                                   ) -> TrackedPath:
     """An alternative route from the complete structure to a one-cusp filled
-    character: step off toward `detour` in the u-coordinate, then morph the
-    combination p*u + q*v linearly onto the filling value 2 pi i.  Used by
-    path-independence checks; the endpoint agrees with solve_filling's when
-    the detour stays in the same tracking basin."""
+    character: a straight segment to the nonzero offset `detour` in the
+    normalized u-coordinate, then a linear morph of the combination p*u + q*v
+    onto the filling value 2 pi i.  A test oracle for path independence; the
+    endpoint agrees with solve_filling's when the detour stays in the same
+    tracking basin."""
     if len(problem.system.cusps) != 1:
         raise TrackingError("detour route helper supports one cusp")
     p, q = slope
-    approach = track_from_complete(problem, complete, [detour], max_step=0.002)
+    # leave the branch point at the complete structure by slot seeding, then
+    # track the pinned meridian log in steps of 0.002 in u
+    first = min(1e-2 / abs(detour), 0.2)
+    step = min(0.002 / abs(detour), 0.05)
+    start = step_off_complete(problem, complete, [detour * first], tol=1e-11)
+    approach = track(problem, start, pin_log(lambda tau: [tau * detour]),
+                     tau0=first, tau1=1.0, first_step=step, max_step=step)
     start = approach.endpoint()
     # the family's left-hand side p*u + q*v (normalized) at the detour point
     c0 = ConstraintFamily(p, q, lambda tau: [0j]).residual(start, 0.0)
@@ -446,7 +436,9 @@ def make_filling_route_via_detour(problem: DeformationProblem,
     path = track(problem, start, family, tau0=0.0, tau1=1.0,
                  first_step=0.002, max_step=0.002,
                  description=f"detour filling route ({p},{q})")
-    return concatenate_paths(approach, path)
+    route = concatenate_paths(approach, path)
+    return TrackedPath(points=[complete] + route.points, taus=[0.0] + route.taus,
+                       description=path.description, steps_rejected=route.steps_rejected)
 
 
 @dataclass
@@ -454,23 +446,21 @@ class FilledCharacter:
     kappa: FillingCoefficients
     point: Optional[CharacterPoint]
     path: Optional[TrackedPath]
-    off_pU: bool
     error: Optional[str] = None
 
 
 def sample_dense_set(problem: DeformationProblem, complete: CharacterPoint,
                      kappas: Sequence[FillingCoefficients]) -> list[FilledCharacter]:
     """Filled characters chi_kappa for the given slopes: a finite sample of
-    the Zariski-dense filled set, with each trace point checked off the image
-    of U.  A filling that fails is recorded with its error."""
+    the Zariski-dense filled set.  A filling that fails is recorded with its
+    error."""
     out = []
     for kappa in kappas:
         try:
             pt, path = solve_filling(problem, complete, kappa)
-            off = not on_V(traces(pt), LOCUS_TOL["near"])
-            out.append(FilledCharacter(kappa, pt, path, off))
+            out.append(FilledCharacter(kappa, pt, path))
         except ContinuationError as e:
-            out.append(FilledCharacter(kappa, None, None, False, error=str(e)))
+            out.append(FilledCharacter(kappa, None, None, error=str(e)))
     return out
 
 

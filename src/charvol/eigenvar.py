@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .poly import Polynomial, PolySystem, factor_list, resultant
+from .poly import Polynomial, factor_list, resultant
 from .repvar import CharacterPoint, GaugedSystem
 
 
@@ -63,8 +63,6 @@ class ExtendedSystem:
         def var(name, power=1):
             return Polynomial.variable(name, V, lau, power)
 
-        base = [_embed(p, V, lau) for p in gauged.system.polynomials]
-        self.gauge_equations = list(base)
         self.trace_equations = []
         for i, cf in enumerate(gauged.cusps, start=1):
             m, l = var(f"m{i}"), var(f"l{i}")
@@ -77,9 +75,8 @@ class ExtendedSystem:
                 IL - l - linv,
                 IML - m * l - minv * linv,
             ]
-        self.system = PolySystem(base + self.trace_equations, V, description=(
-            f"extended variety of {gauged.spec.name}: gauge slice with "
-            "peripheral eigenvalue units adjoined"))
+        self.polynomials = [_embed(p, V, lau) for p in gauged.polynomials] + \
+            self.trace_equations
 
     @property
     def added_generators(self) -> int:
@@ -274,7 +271,7 @@ def eliminate(ext: ExtendedSystem, samples: Optional[Sequence[np.ndarray]] = Non
     tree = []
     subs: dict[str, Polynomial] = {}
     remaining = []
-    for eq in ext.system.polynomials:
+    for eq in ext.polynomials:
         hit = _detect_slot_substitution(eq, gauge_vars, ext.peripheral_vars,
                                         samples, sample_tol)
         if hit is not None and hit[0] not in subs:

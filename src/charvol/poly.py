@@ -453,38 +453,8 @@ def resultant(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# polynomial systems and symbolic 2x2 matrices
+# symbolic 2x2 matrices
 # ---------------------------------------------------------------------------
-
-class PolySystem:
-    """A list of polynomials over one shared variable ordering."""
-
-    def __init__(self, polynomials: list[Polynomial], variable_names: tuple[str, ...],
-                 description: str = ""):
-        for p in polynomials:
-            if p.vars != tuple(variable_names):
-                raise VariableMismatchError("system polynomials must share the variable ordering")
-        self.polynomials = list(polynomials)
-        self.variable_names = tuple(variable_names)
-        self.description = description
-
-    def __len__(self):
-        return len(self.polynomials)
-
-    def evaluate(self, point) -> np.ndarray:
-        return np.array([p.evaluate(point) for p in self.polynomials], dtype=complex)
-
-    def residual(self, point) -> float:
-        vals = self.evaluate(point)
-        return float(np.max(np.abs(vals))) if len(vals) else 0.0
-
-    def to_json(self) -> dict:
-        return {
-            "description": self.description,
-            "vars": list(self.variable_names),
-            "polynomials": [p.to_json() for p in self.polynomials],
-        }
-
 
 class SymMatrix2:
     """2x2 matrix with Polynomial entries."""

@@ -20,7 +20,7 @@ import numpy as np
 from .locus import TOLERANCES
 from .manifold import ManifoldSpec, relator_matrix, gf2_nullspace
 from .matrices import GaugeError, gauge_coord_names, gauge_matrices, regauge
-from .poly import (CompiledSystem, Polynomial, PolySystem, SymMatrix2,
+from .poly import (CompiledSystem, Polynomial, SymMatrix2,
                    trace_poly, word_matrix)
 from .words import Word, invert_word, sign_character
 
@@ -90,9 +90,7 @@ class GaugedSystem:
             polys.extend((A.a - B.a, A.b - B.b, A.c - B.c, A.d - B.d))
         for j in range(3, n + 1):
             polys.append(gens[j - 1].det() - one)
-        self.system = PolySystem(polys, V, description=(
-            f"gauge slice of the SL2(C) representation variety of {spec.name}: "
-            "generator 1 = [[s,1],[0,1/s]], generator 2 = [[p,0],[t,1/p]]"))
+        self.polynomials = polys    # the gauge relations
 
         self.cusps: list[CuspFunctions] = []
         for c in spec.cusps:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class EtaValue:
     """Coefficients of the volume form at a point: per cusp the pair
     (d/d Im u, d/d Im v) = (-Re v, +Re u), sign-flipped for right-handed bases."""
     coefficients: list[tuple[float, float]]
-    on_U: bool
 
     def max_abs(self) -> float:
         return max((max(abs(a), abs(b)) for a, b in self.coefficients), default=0.0)
@@ -44,12 +43,10 @@ class EtaValue:
 
 def eta_at(pt: CharacterPoint, handedness_sign: int = 1) -> EtaValue:
     """Evaluate the form's coefficients from a character point's branch
-    lifts.  Points on U are flagged, not rejected (the form extends by the
-    same formula)."""
-    lifts = [(c.u, c.v) for c in pt.cusps]
-    coeffs = [(handedness_sign * (-v.real), handedness_sign * (u.real)) for u, v in lifts]
-    onu = on_U([(np.exp(u), np.exp(v)) for u, v in lifts])
-    return EtaValue(coefficients=coeffs, on_U=onu)
+    lifts.  Points on U are not rejected (the form extends by the same
+    formula)."""
+    return EtaValue(coefficients=[(handedness_sign * (-c.v.real), handedness_sign * c.u.real)
+                                  for c in pt.cusps])
 
 
 def _segment_increment(a: CharacterPoint, b: CharacterPoint, sign: int) -> float:
@@ -231,46 +228,3 @@ def reference_volume_from_formula(spec: ManifoldSpec) -> Optional[float]:
     coeff, num, den = lob
     return coeff * lobachevsky(math.pi * num / den)
 
-
-# ---------------------------------------------------------------------------
-# fiber volume equality
-# ---------------------------------------------------------------------------
-
-@dataclass
-class FiberVolumeCheck:
-    volumes: list[Optional[float]]
-    max_difference: float
-    passed: bool
-    excluded: list[int]
-    notes: list[str]
-
-
-def fiber_volume_equality(spec: ManifoldSpec, report,
-                          paths: Sequence[Optional[TrackedPath]],
-                          tol: float = 1e-6) -> FiberVolumeCheck:
-    """Anchored volumes across one fiber of the restriction map must agree.
-
-    `paths` supplies a tracked path from the complete structure to each fiber
-    point (None when no path could be constructed; such points are excluded
-    with a note, as are points failing the branch full-rank test)."""
-    volumes: list[Optional[float]] = []
-    excluded: list[int] = []
-    notes: list[str] = []
-    for idx, (pt, ok) in enumerate(zip(report.points, report.branch_ok)):
-        path = paths[idx] if idx < len(paths) else None
-        if not ok:
-            excluded.append(idx)
-            notes.append(f"point {idx}: on the branch locus V'; excluded")
-            volumes.append(None)
-            continue
-        if path is None:
-            excluded.append(idx)
-            notes.append(f"point {idx}: no tracked path from the complete structure")
-            volumes.append(None)
-            continue
-        volumes.append(anchored_volume(spec, path).value)
-    present = [v for v in volumes if v is not None]
-    if len(present) <= 1:
-        return FiberVolumeCheck(volumes, 0.0, True, excluded, notes)
-    diff = max(present) - min(present)
-    return FiberVolumeCheck(volumes, float(diff), bool(diff < tol), excluded, notes)

@@ -135,7 +135,7 @@ def test_apoly_fails_when_every_filling_fails(tmp_path, monkeypatch, capsys):
     import charvol.cli as cli
     from charvol.continuation import FilledCharacter
     monkeypatch.setattr(cli, "sample_dense_set", lambda problem, complete, kappas: [
-        FilledCharacter(k, None, None, False, error=f"kappa={k.label()}: tracking failed")
+        FilledCharacter(k, None, None, error=f"kappa={k.label()}: tracking failed")
         for k in kappas])
     code = run(["apoly", "--spec", "fig8", "--kappa", "1,5", "--kappa", "1,7",
                 "--out", str(tmp_path)])
@@ -254,12 +254,17 @@ VALID = {
     VALID["certify"] + ["--bogus"],
     VALID["fill"] + ["--kappa", "1,7"],
     VALID["fiber"] + ["--kappa", "1,7"],
+    VALID["certify"] + ["--tol-volume-equality", "1e-3"],
+    ["fiber", "--spec", "fig8", "--kappa", "1,5", "--budget", "-5"],
+    VALID["certify"] + ["--budget", "0"],
+    ["loops", "--spec", "fig8", "--loops", "-3"],
+    VALID["certify"] + ["--loops", "-1"],
     *(VALID[c] + [flag, "1e-3"] for c in VALID
       for flag in ("--tol-residual", "--tol-parabolic-trace")),
 ], ids=" ".join)
 def test_usage_errors_exit_1(argv, tmp_path, capsys):
-    """An option the command does not read is a usage error: an `error:`
-    line and exit code 1 (2 means inconclusive)."""
+    """An option the command does not read, or a count out of range, is a
+    usage error: an `error:` line and exit code 1 (2 means inconclusive)."""
     assert run(argv + ["--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert any(line.startswith("error: ") for line in err)
@@ -272,7 +277,7 @@ def test_report_config_records_exactly_the_command_options(tmp_path):
     assert config == {"command": "certify", "spec": "nonhyp", "seed": 0,
                       "out": str(tmp_path), "kappas": [], "budget": 64, "loops": 10,
                       "tolerances": {"dedup": 1e-6, "loop_exactness": 1e-6,
-                                     "quadrature": 1e-7, "volume_equality": 1e-6}}
+                                     "quadrature": 1e-7}}
     assert run(["h1z2", "--spec", "fig8", "--out", str(tmp_path)]) == 0
     config = json.loads((tmp_path / "fig8_h1z2.json").read_text())["config"]
     assert config == {"command": "h1z2", "spec": "fig8", "seed": 0,
@@ -290,6 +295,41 @@ def test_certify_small_fig8(tmp_path):
     assert names["eta_critical_at_complete"] == "pass"
     assert names["fiber_degree_one_1,5"] == "pass"
     assert names["quadrature_richardson_estimate"] == "pass"
+    # (1,5), (1,7) is a one-cusp series
+    assert names["filled_volumes_increase_toward_reference"] == "pass"
+
+
+def test_certify_writes_only_checks_that_can_fail(tmp_path):
+    """A fiber holds one character, so comparing volumes across it compares
+    one value; 2^k >= 1 always; and outside a one-cusp series the increase
+    check would copy `filled_volumes_below_reference`.  None is written."""
+    run(["certify", "--spec", "fig8", "--kappa", "1,7", "--kappa", "1,5",
+         "--loops", "0", "--budget", "8", "--out", str(tmp_path)])
+    body = json.loads((tmp_path / "fig8_certify.json").read_text())["report"]
+    names = [c["name"] for c in body["checks"]]
+    assert not [n for n in names if n.startswith("fiber_volume_equality_")]
+    assert "z2_degree_bound_data" not in names
+    assert "filled_volumes_increase_toward_reference" not in names
+    assert "filled_volumes_below_reference" in names
+    assert body["h1z2"] == {"h1_dim": 1, "k": 0, "bound": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    *(["certify", "--spec", "fig8", "--kappa", text] for text in ("1", "1,5,7", "x,5", "1,5;1,5")),
+    *([command, "--spec", "fig8", "--kappa", "1"] for command in ("apoly", "fill", "fiber")),
+], ids=" ".join)
+def test_malformed_kappa_is_an_error_before_any_solve(argv, tmp_path, capsys, monkeypatch):
+    import charvol.cli as cli
+
+    def no_solve(*args):
+        raise AssertionError("find_complete ran before the slopes were parsed")
+    monkeypatch.setattr(cli, "find_complete", no_solve)
+    assert run(argv + ["--out", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert any(line.startswith("error: ") and repr(argv[-1]) in line
+               for line in err.splitlines())
+    assert "[PASS]" not in out
+    assert not list(tmp_path.iterdir())
 
 
 def test_certify_loops_zero_marks_skipped(tmp_path):

@@ -214,7 +214,7 @@ def test_jacobian_check_extended_laurent(fig8_extended, fig8_fillings):
     _, pt, _ = fig8_fillings[0]
     x = sample_point(fig8_extended, pt)
     point = np.concatenate([pt.coords, x.values])
-    cs = CompiledSystem(fig8_extended.system.polynomials, fig8_extended.vars)
+    cs = CompiledSystem(fig8_extended.polynomials, fig8_extended.vars)
     rep = jacobian_check(cs, point)
     assert rep["max_relative_error"] < 1e-5
 
@@ -383,7 +383,7 @@ def test_sample_dense_set_fig8(fig8_spec, fig8_problem, fig8_complete):
     kappas = [FillingCoefficients.parse(k, 1) for k in ("1,5", "1,7")]
     out = sample_dense_set(fig8_problem, fig8_complete, kappas)
     assert len(out) == 2
-    assert all(f.error is None and f.off_pU for f in out)
+    assert all(f.error is None for f in out)
     vols = [anchored_volume(fig8_spec, f.path).value for f in out]
     assert vols[0] < vols[1] < fig8_spec.reference_volume.value
 
@@ -395,14 +395,17 @@ def test_sample_dense_set_empty():
     assert sample_dense_set(P, None, []) == []
 
 
-def test_sample_dense_set_wlink_cartesian(wlink_problem, wlink_complete):
+def test_sample_dense_set_wlink_cartesian(wlink_system, wlink_problem, wlink_complete):
     texts = ["1,5;1,5", "1,5;1,7", "1,7;1,5", "1,7;1,7", "2,5;inf"]
     out = sample_dense_set(wlink_problem, wlink_complete,
                            [FillingCoefficients.parse(k, 2) for k in texts])
     assert [f.kappa.label() for f in out] == texts
     assert all(f.error is None for f in out)
-    # only the unfilled cusp of the last slope stays parabolic
-    assert [f.off_pU for f in out] == [True, True, True, True, False]
+    # only the unfilled cusp of the last slope stays parabolic, which puts
+    # its trace point on the image of U, where no degree claim applies
+    assert [fiber_over(wlink_system, f.point.trace_vector(), [f.point], budget=4,
+                       monodromy_loops=0).excluded for f in out] == \
+        [False, False, False, False, True]
 
 
 # -- fibers ------------------------------------------------------------------------

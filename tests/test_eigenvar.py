@@ -32,7 +32,7 @@ def test_extended_system_vanishes_on_samples(fig8_extended, fig8_fillings):
     _, pt, _ = fig8_fillings[0]
     point = extended_point(fig8_extended, pt)
     assert len(point) == len(fig8_extended.vars)
-    assert fig8_extended.system.residual(point) < 1e-8
+    assert max(abs(p.evaluate(point)) for p in fig8_extended.polynomials) < 1e-8
 
 
 def test_sample_point_complete_unit_modulus(fig8_extended, fig8_complete):
@@ -204,7 +204,7 @@ def test_eliminate_raises_on_a_nonzero_constant(nonhyp_spec):
     """nonhyp's relator makes the two gauge generators equal, which their
     unit off-diagonal entry forbids: the system contains the constant 1."""
     ext = build_extended(GaugedSystem(nonhyp_spec))
-    assert any(not p.support_vars() and not p.is_zero() for p in ext.system.polynomials)
+    assert any(not p.support_vars() and not p.is_zero() for p in ext.polynomials)
     with pytest.raises(EigenvarError, match="empty variety"):
         eliminate(ext)
 
@@ -350,7 +350,7 @@ def test_eliminate_already_peripheral(fig8_extended):
     stub.peripheral_vars = ext.peripheral_vars
     stub.laurent = lau
     stub.gauged = ext.gauged
-    stub.system = type("S", (), {"polynomials": [m * l - Polynomial.constant(1, V, lau)]})()
+    stub.polynomials = [m * l - Polynomial.constant(1, V, lau)]
     es = eliminate(stub)
     assert len(es.polynomials) == 1
     assert es.polynomials[0].degree("m1") == 1

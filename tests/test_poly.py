@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charvol.poly import (CompiledSystem, Polynomial, PolySystem, ResultantError,
+from charvol.poly import (CompiledSystem, Polynomial, ResultantError,
                           SymMatrix2, VariableMismatchError, exact_div, factor_list,
                           poly_gcd, resultant, squarefree_part, trace_poly,
                           word_matrix)
@@ -278,11 +278,6 @@ def test_trace_conjugation_invariance_numeric():
 
 # -- systems, serialization, compilation ----------------------------------------
 
-def test_polysystem_shares_ordering():
-    with pytest.raises(VariableMismatchError):
-        PolySystem([var("x"), Polynomial.variable("x", ("x",))], V)
-
-
 def test_serialization_roundtrip():
     p = var("x") * const(Fraction(3, 7)) + var("y") ** 3
     d = p.to_json()
@@ -319,7 +314,7 @@ def test_compiled_stack_equals_single_points_bytewise(name):
     gauged = GaugedSystem(load_fixture(name))
     ext = build_extended(gauged)
     rng = np.random.default_rng(31)
-    for cs in (gauged.compiled, CompiledSystem(ext.system.polynomials, ext.vars)):
+    for cs in (gauged.compiled, CompiledSystem(ext.polynomials, ext.vars)):
         X = rng.normal(size=(200, cs.nvars)) + 1j * rng.normal(size=(200, cs.nvars))
         vals, J = cs.values_and_jacobian(X)
         assert vals.shape == (200, cs.npolys) and J.shape == (200, cs.npolys, cs.nvars)

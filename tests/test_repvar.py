@@ -16,7 +16,7 @@ from charvol.locus import on_V, traces
 def test_build_gauged_system_fig8(fig8_system):
     # one relator in balanced form: four entry equations over (s, p, t)
     assert fig8_system.vars == ("s", "p", "t")
-    assert len(fig8_system.system) == 4
+    assert len(fig8_system.polynomials) == 4
 
 
 def test_gauged_system_requires_eigenvalue_slots():
@@ -35,7 +35,7 @@ def test_build_gauged_free_group():
     spec = parse_spec(json.dumps(doc))
     gs = GaugedSystem(spec)
     # no relators: only the gauge parametrization, a 3-dimensional slice
-    assert len(gs.system) == 0
+    assert len(gs.polynomials) == 0
     assert len(gs.vars) == 3
 
 
@@ -56,7 +56,7 @@ def test_third_generator_gets_det_equation():
     spec = parse_spec(json.dumps(doc))
     gs = GaugedSystem(spec)
     assert len(gs.vars) == 7
-    assert len(gs.system) == 2 * 4 + 1  # two relators + det - 1
+    assert len(gs.polynomials) == 2 * 4 + 1  # two relators + det - 1
 
 
 # -- complete structures -----------------------------------------------------
@@ -132,7 +132,7 @@ def test_row_ranges_match_separately_compiled_roles(name, request):
     from charvol.poly import CompiledSystem, trace_poly
     system = request.getfixturevalue(f"{name}_system")
     roles = {
-        "gauge_rows": system.system.polynomials,
+        "gauge_rows": system.polynomials,
         "trace_rows": [p for cf in system.cusps for p in (cf.trace_m, cf.trace_l, cf.trace_ml)],
         "ml_rows": [p for cf in system.cusps for p in (cf.m_poly, cf.l_poly)],
         "key_rows": [trace_poly(w, system.gen_syms) for w in system.key_words],

@@ -7,9 +7,8 @@ import pytest
 from charvol.continuation import (TrackedPath, random_log_loop_targets,
                                   step_off_complete)
 from charvol.repvar import CharacterPoint, PeripheralState
-from charvol.volume import (VolumeError, anchored_volume, eta_at,
-                            fiber_volume_equality, integrate_eta, lobachevsky,
-                            lobachevsky_series, loop_integral,
+from charvol.volume import (VolumeError, anchored_volume, eta_at, integrate_eta,
+                            lobachevsky, lobachevsky_series, loop_integral,
                             reference_volume_from_formula, running_integral)
 
 FIG8_VOLUME = 2.029883212819307
@@ -56,7 +55,6 @@ def test_eta_zero_at_complete(fig8_complete, wlink_complete):
     for pt in (fig8_complete, wlink_complete):
         ev = eta_at(pt)
         assert ev.max_abs() < 1e-9
-        assert ev.on_U
 
 
 def _synthetic_point(u, v):
@@ -229,47 +227,3 @@ def test_path_independence_two_routes(fig8_spec, fig8_problem, fig8_complete,
         vb = anchored_volume(fig8_spec, path_b).value
         assert abs(va - vb) < 1e-6
 
-
-# -- fiber volume equality -------------------------------------------------------------
-
-def test_fiber_volume_singleton(fig8_spec, fig8_system, fig8_fillings):
-    from charvol.continuation import fiber_over
-    _, pt, path = fig8_fillings[0]
-    report = fiber_over(fig8_system, pt.trace_vector(), [pt], budget=20,
-                        seed=2, monodromy_loops=0)
-    check = fiber_volume_equality(fig8_spec, report, [path])
-    assert check.passed
-    assert check.max_difference == 0.0
-
-
-def test_fiber_volume_synthetic_twist_pair(fig8_spec, fig8_system, fig8_fillings):
-    """A point and its sign-twisted partner (same PSL2 image) get equal
-    volume labels through mirrored paths."""
-    from charvol.repvar import apply_twist, enumerate_twists
-    from charvol.continuation import FiberReport
-    _, pt, path = fig8_fillings[0]
-    tw = [t for t in enumerate_twists(fig8_spec) if not t.is_trivial()][0]
-    pt2 = apply_twist(pt, tw, fig8_system)
-    path2 = TrackedPath(points=[apply_twist(p, tw, fig8_system) for p in path.points],
-                        taus=list(path.taus))
-    report = FiberReport(
-        z=pt.trace_vector(), points=[pt, pt2],
-        keys=[fig8_system.char_key(pt.coords), fig8_system.char_key(pt2.coords)],
-        twist_pairs=[(0, 1, tw.epsilon)], orbits=[[0, 1]],
-        sl2_count=2, psl2_count=1, inconclusive=False, excluded=False,
-        excluded_reason="", branch_ok=[True, True], count_history=[2],
-        seed=0, budget=0)
-    check = fiber_volume_equality(fig8_spec, report, [path, path2])
-    assert check.passed
-    assert check.max_difference < 1e-6
-
-
-def test_fiber_volume_excludes_pathless(fig8_spec, fig8_system, fig8_fillings):
-    from charvol.continuation import fiber_over
-    _, pt, path = fig8_fillings[0]
-    report = fiber_over(fig8_system, pt.trace_vector(), [pt], budget=10,
-                        seed=2, monodromy_loops=0)
-    check = fiber_volume_equality(fig8_spec, report, [None])
-    assert check.passed  # nothing to compare
-    assert check.excluded == [0]
-    assert "no tracked path" in check.notes[0]
