@@ -221,11 +221,11 @@ def cmd_loops(args) -> int:
     system = GaugedSystem(spec)
     comp = find_complete(spec, system)
     problem = DeformationProblem(system)
-    results, failures, dropped = run_exactness_loops(
+    results, failures, dropped, levels = run_exactness_loops(
         spec, problem, comp, args.loops, args.seed, args.tol_loop_exactness)
     body = {"status": "ok" if not failures else "failed",
             "loop_integrals": results, "failures": failures, "dropped": dropped,
-            "tolerance": args.tol_loop_exactness}
+            "levels": levels, "tolerance": args.tol_loop_exactness}
     path = write_report(args, f"{spec.name}_loops", body,
                         {"total_s": time.perf_counter() - t0})
     print(f"loops: {len(results)} loop integrals, max |I| = "
@@ -235,25 +235,31 @@ def cmd_loops(args) -> int:
 
 def run_exactness_loops(spec, problem, comp, count, seed, tol):
     """Closed U-avoiding loops in deformation space; exactness predicts
-    integrals ~ 0.  A loop that passes near U, fails to track, or whose
-    quadrature is still unresolved at the finest step is dropped and another
-    is drawn.  Returns (integrals, failures, dropped), dropped counting the
-    loops dropped for each reason."""
+    integrals ~ 0.  Each loop is tracked at the steps 1/64, 0.004, 0.004/3,
+    0.004/9 and 0.004/27 (64, 250, 750, 2250 and 6750 samples per winding):
+    the trapezoid rule converges geometrically on a smooth periodic loop, so
+    most loops resolve at 64 samples, and loops passing near the branch locus
+    need finer sampling.  A level that fails to track, or whose Richardson
+    estimate is not below tol/20, hands the loop to the next level; a loop
+    that passes near U is dropped at once, and one that fails at the last
+    level is dropped under that level's cause.  Another loop is drawn for
+    each drop.  Returns (integrals, failures, dropped, levels), dropped
+    counting the loops dropped for each reason and levels the loops kept at
+    each samples-per-winding count."""
+    steps = (1 / 64, 0.004, 0.004 / 3, 0.004 / 9, 0.004 / 27)
     rng = np.random.default_rng(seed)
     sign = handedness_sign(spec)
     base = _generic_base_point(spec, problem, comp)
     results = []
     failures = []
     dropped = {"near_U": 0, "unresolved": 0, "tracking_failed": 0}
+    levels = {round(1 / step): 0 for step in steps}
     attempts = 0
     while len(results) < count and attempts < 6 * count + 20:
         attempts += 1
-        try:
-            family = random_log_loop_targets(base, rng, radius=(0.08, 0.3))
-            step = 0.004
-            # refine until the quadrature estimate is well inside tolerance
-            # (loops passing near the branch locus need finer sampling)
-            for _ in range(4):
+        family = random_log_loop_targets(base, rng, radius=(0.08, 0.3))
+        for step in steps:
+            try:
                 loop = track_closed_loop(
                     problem, base, family, first_step=step, max_step=step,
                     description=f"exactness loop {len(results)} on {spec.name}")
@@ -261,19 +267,21 @@ def run_exactness_loops(spec, problem, comp, count, seed, tol):
                     dropped["near_U"] += 1
                     break
                 integ = loop_integral(loop, sign)
-                if integ.error_estimate < tol / 20:
-                    results.append(integ.value)
-                    if abs(integ.value) >= tol:
-                        failures.append({"loop": len(results) - 1, "value": integ.value})
-                    break
-                step /= 3
-            else:
-                dropped["unresolved"] += 1
-        except (ContinuationError, VolumeError):
-            dropped["tracking_failed"] += 1
+            except (ContinuationError, VolumeError):
+                cause = "tracking_failed"
+                continue
+            if integ.error_estimate < tol / 20:
+                results.append(integ.value)
+                levels[round(1 / step)] += 1
+                if abs(integ.value) >= tol:
+                    failures.append({"loop": len(results) - 1, "value": integ.value})
+                break
+            cause = "unresolved"
+        else:
+            dropped[cause] += 1
     if len(results) < count:
         failures.append({"error": f"only {len(results)} of {count} loops tracked"})
-    return results, failures, dropped
+    return results, failures, dropped, levels
 
 
 def cmd_fiber(args) -> int:
@@ -374,12 +382,14 @@ def cmd_certify(args) -> int:
     # exactness loops
     t1 = time.perf_counter()
     if args.loops > 0:
-        integrals, failures, dropped = run_exactness_loops(
+        integrals, failures, dropped, levels = run_exactness_loops(
             spec, problem, comp, args.loops, args.seed, args.tol_loop_exactness)
         worst = max(map(abs, integrals), default=float("inf"))
         check("loop_exactness", not failures, worst, args.tol_loop_exactness,
               f"{len(integrals)} loops, max |integral| = {worst:.2e}; dropped: " +
-              ", ".join(f"{n} {why.replace('_', ' ')}" for why, n in dropped.items()))
+              ", ".join(f"{n} {why.replace('_', ' ')}" for why, n in dropped.items()) +
+              f"; kept at {'/'.join(map(str, levels))} per winding: "
+              f"{'/'.join(map(str, levels.values()))}")
     else:
         checks.append({"name": "loop_exactness", "status": "skipped",
                        "value": None, "tolerance": args.tol_loop_exactness,

@@ -148,28 +148,77 @@ def test_apoly_fails_when_every_filling_fails(tmp_path, monkeypatch, capsys):
     assert report["filled_slopes"] == [] and report["samples"] == 0
 
 
+def _cheap_loops(monkeypatch, outcomes):
+    """Replace loop tracking and integration in `cli` by a scripted run:
+    each tracked level takes the next outcome, a TrackingError to raise or
+    the Richardson estimate to report with the value 1e-12.  Returns the
+    list that collects the step of every tracked level."""
+    import charvol.cli as cli
+    from types import SimpleNamespace
+    from charvol.continuation import TrackedPath, TrackingError
+    steps = []
+    outcomes = iter(outcomes)
+    estimate = {}
+
+    def cheap_loop(problem, base, family, first_step, **opts):
+        steps.append(first_step)
+        outcome = next(outcomes)
+        if outcome is TrackingError:
+            raise TrackingError("scripted failure")
+        estimate["last"] = outcome
+        return TrackedPath(points=[base], taus=[0.0])
+    monkeypatch.setattr(cli, "track_closed_loop", cheap_loop)
+    monkeypatch.setattr(cli, "loop_integral", lambda loop, sign: SimpleNamespace(
+        value=1e-12, error_estimate=estimate["last"]))
+    return steps
+
+
+LADDER = [1 / 64, 0.004, 0.004 / 3, 0.004 / 9, 0.004 / 27]
+
+
 def test_unresolved_exactness_loop_is_dropped(fig8_spec, fig8_problem, fig8_complete,
                                               monkeypatch):
     """A loop whose quadrature estimate stays above tol/20 after the last
     refinement is not counted; the next loop is drawn instead."""
     import charvol.cli as cli
-    from types import SimpleNamespace
-    from charvol.continuation import TrackedPath
-    steps = []
-
-    def cheap_loop(problem, base, family, first_step, **opts):
-        steps.append(first_step)
-        return TrackedPath(points=[base], taus=[0.0])
-    # the first loop never resolves; the next two do
-    estimates = iter([1.0] * 4 + [0.0] * 2)
-    monkeypatch.setattr(cli, "track_closed_loop", cheap_loop)
-    monkeypatch.setattr(cli, "loop_integral", lambda loop, sign: SimpleNamespace(
-        value=1e-12, error_estimate=next(estimates)))
-    integrals, failures, dropped = cli.run_exactness_loops(
+    # the first loop never resolves; the next two do at the first level
+    steps = _cheap_loops(monkeypatch, [1.0] * 5 + [0.0] * 2)
+    integrals, failures, dropped, levels = cli.run_exactness_loops(
         fig8_spec, fig8_problem, fig8_complete, count=2, seed=0, tol=1e-6)
     assert integrals == [1e-12, 1e-12] and failures == []
     assert dropped == {"near_U": 0, "unresolved": 1, "tracking_failed": 0}
-    assert steps == pytest.approx([0.004, 0.004 / 3, 0.004 / 9, 0.004 / 27, 0.004, 0.004])
+    assert levels == {64: 2, 250: 0, 750: 0, 2250: 0, 6750: 0}
+    assert steps == pytest.approx(LADDER + [1 / 64, 1 / 64])
+
+
+def test_exactness_loop_that_fails_to_track_goes_to_the_next_level(
+        fig8_spec, fig8_problem, fig8_complete, monkeypatch):
+    """A tracking failure at 64 samples per winding hands the loop to the
+    0.004 step, which keeps it; nothing is dropped."""
+    import charvol.cli as cli
+    from charvol.continuation import TrackingError
+    steps = _cheap_loops(monkeypatch, [TrackingError, 0.0])
+    integrals, failures, dropped, levels = cli.run_exactness_loops(
+        fig8_spec, fig8_problem, fig8_complete, count=1, seed=0, tol=1e-6)
+    assert integrals == [1e-12] and failures == []
+    assert dropped == {"near_U": 0, "unresolved": 0, "tracking_failed": 0}
+    assert levels == {64: 0, 250: 1, 750: 0, 2250: 0, 6750: 0}
+    assert steps == pytest.approx(LADDER[:2])
+
+
+def test_exactness_loop_failing_to_track_at_the_last_level_is_dropped(
+        fig8_spec, fig8_problem, fig8_complete, monkeypatch):
+    """An unresolved estimate at the first four levels and a tracking
+    failure at the last drop the loop as tracking_failed."""
+    import charvol.cli as cli
+    from charvol.continuation import TrackingError
+    steps = _cheap_loops(monkeypatch, [1.0] * 4 + [TrackingError, 0.0])
+    integrals, failures, dropped, levels = cli.run_exactness_loops(
+        fig8_spec, fig8_problem, fig8_complete, count=1, seed=0, tol=1e-6)
+    assert integrals == [1e-12] and failures == []
+    assert dropped == {"near_U": 0, "unresolved": 0, "tracking_failed": 1}
+    assert levels == {64: 1, 250: 0, 750: 0, 2250: 0, 6750: 0}
+    assert steps == pytest.approx(LADDER + [1 / 64])
 
 
 def test_apoly_command_abelian(tmp_path):

@@ -227,3 +227,64 @@ def test_path_independence_two_routes(fig8_spec, fig8_problem, fig8_complete,
         vb = anchored_volume(fig8_spec, path_b).value
         assert abs(va - vb) < 1e-6
 
+
+# -- quadrature oracle for exactness loops ----------------------------------------
+
+def _area_sum(points, u0):
+    """Per cusp, the trapezoid sum of Re(u - u0) dIm(u) over the samples."""
+    return [sum(0.5 * ((a.cusps[i].u - c0).real + (b.cusps[i].u - c0).real)
+                * (b.cusps[i].u - a.cusps[i].u).imag
+                for a, b in zip(points, points[1:]))
+            for i, c0 in enumerate(u0)]
+
+
+@pytest.mark.parametrize("fixture", ["fig8", "wlink"])
+def test_exactness_loop_levels_sample_the_ellipse_uniformly(fixture, request):
+    """On n uniform samples per winding of the pinned ellipse u = u0 +
+    a(cos t - cos ph) + i b(sin t - sin ph), the trapezoid sum of
+    Re(u - u0) dIm(u) is exactly w pi a b sin(h)/h with h = 2 pi/n, while
+    the integral itself is w pi a b.  Matching that identity at 1/64 and at
+    0.004 shows each level takes the stated number of uniform samples."""
+    from charvol.cli import _generic_base_point
+    from charvol.continuation import track_closed_loop
+    spec = request.getfixturevalue(f"{fixture}_spec")
+    problem = request.getfixturevalue(f"{fixture}_problem")
+    complete = request.getfixturevalue(f"{fixture}_complete")
+    base = _generic_base_point(spec, problem, complete)
+    draw = np.random.default_rng(1000)      # the draws random_log_loop_targets makes
+    a = draw.uniform(0.08, 0.3, size=spec.cusp_count)
+    b = draw.uniform(0.08, 0.3, size=spec.cusp_count)
+    family = random_log_loop_targets(base, np.random.default_rng(1000), radius=(0.08, 0.3))
+    for step, n in ((1 / 64, 64), (0.004, 250)):
+        loop = track_closed_loop(problem, base, family, first_step=step, max_step=step)
+        windings = round(loop.taus[-1])
+        assert loop.steps_rejected == 0 and len(loop) == windings * n + 1
+        h = 2 * math.pi / n
+        sums = _area_sum(loop.points, [c.u for c in base.cusps])
+        for s, ai, bi in zip(sums, a, b):
+            assert s == pytest.approx(windings * math.pi * ai * bi * math.sin(h) / h,
+                                      rel=1e-6)
+
+
+@pytest.mark.parametrize("fixture", ["fig8", "wlink"])
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+def test_loop_exactness_sees_a_non_exact_term(fixture, eps, request, monkeypatch):
+    """Adding eps Re(u - u0) dIm(u) per cusp to the volume form gives each
+    loop about eps pi a b, at least 2e-5 here against the 1e-6 tolerance, so
+    every kept loop must fail; with eps = 0 none may."""
+    import charvol.volume as volume
+    from charvol.cli import _generic_base_point, run_exactness_loops
+    spec = request.getfixturevalue(f"{fixture}_spec")
+    problem = request.getfixturevalue(f"{fixture}_problem")
+    complete = request.getfixturevalue(f"{fixture}_complete")
+    u0 = [c.u for c in _generic_base_point(spec, problem, complete).cusps]
+    increment = volume._segment_increment
+
+    def perturbed(a, b, sign):
+        return increment(a, b, sign) + eps * sum(_area_sum([a, b], u0))
+    monkeypatch.setattr(volume, "_segment_increment", perturbed)
+    integrals, failures, _, _ = run_exactness_loops(spec, problem, complete,
+                                                    count=3, seed=1000, tol=1e-6)
+    assert len(integrals) == 3
+    failed = [f["loop"] for f in failures]
+    assert failed == ([0, 1, 2] if eps else [])
