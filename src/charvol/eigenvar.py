@@ -216,9 +216,9 @@ def _detect_slot_substitution(eq: Polynomial, gauge_vars, periph_vars, samples, 
 
 def _localize(p: Polynomial, samples, tol, removed_log: list[str]) -> Polynomial:
     """The product of p's irreducible factors that vanish at every sample,
-    normalized to lex-leading coefficient 1; every factor is kept without
-    samples (a constant stays 1).  The dropped factors are appended to
-    removed_log."""
+    each primitive with a positive lex-leading coefficient; every factor is
+    kept without samples (a constant stays 1).  The dropped factors are
+    appended to removed_log."""
     kept = Polynomial.constant(1, p.vars)
     for factor, _ in factor_list(p):
         if all(_scaled_residual(factor, x) < tol for x in samples or ()):

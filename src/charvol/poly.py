@@ -1,7 +1,7 @@
-"""Exact multivariate (Laurent) polynomial arithmetic over Q.
+"""Exact multivariate (Laurent) polynomial arithmetic over Z.
 
-Polynomials are stored as maps from exponent vectors to Fraction
-coefficients over a fixed ordered variable tuple.  Variables carrying a
+Polynomials are stored as maps from exponent vectors to int coefficients
+over a fixed ordered variable tuple.  Variables carrying a
 "unit" tag may appear with negative exponents; everything else is ordinary
 polynomial support.  All elimination work (resultants, gcds, exact
 division) happens on cleared, non-Laurent representatives.
@@ -9,8 +9,7 @@ division) happens on cleared, non-Laurent representatives.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
+import operator
 
 import numpy as np
 
@@ -24,16 +23,18 @@ class VariableMismatchError(ValueError):
 
 
 class Polynomial:
-    """Element of Q[vars], Laurent in the unit-tagged variables."""
+    """Element of Z[vars], Laurent in the unit-tagged variables; a
+    coefficient that is not an integer raises TypeError."""
 
     __slots__ = ("vars", "laurent", "terms")
 
-    def __init__(self, vars: tuple[str, ...], terms: dict[Exponents, Fraction],
+    def __init__(self, vars: tuple[str, ...], terms: dict[Exponents, int],
                  laurent: frozenset[str] = frozenset()):
         self.vars = tuple(vars)
         self.laurent = frozenset(laurent)
         clean = {}
         for e, c in terms.items():
+            c = operator.index(c)
             if not c:
                 continue
             if len(e) != len(self.vars):
@@ -41,7 +42,7 @@ class Polynomial:
             for x, name in zip(e, self.vars):
                 if x < 0 and name not in self.laurent:
                     raise ValueError(f"negative exponent on non-unit variable {name}")
-            clean[tuple(e)] = c if type(c) is Fraction else Fraction(c)
+            clean[tuple(e)] = c
         self.terms = clean
 
     # -- constructors ---------------------------------------------------
@@ -112,7 +113,7 @@ class Polynomial:
     def __mul__(self, other):
         other = self._coerce(other)
         self._check(other)
-        terms: dict[Exponents, Fraction] = {}
+        terms: dict[Exponents, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
@@ -126,10 +127,6 @@ class Polynomial:
         return Polynomial(self.vars, terms, self.laurent | other.laurent)
 
     __rmul__ = __mul__
-
-    def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
-        return Polynomial(self.vars, {e: c * v for e, v in self.terms.items()}, self.laurent)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -226,20 +223,20 @@ class Polynomial:
 
     def subs_var(self, var: str, value: "Polynomial") -> "Polynomial":
         """Substitute value for var.  Negative powers of var require value
-        to be an invertible monomial."""
+        to be a unit monomial (coefficient +-1)."""
         i = self.vars.index(var)
         if value.vars != self.vars:
             raise VariableMismatchError("substitution value must share the variable ordering")
         negs = any(e[i] < 0 for e in self.terms)
         inv = None
         if negs:
-            if len(value.terms) != 1:
-                raise ValueError("negative powers need a monomial substitution value")
+            if len(value.terms) != 1 or set(value.terms.values()) - {1, -1}:
+                raise ValueError("negative powers need a unit monomial substitution value")
             (ve, vc), = value.terms.items()
-            inv_terms = {tuple(-x for x in ve): 1 / vc}
+            inv_terms = {tuple(-x for x in ve): vc}
             inv = Polynomial(self.vars, inv_terms, self.laurent | value.laurent | set(
                 n for n, x in zip(self.vars, ve) if x != 0))
-        groups: dict[int, dict[Exponents, Fraction]] = {}
+        groups: dict[int, dict[Exponents, int]] = {}
         for e, c in self.terms.items():
             k = e[i]
             e0 = e[:i] + (0,) + e[i + 1:]
@@ -282,13 +279,6 @@ class Polynomial:
             ],
         }
 
-    @staticmethod
-    def from_json(d: dict) -> "Polynomial":
-        if any(Fraction(t.get("im", "0")) for t in d["terms"]):
-            raise ValueError("polynomial coefficients must be rational")
-        terms = {tuple(t["exp"]): Fraction(t["re"]) for t in d["terms"]}
-        return Polynomial(tuple(d["vars"]), terms, frozenset(d.get("laurent", ())))
-
 
 # ---------------------------------------------------------------------------
 # exact division, gcd, squarefree parts, factors, resultants
@@ -304,19 +294,13 @@ def _ring(vars):
     return ring(vars, ZZ)[0]
 
 
-def _to_ring(R, p: Polynomial):
-    """p times the lcm of its coefficient denominators, as an element of the
-    integer ring R over p's variables; returns (element, that lcm)."""
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
-    return R({e: int(c * den) for e, c in p.terms.items()}), den
-
-
 def _from_ring(vars, P) -> Polynomial:
     return Polynomial(vars, {e: int(c) for e, c in P.items()})
 
 
 def exact_div(f: Polynomial, d: Polynomial) -> Polynomial:
-    """Exact polynomial division f / d; raises ValueError if not exact."""
+    """Exact polynomial division f / d over Z; raises ValueError if the
+    quotient is not an integer polynomial."""
     from sympy.polys.polyerrors import ExactQuotientFailed
     f._check(d)
     if d.is_zero():
@@ -324,15 +308,11 @@ def exact_div(f: Polynomial, d: Polynomial) -> Polynomial:
     fc, fshift = f.clear_laurent()
     dc, dshift = d.clear_laurent()
     R = _ring(f.vars)
-    F, fden = _to_ring(R, fc)
-    D, dden = _to_ring(R, dc)
-    # a primitive integer divisor of F over Q divides it over Z (Gauss)
-    content, D = D.primitive()
     try:
-        Q = F.exquo(D)
+        Q = R(fc.terms).exquo(R(dc.terms))
     except ExactQuotientFailed:
         raise ValueError("inexact division") from None
-    q = _from_ring(f.vars, Q).scale(Fraction(dden, fden * int(content)))
+    q = _from_ring(f.vars, Q)
     shift = tuple(a - b for a, b in zip(fshift, dshift))
     if any(shift):
         mono = {tuple(-s for s in shift): 1}
@@ -365,21 +345,13 @@ def _coeff_of(p: Polynomial, var: str, k: int) -> Polynomial:
     return Polynomial(p.vars, terms, p.laurent)
 
 
-def _normalize(p: Polynomial) -> Polynomial:
-    """Scale so the lexicographically leading coefficient is 1."""
-    if p.is_zero():
-        return p
-    lead = max(p.terms)
-    return p.scale(1 / p.terms[lead])
-
-
 def _primitive_cleared(p: Polynomial) -> Polynomial:
     """p cleared of Laurent denominators and of its monomial content."""
     return p.clear_laurent()[0].strip_monomial_content()[0]
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """gcd of f and g, normalized to lex-leading coefficient 1.
+    """gcd of f and g in Z[vars], with a positive lex-leading coefficient.
 
     Works on the cleared representatives; correct up to monomial factors in
     unit variables, which is the right notion for zero sets off the
@@ -387,26 +359,26 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """
     f._check(g)
     R = _ring(f.vars)
-    F, _ = _to_ring(R, _primitive_cleared(f))
-    G, _ = _to_ring(R, _primitive_cleared(g))
-    return _normalize(_from_ring(f.vars, F.gcd(G)))
+    F = R(_primitive_cleared(f).terms)
+    G = R(_primitive_cleared(g).terms)
+    return _from_ring(f.vars, F.gcd(G))
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
     """Product of the distinct irreducible factors of p (over all variables,
-    monomial content dropped), normalized to lex-leading coefficient 1."""
+    monomial and integer content dropped), with a positive lex-leading
+    coefficient."""
     R = _ring(p.vars)
-    P, _ = _to_ring(R, _primitive_cleared(p))
-    return _normalize(_from_ring(p.vars, P.sqf_part()))
+    return _from_ring(p.vars, R(_primitive_cleared(p).terms).sqf_part())
 
 
 def factor_list(p: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Irreducible factors of p's cleared representative over Q with their
-    multiplicities, each normalized to lex-leading coefficient 1; the
-    constant factor is dropped."""
+    """Irreducible factors of p's cleared representative over Z with their
+    multiplicities, each primitive with a positive lex-leading coefficient;
+    the integer content and its sign are dropped."""
     R = _ring(p.vars)
-    P, _ = _to_ring(R, p.clear_laurent()[0])
-    return [(_normalize(_from_ring(p.vars, f)), k) for f, k in P.factor_list()[1]]
+    P = R(p.clear_laurent()[0].terms)
+    return [(_from_ring(p.vars, f), k) for f, k in P.factor_list()[1]]
 
 
 class ResultantError(ValueError):
@@ -428,8 +400,7 @@ def resultant(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
     if dp == 0 or dq == 0:
         raise ResultantError(f"resultant needs positive degree in {var}")
     R = _ring(p.vars)
-    P, pden = _to_ring(R, pc)
-    Q, qden = _to_ring(R, qc)
+    P, Q = R(pc.terms), R(qc.terms)
     i = p.vars.index(var)
 
     def coeffs(F, d):
@@ -447,9 +418,7 @@ def resultant(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
     for r in range(dp):
         for k, c in enumerate(reversed(b)):
             M[dq + r][r + k] = c
-    det = DomainMatrix(M, (n, n), R.to_domain()).det()
-    # each row of P's coefficients carried the factor pden, each of Q's qden
-    return _from_ring(p.vars, det).scale(Fraction(1, pden ** dq * qden ** dp))
+    return _from_ring(p.vars, DomainMatrix(M, (n, n), R.to_domain()).det())
 
 
 # ---------------------------------------------------------------------------
@@ -488,12 +457,6 @@ class SymMatrix2:
     def trace(self) -> Polynomial:
         return self.a + self.d
 
-    def entries(self):
-        return (self.a, self.b, self.c, self.d)
-
-    def evaluate(self, point) -> np.ndarray:
-        return np.array([[self.a.evaluate(point), self.b.evaluate(point)],
-                         [self.c.evaluate(point), self.d.evaluate(point)]])
 
 
 def word_matrix(w: Word, gen_matrices: list[SymMatrix2]) -> SymMatrix2:

@@ -308,7 +308,8 @@ def test_wlink_eliminants_exchanged_by_cusp_swap(wlink_eliminant):
 
 def test_setup_does_not_import_sympy():
     """sympy is loaded by elimination only: importing the CLI and building
-    fig8's gauged and extended systems leave it unimported."""
+    fig8's gauged and extended systems leave it unimported, and with integer
+    coefficients nothing loads `fractions` either."""
     src = str(Path(charvol.__file__).resolve().parent.parent)
     code = ("import sys\n"
             "import charvol.cli\n"
@@ -316,11 +317,11 @@ def test_setup_does_not_import_sympy():
             "from charvol.fixtures import load_fixture\n"
             "from charvol.repvar import GaugedSystem\n"
             "build_extended(GaugedSystem(load_fixture('fig8')))\n"
-            "print('sympy' in sys.modules)\n")
+            "print('sympy' in sys.modules, 'fractions' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_eliminate_budget_error():
