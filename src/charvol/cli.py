@@ -1,10 +1,12 @@
 """Command-line entry point: fixture loading, computations, certification.
 
-Each command takes `--spec`, `--seed` and `--out` and its own options (the
-`COMMANDS` table); a report's `config` records exactly these.  Reports are
-JSON; identical run configurations (including the seed) produce
-byte-identical reports apart from the timing block.  Exit codes: 0 all
-checks passed, 1 failure, error or usage error, 2 inconclusive.
+Each command takes `--spec` and `--out` and its own options (the `COMMANDS`
+table); a report's `config` records exactly these.  `apoly` draws nothing
+at random yet accepts `--seed`, which the benchmark harness (`perfbench/`)
+passes to every command.  Reports are JSON; identical run configurations
+(including the seed) produce byte-identical reports apart from the timing
+block.  Exit codes: 0 all checks passed, 1 failure, error or usage error,
+2 inconclusive.
 """
 
 from __future__ import annotations
@@ -503,6 +505,7 @@ _KAPPA_HELP = "filling coefficients, e.g. '1,5' or '1,5;inf'"
 
 # option name (its attribute on the parsed arguments) -> flag, argparse keywords
 OPTIONS = {
+    "seed": ("--seed", {"type": int, "default": 0, "help": "seed of the random draws"}),
     "kappas": ("--kappa", {"action": "append", "default": [], "metavar": "KAPPA",
                            "help": _KAPPA_HELP + " (repeatable; default: (1,q) slopes)"}),
     "kappa": ("--kappa", {"action": _Once, "required": True, "help": _KAPPA_HELP}),
@@ -519,17 +522,17 @@ OPTIONS = {
 COMMANDS = {
     "complete": (cmd_complete, "solve for the complete hyperbolic structure", ()),
     "apoly": (cmd_apoly, "eliminate to defining equations of the eigenvalue variety",
-              ("kappas", "tol_eliminant_residual")),
+              ("seed", "kappas", "tol_eliminant_residual")),
     "fill": (cmd_fill, "solve a Dehn filling by continuation and give its anchored volume",
              ("kappa", "csv")),
-    "track": (cmd_track, "track a random closed deformation loop", ("csv",)),
+    "track": (cmd_track, "track a random closed deformation loop", ("seed", "csv")),
     "loops": (cmd_loops, "exactness loop integrals of the volume form",
-              ("loops", "tol_loop_exactness")),
+              ("seed", "loops", "tol_loop_exactness")),
     "fiber": (cmd_fiber, "count the fiber of the boundary-trace map over a filled point",
-              ("kappa", "budget", "tol_dedup")),
+              ("seed", "kappa", "budget", "tol_dedup")),
     "h1z2": (cmd_h1z2, "mod-2 cohomology data and the degree bound", ()),
     "certify": (cmd_certify, "run the full certification suite",
-                ("kappas", "budget", "loops", "tol_dedup", "tol_loop_exactness",
+                ("seed", "kappas", "budget", "loops", "tol_dedup", "tol_loop_exactness",
                  "tol_quadrature")),
 }
 
@@ -545,7 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec", required=True,
                        help="path to a .spec file or a fixture name "
                             f"({', '.join(fixtures.FIXTURE_NAMES)})")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=".", help="output directory")
         for name in options:
             flag, kwargs = OPTIONS[name]

@@ -218,7 +218,8 @@ def track(problem: DeformationProblem, start: CharacterPoint,
     samples (`DeformationProblem.predict`) and corrected by Newton.  Every
     accepted sample satisfies the residual tolerance; branch continuity is
     enforced by rejecting steps whose log increments reach pi/2 in
-    imaginary part."""
+    imaginary part.  A rejection halves the step, and each accepted step
+    grows it by 1.5 up to max_step: no step is longer than max_step."""
     pt = start
     points = [start]
     taus = [tau0]
@@ -252,8 +253,7 @@ def track(problem: DeformationProblem, start: CharacterPoint,
         tau += step
         points.append(pt)
         taus.append(tau)
-        if abs(dtau) < max_step:
-            dtau *= 1.5
+        dtau = min(1.5 * abs(dtau), max_step) * (1 if dtau > 0 else -1)
     return TrackedPath(points=points, taus=taus, description=description,
                        steps_rejected=rejected)
 
@@ -472,7 +472,6 @@ def sample_dense_set(problem: DeformationProblem, complete: CharacterPoint,
 class FiberReport:
     z: np.ndarray
     points: list[CharacterPoint]
-    keys: list[np.ndarray]
     twist_pairs: list[tuple[int, int, tuple[int, ...]]]
     orbits: list[list[int]]
     sl2_count: int
@@ -640,7 +639,7 @@ def fiber_over(system: GaugedSystem, z: np.ndarray,
         orbit_map.setdefault(find(i), []).append(i)
     orbits = sorted(orbit_map.values())
     return FiberReport(
-        z=z, points=points, keys=keys, twist_pairs=twist_pairs, orbits=orbits,
+        z=z, points=points, twist_pairs=twist_pairs, orbits=orbits,
         sl2_count=len(points), psl2_count=len(orbits),
         inconclusive=inconclusive, excluded=excluded, excluded_reason=reason,
         branch_ok=branch_ok, count_history=history, seed=seed, budget=budget,
@@ -707,7 +706,7 @@ def _monodromy_loop(problem, points, z, rng, register):
     loop."""
     base = points[int(rng.integers(len(points)))]
     path = track(problem, base, random_log_loop_targets(base, rng), tau0=0.0, tau1=1.0,
-                 first_step=0.05, max_step=0.08,
+                 first_step=0.05, max_step=0.05 * 1.5 * 1.5,  # steps 0.05, 0.075, 0.1125
                  description="monodromy loop", allow_V_interior=True)
     if any(on_U(eigenvalues(pt), LOCUS_TOL["near"]) for pt in path.points):
         return False

@@ -78,14 +78,6 @@ class ExtendedSystem:
         self.polynomials = [_embed(p, V, lau) for p in gauged.polynomials] + \
             self.trace_equations
 
-    @property
-    def added_generators(self) -> int:
-        return len(self.trace_equations)
-
-    @property
-    def added_variables(self) -> int:
-        return len(self.peripheral_vars)
-
 
 def build_extended(gauged: GaugedSystem) -> ExtendedSystem:
     return ExtendedSystem(gauged)

@@ -52,22 +52,6 @@ class ManifoldSpec:
     def cusp_count(self) -> int:
         return len(self.cusps)
 
-    def to_json(self) -> dict:
-        d = {
-            "name": self.name,
-            "generators": self.generators,
-            "relators": [list(r) for r in self.relators],
-            "cusps": [
-                {"meridian": list(c.meridian), "longitude": list(c.longitude)}
-                for c in self.cusps
-            ],
-            "basis_handedness": self.basis_handedness,
-            "reference_volume": {"value": self.reference_volume.value,
-                                 "provenance": self.reference_volume.provenance},
-            "provenance": self.provenance,
-        }
-        return d
-
 
 @dataclass(frozen=True)
 class Z2CohomologyData:

@@ -70,10 +70,6 @@ def running_integral(path: TrackedPath, handedness_sign: int = 1) -> np.ndarray:
 class IntegralResult:
     value: float
     error_estimate: float
-    samples: int
-
-    def __float__(self):
-        return self.value
 
 
 def integrate_eta(path: TrackedPath, handedness_sign: int = 1) -> IntegralResult:
@@ -99,7 +95,7 @@ def integrate_eta(path: TrackedPath, handedness_sign: int = 1) -> IntegralResult
     for a, b in zip(idx, idx[1:]):
         coarse += _segment_increment(pts[a], pts[b], handedness_sign)
     err = abs(value - coarse) / 3.0
-    return IntegralResult(value=value, error_estimate=err, samples=len(pts))
+    return IntegralResult(value=value, error_estimate=err)
 
 
 def loop_integral(loop: TrackedPath, handedness_sign: int = 1) -> IntegralResult:

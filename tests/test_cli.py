@@ -24,7 +24,7 @@ def test_complete_command(tmp_path):
     doc = json.loads((tmp_path / "fig8_complete.json").read_text())
     assert doc["report"]["status"] == "ok"
     assert doc["report"]["eta_max"] < 1e-9
-    assert doc["config"]["seed"] == 0
+    assert "seed" not in doc["config"]
 
 
 def test_complete_nonhyperbolic_exits_nonzero(tmp_path):
@@ -308,6 +308,9 @@ VALID = {
     VALID["certify"] + ["--budget", "0"],
     ["loops", "--spec", "fig8", "--loops", "-3"],
     VALID["certify"] + ["--loops", "-1"],
+    VALID["complete"] + ["--seed", "1"],
+    VALID["h1z2"] + ["--seed", "1"],
+    VALID["fill"] + ["--seed", "1"],
     *(VALID[c] + [flag, "1e-3"] for c in VALID
       for flag in ("--tol-residual", "--tol-parabolic-trace")),
 ], ids=" ".join)
@@ -329,7 +332,7 @@ def test_report_config_records_exactly_the_command_options(tmp_path):
                                      "quadrature": 1e-7}}
     assert run(["h1z2", "--spec", "fig8", "--out", str(tmp_path)]) == 0
     config = json.loads((tmp_path / "fig8_h1z2.json").read_text())["config"]
-    assert config == {"command": "h1z2", "spec": "fig8", "seed": 0,
+    assert config == {"command": "h1z2", "spec": "fig8",
                       "out": str(tmp_path), "tolerances": {}}
 
 

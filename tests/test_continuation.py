@@ -307,6 +307,32 @@ def test_track_min_step_error_names_the_branch_check(fig8_problem, fig8_complete
         track(fig8_problem, base, far, first_step=1.0, max_step=1.0, min_step=0.2)
 
 
+def test_track_never_steps_past_max_step(wlink_spec, wlink_problem, wlink_complete,
+                                         monkeypatch):
+    """After a rejection the step regrows by 1.5 per accepted step up to
+    max_step and no further: rejecting the third step of the first
+    default_rng(1000) exactness loop at 1/64 leaves every tau increment at
+    most 1/64 (0.5, 0.75, then 1 x 1/64)."""
+    import charvol.continuation as continuation
+    from charvol.cli import _generic_base_point
+    from charvol.continuation import random_log_loop_targets
+    base = _generic_base_point(wlink_spec, wlink_problem, wlink_complete)
+    family = random_log_loop_targets(base, np.random.default_rng(1000), radius=(0.08, 0.3))
+    branch_jump = continuation._branch_jump
+    calls = []
+
+    def scripted(old, new):
+        calls.append(None)
+        return "a scripted rejection" if len(calls) == 3 else branch_jump(old, new)
+    monkeypatch.setattr(continuation, "_branch_jump", scripted)
+    path = track(wlink_problem, base, family, first_step=1 / 64, max_step=1 / 64)
+    assert path.steps_rejected == 1
+    steps = np.diff(path.taus)
+    assert steps[:4] == pytest.approx([1 / 64, 1 / 64, 0.5 / 64, 0.75 / 64])
+    assert np.all(steps <= (1 / 64) * (1 + 1e-12))
+    assert len(path) == 66 and path.taus[-1] == pytest.approx(1.0)
+
+
 def test_tracked_path_samples_validate(fig8_fillings):
     _, _, path = fig8_fillings[0]
     for pt in path.points[:: max(1, len(path) // 7)]:

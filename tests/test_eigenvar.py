@@ -21,11 +21,11 @@ from charvol.repvar import GaugedSystem
 
 
 def test_build_extended_counts(fig8_extended, wlink_system):
-    assert fig8_extended.added_generators == 3
-    assert fig8_extended.added_variables == 2
+    assert len(fig8_extended.trace_equations) == 3
+    assert len(fig8_extended.peripheral_vars) == 2
     extw = build_extended(wlink_system)
-    assert extw.added_generators == 6
-    assert extw.added_variables == 4
+    assert len(extw.trace_equations) == 6
+    assert len(extw.peripheral_vars) == 4
 
 
 def test_extended_system_vanishes_on_samples(fig8_extended, fig8_fillings):
