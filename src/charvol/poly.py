@@ -458,7 +458,6 @@ class SymMatrix2:
         return self.a + self.d
 
 
-
 def word_matrix(w: Word, gen_matrices: list[SymMatrix2]) -> SymMatrix2:
     """Symbolic product over a signed word; inverses use the adjugate (det = 1)."""
     if not gen_matrices:
