@@ -33,13 +33,6 @@ from .repvar import (GaugedSystem, NoCompleteStructureError, find_complete,
 from .volume import (anchored_volume, eta_at, handedness_sign, loop_integral,
                      reference_volume_from_formula, running_integral, VolumeError)
 
-DEFAULT_TOLERANCES = {
-    "dedup": 1e-6,
-    "loop_exactness": 1e-6,
-    "quadrature": 1e-7,
-    "eliminant_residual": 1e-8,
-}
-
 
 def _load(spec_arg: str) -> ManifoldSpec:
     path = Path(spec_arg)
@@ -50,21 +43,10 @@ def _load(spec_arg: str) -> ManifoldSpec:
     raise SpecError(f"no such spec file or fixture: {spec_arg}")
 
 
-def config_json(args) -> dict:
-    """The parsed options of one command, its tolerances grouped."""
-    config = {"tolerances": {}}
-    for name, value in vars(args).items():
-        if name.startswith("tol_"):
-            config["tolerances"][name[4:]] = value
-        else:
-            config[name] = value
-    return config
-
-
 def write_report(args, name: str, body: dict, timings: dict) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    report = {"config": config_json(args), "report": body, "timings": timings}
+    report = {"config": vars(args), "report": body, "timings": timings}
     path = out / f"{name}.json"
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return path
@@ -133,7 +115,7 @@ def cmd_apoly(args) -> int:
     # every report says which slopes were filled and how many samples were used
     sampled = {"filled_slopes": slopes, "samples": len(samples or ())}
     try:
-        es = eliminate(ext, samples=samples, sample_tol=args.tol_eliminant_residual)
+        es = eliminate(ext, samples=samples)
     except EliminationBudgetError as e:
         body = {"status": "budget_exceeded", "message": str(e),
                 "hint": "use the fiber/certify commands for numerical sampling", **sampled}
@@ -217,6 +199,11 @@ def _generic_base_point(spec, problem, comp):
     return step_off_complete(problem, comp, du)
 
 
+# an exactness loop is resolved when its Richardson estimate is below
+# LOOP_TOL/20, and fails the check when its integral is at least LOOP_TOL
+LOOP_TOL = 1e-6
+
+
 def cmd_loops(args) -> int:
     t0 = time.perf_counter()
     spec = _load(args.spec)
@@ -224,10 +211,10 @@ def cmd_loops(args) -> int:
     comp = find_complete(spec, system)
     problem = DeformationProblem(system)
     results, failures, dropped, levels = run_exactness_loops(
-        spec, problem, comp, args.loops, args.seed, args.tol_loop_exactness)
+        spec, problem, comp, args.loops, args.seed)
     body = {"status": "ok" if not failures else "failed",
             "loop_integrals": results, "failures": failures, "dropped": dropped,
-            "levels": levels, "tolerance": args.tol_loop_exactness}
+            "levels": levels, "tolerance": LOOP_TOL}
     path = write_report(args, f"{spec.name}_loops", body,
                         {"total_s": time.perf_counter() - t0})
     print(f"loops: {len(results)} loop integrals, max |I| = "
@@ -235,14 +222,14 @@ def cmd_loops(args) -> int:
     return 0 if not failures else 1
 
 
-def run_exactness_loops(spec, problem, comp, count, seed, tol):
+def run_exactness_loops(spec, problem, comp, count, seed):
     """Closed U-avoiding loops in deformation space; exactness predicts
     integrals ~ 0.  Each loop is tracked at the steps 1/64, 0.004, 0.004/3,
     0.004/9 and 0.004/27 (64, 250, 750, 2250 and 6750 samples per winding):
     the trapezoid rule converges geometrically on a smooth periodic loop, so
     most loops resolve at 64 samples, and loops passing near the branch locus
     need finer sampling.  A level that fails to track, or whose Richardson
-    estimate is not below tol/20, hands the loop to the next level; a loop
+    estimate is not below LOOP_TOL/20, hands the loop to the next level; a loop
     that passes near U is dropped at once, and one that fails at the last
     level is dropped under that level's cause.  Another loop is drawn for
     each drop.  Returns (integrals, failures, dropped, levels), dropped
@@ -272,10 +259,10 @@ def run_exactness_loops(spec, problem, comp, count, seed, tol):
             except (ContinuationError, VolumeError):
                 cause = "tracking_failed"
                 continue
-            if integ.error_estimate < tol / 20:
+            if integ.error_estimate < LOOP_TOL / 20:
                 results.append(integ.value)
                 levels[round(1 / step)] += 1
-                if abs(integ.value) >= tol:
+                if abs(integ.value) >= LOOP_TOL:
                     failures.append({"loop": len(results) - 1, "value": integ.value})
                 break
             cause = "unresolved"
@@ -295,8 +282,7 @@ def cmd_fiber(args) -> int:
     problem = DeformationProblem(system)
     pt, path_ = solve_filling(problem, comp, kappa)
     z = pt.trace_vector()
-    report = fiber_over(system, z, [pt], budget=args.budget, seed=args.seed,
-                        dedup_tol=args.tol_dedup)
+    report = fiber_over(system, z, [pt], budget=args.budget, seed=args.seed)
     body = {"status": "inconclusive" if report.inconclusive else "ok",
             "fiber": report.to_json()}
     path = write_report(args, f"{spec.name}_fiber", body,
@@ -309,6 +295,10 @@ def cmd_fiber(args) -> int:
 # ---------------------------------------------------------------------------
 # certification
 # ---------------------------------------------------------------------------
+
+# the largest Richardson estimate of a filled volume that certify passes
+QUADRATURE_TOL = 1e-7
+
 
 def cmd_certify(args) -> int:
     t0 = time.perf_counter()
@@ -376,8 +366,8 @@ def cmd_certify(args) -> int:
             check("filled_volumes_increase_toward_reference", increasing and below,
                   ordered, spec.reference_volume.value)
         quad_worst = max(v.quadrature_error for _, v in vols)
-        check("quadrature_richardson_estimate", quad_worst < args.tol_quadrature,
-              quad_worst, args.tol_quadrature,
+        check("quadrature_richardson_estimate", quad_worst < QUADRATURE_TOL,
+              quad_worst, QUADRATURE_TOL,
               f"worst Richardson difference {quad_worst:.2e}")
     timings["fillings_s"] = time.perf_counter() - t1
 
@@ -385,16 +375,16 @@ def cmd_certify(args) -> int:
     t1 = time.perf_counter()
     if args.loops > 0:
         integrals, failures, dropped, levels = run_exactness_loops(
-            spec, problem, comp, args.loops, args.seed, args.tol_loop_exactness)
+            spec, problem, comp, args.loops, args.seed)
         worst = max(map(abs, integrals), default=float("inf"))
-        check("loop_exactness", not failures, worst, args.tol_loop_exactness,
+        check("loop_exactness", not failures, worst, LOOP_TOL,
               f"{len(integrals)} loops, max |integral| = {worst:.2e}; dropped: " +
               ", ".join(f"{n} {why.replace('_', ' ')}" for why, n in dropped.items()) +
               f"; kept at {'/'.join(map(str, levels))} per winding: "
               f"{'/'.join(map(str, levels.values()))}")
     else:
         checks.append({"name": "loop_exactness", "status": "skipped",
-                       "value": None, "tolerance": args.tol_loop_exactness,
+                       "value": None, "tolerance": LOOP_TOL,
                        "details": "loop count 0"})
         print("  [SKIP] loop_exactness")
     timings["loops_s"] = time.perf_counter() - t1
@@ -405,10 +395,8 @@ def cmd_certify(args) -> int:
     for f in filled:
         ktext, pt = f.kappa.label(), f.point
         z = pt.trace_vector()
-        rep1 = fiber_over(system, z, [pt], budget=args.budget,
-                          seed=args.seed, dedup_tol=args.tol_dedup)
-        rep2 = fiber_over(system, z, [pt], budget=2 * args.budget,
-                          seed=args.seed + 1, dedup_tol=args.tol_dedup)
+        rep1 = fiber_over(system, z, [pt], budget=args.budget, seed=args.seed)
+        rep2 = fiber_over(system, z, [pt], budget=2 * args.budget, seed=args.seed + 1)
         stable = (rep1.sl2_count == rep2.sl2_count and
                   rep1.psl2_count == rep2.psl2_count)
         inconclusive = rep1.inconclusive or rep2.inconclusive or not stable
@@ -484,13 +472,6 @@ class _Once(argparse.Action):
         setattr(namespace, self.dest, value)
 
 
-def _positive(text: str) -> float:
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
-
-
 def _at_least(least: int):
     """The type of a count option: an integer no smaller than `least`."""
     def integer(text: str) -> int:
@@ -513,27 +494,23 @@ OPTIONS = {
                             "help": "multistart attempts per fiber"}),
     "loops": ("--loops", {"type": _at_least(0), "default": 10, "help": "exactness loops"}),
     "csv": ("--csv", {"action": "store_true", "help": "also write a CSV trace"}),
-    **{f"tol_{name}": (f"--tol-{name.replace('_', '-')}",
-                       {"type": _positive, "default": value})
-       for name, value in DEFAULT_TOLERANCES.items()},
 }
 
 # command -> function, help, its own options
 COMMANDS = {
     "complete": (cmd_complete, "solve for the complete hyperbolic structure", ()),
     "apoly": (cmd_apoly, "eliminate to defining equations of the eigenvalue variety",
-              ("seed", "kappas", "tol_eliminant_residual")),
+              ("seed", "kappas")),
     "fill": (cmd_fill, "solve a Dehn filling by continuation and give its anchored volume",
              ("kappa", "csv")),
     "track": (cmd_track, "track a random closed deformation loop", ("seed", "csv")),
     "loops": (cmd_loops, "exactness loop integrals of the volume form",
-              ("seed", "loops", "tol_loop_exactness")),
+              ("seed", "loops")),
     "fiber": (cmd_fiber, "count the fiber of the boundary-trace map over a filled point",
-              ("seed", "kappa", "budget", "tol_dedup")),
+              ("seed", "kappa", "budget")),
     "h1z2": (cmd_h1z2, "mod-2 cohomology data and the degree bound", ()),
     "certify": (cmd_certify, "run the full certification suite",
-                ("seed", "kappas", "budget", "loops", "tol_dedup", "tol_loop_exactness",
-                 "tol_quadrature")),
+                ("seed", "kappas", "budget", "loops")),
 }
 
 

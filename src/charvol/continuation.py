@@ -43,9 +43,9 @@ class FillingError(ContinuationError):
 def newton_correct(F, start, tol: float = 1e-12, maxiter: int = 50,
                    condition_limit: float = 1e8) -> NewtonResult:
     """`gauss_newton` on F(x) -> (values, Jacobian), refusing a start whose
-    Jacobian condition exceeds condition_limit: one start of the fiber
-    multistart, which solves all its starts at once with
-    `gauss_newton_lockstep` under the same rules."""
+    Jacobian condition exceeds condition_limit.  Nothing in charvol calls it
+    (`fiber_over` solves its starts with `gauss_newton_lockstep`); the
+    benchmark resolves it by name."""
     return gauss_newton(F, start, tol, maxiter, condition_limit=condition_limit)
 
 
@@ -271,11 +271,7 @@ def step_off_complete(problem: DeformationProblem, complete: CharacterPoint,
     system = problem.system
     x0 = np.array(complete.coords, dtype=complex)
     for i, cf in enumerate(system.cusps):
-        mp = cf.m_poly
-        name = next(iter(mp.support_vars()))
-        power = mp.degree(name) if mp.degree(name) != 0 else mp.min_degree(name)
-        idx = system.vars.index(name)
-        x0[idx] = x0[idx] * cmath.exp(du[i] / power)
+        x0[cf.slot_index] *= cmath.exp(du[i] / cf.slot_power)
     pt, res, ok = problem.correct(x0, complete, pin_log(lambda tau: du), 0.0, tol=tol)
     if not ok:
         raise TrackingError(f"could not step off the complete structure (residual {res:.2e})")
@@ -328,7 +324,7 @@ class FillingCoefficients:
             raise malformed(f"{len(parts)} slope(s)")
         slopes = []
         for p in parts:
-            if p in ("inf", "oo", "*"):
+            if p == "inf":
                 slopes.append(None)
                 continue
             try:
@@ -521,10 +517,14 @@ def restriction_rank_ok(system: GaugedSystem, coords, threshold=1e-6) -> bool:
     return len(sv) >= h and bool(sv[min(h, len(sv)) - 1] > threshold)
 
 
+# the largest character-key distance at which two fiber points are one
+# character, a sign twist or a complex conjugate of each other
+DEDUP_TOL = 1e-6
+
+
 def fiber_over(system: GaugedSystem, z: np.ndarray,
                seeds: Sequence[CharacterPoint], budget: int = 64,
-               seed: int = 0, monodromy_loops: int = 4,
-               dedup_tol: float = 1e-6) -> FiberReport:
+               seed: int = 0, monodromy_loops: int = 4) -> FiberReport:
     """All gauge-slice solutions with boundary traces z found within budget,
     deduplicated as characters and classified into sign-twist orbits.
 
@@ -553,7 +553,7 @@ def fiber_over(system: GaugedSystem, z: np.ndarray,
             vals = system.compiled.values(x)
         key = vals[system.key_rows]
         for k in keys:
-            if _char_distance(key, k) < dedup_tol:
+            if _char_distance(key, k) < DEDUP_TOL:
                 return False
         points.append(make_character_point(system, x, label="fiber", vals=vals))
         keys.append(key)
@@ -624,7 +624,7 @@ def fiber_over(system: GaugedSystem, z: np.ndarray,
                 if tw.is_trivial():
                     continue
                 twisted = _twist_key(system, keys[i], tw)
-                if _char_distance(twisted, keys[j]) < dedup_tol:
+                if _char_distance(twisted, keys[j]) < DEDUP_TOL:
                     twist_pairs.append((i, j, tw.epsilon))
                     parent[find(i)] = find(j)
                     break
@@ -632,7 +632,7 @@ def fiber_over(system: GaugedSystem, z: np.ndarray,
     if z_real:
         for i in range(len(points)):
             for j in range(i + 1, len(points)):
-                if _char_distance(np.conj(keys[i]), keys[j]) < dedup_tol:
+                if _char_distance(np.conj(keys[i]), keys[j]) < DEDUP_TOL:
                     parent[find(i)] = find(j)
     orbit_map: dict[int, list[int]] = {}
     for i in range(len(points)):

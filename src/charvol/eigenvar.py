@@ -223,8 +223,13 @@ def _localize(p: Polynomial, samples, tol, removed_log: list[str]) -> Polynomial
     return kept
 
 
-def eliminate(ext: ExtendedSystem, samples: Optional[Sequence[np.ndarray]] = None,
-              sample_tol: float = 1e-8) -> EliminantSet:
+# the largest scaled residual at which a sample lies on a factor or a slot
+# branch, and at which an eliminant is validated
+SAMPLE_TOL = 1e-8
+
+
+def eliminate(ext: ExtendedSystem,
+              samples: Optional[Sequence[np.ndarray]] = None) -> EliminantSet:
     """Resultant-chain elimination of the gauge variables from the extended
     system, localized at the component X0 that the samples lie on.
 
@@ -253,7 +258,7 @@ def eliminate(ext: ExtendedSystem, samples: Optional[Sequence[np.ndarray]] = Non
     removed_log: list[str] = []
 
     def localize(p: Polynomial) -> Polynomial:
-        kept = _localize(_strip(p, cleared_log, ext.laurent), samples, sample_tol,
+        kept = _localize(_strip(p, cleared_log, ext.laurent), samples, SAMPLE_TOL,
                          removed_log)
         # a nonzero constant (or a unit monomial, stripped to one) vanishes nowhere
         if not kept.support_vars():
@@ -265,7 +270,7 @@ def eliminate(ext: ExtendedSystem, samples: Optional[Sequence[np.ndarray]] = Non
     remaining = []
     for eq in ext.polynomials:
         hit = _detect_slot_substitution(eq, gauge_vars, ext.peripheral_vars,
-                                        samples, sample_tol)
+                                        samples, SAMPLE_TOL)
         if hit is not None and hit[0] not in subs:
             subs[hit[0]] = hit[1]
             tree.append(f"substitute {hit[0]} -> {hit[1].as_text()}")
@@ -316,7 +321,7 @@ def eliminate(ext: ExtendedSystem, samples: Optional[Sequence[np.ndarray]] = Non
                       list(dict.fromkeys(removed_log)))
     # the peripheral coordinates close `ext.vars`
     return _validate(es, None if samples is None else
-                     [x[len(gauge_vars):] for x in samples], sample_tol)
+                     [x[len(gauge_vars):] for x in samples], SAMPLE_TOL)
 
 
 def _scaled_residual(p: Polynomial, x) -> float:

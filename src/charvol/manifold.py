@@ -77,10 +77,6 @@ def gf2_rank(rows: list[list[int]]) -> int:
     return len(basis)
 
 
-def gf2_in_span(rows: list[list[int]], target: list[int]) -> bool:
-    return gf2_rank(rows) == gf2_rank(rows + [target])
-
-
 def gf2_nullspace(rows: list[list[int]], ncols: int) -> list[list[int]]:
     """Basis of {v : M v = 0 over GF(2)} for the matrix with the given rows."""
     mat = [sum((x & 1) << j for j, x in enumerate(r)) for r in rows]
@@ -179,7 +175,7 @@ def h1_z2(spec: ManifoldSpec) -> Z2CohomologyData:
 
 def check_peripheral_commutation(spec: ManifoldSpec) -> None:
     """Necessary condition: each [meridian, longitude] dies in the class-2
-    nilpotent quotient of the presented group, checked over Z and mod 2."""
+    nilpotent quotient of the presented group, checked over Z."""
     n = spec.generators
     columns: list[list[int]] = []
     for r in spec.relators:
@@ -198,10 +194,6 @@ def check_peripheral_commutation(spec: ManifoldSpec) -> None:
             raise SpecError(
                 f"{spec.name}: cusp {cusp.index} meridian/longitude do not "
                 "commute in the class-2 abelian quotient (integer check)")
-        if not gf2_in_span(columns, w):
-            raise SpecError(
-                f"{spec.name}: cusp {cusp.index} meridian/longitude commutation "
-                "fails mod 2")
 
 
 def _parse_matrix(entries) -> np.ndarray:

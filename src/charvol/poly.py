@@ -323,26 +323,12 @@ def exact_div(f: Polynomial, d: Polynomial) -> Polynomial:
 
 
 def pseudo_rem(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
-    """Pseudo-remainder of f by g in var: lc(g)^(df-dg+1) f = q g + r."""
-    i = f.vars.index(var)
-    df, dg = f.degree(var), g.degree(var)
-    if dg == 0:
-        return Polynomial.constant(0, f.vars, f.laurent)
-    glc = _coeff_of(g, var, dg)
-    rem = f
-    while not rem.is_zero() and rem.degree(var) >= dg:
-        dr = rem.degree(var)
-        rlc = _coeff_of(rem, var, dr)
-        shift = Polynomial.variable(var, f.vars, power=dr - dg) if dr > dg else \
-            Polynomial.constant(1, f.vars)
-        rem = rem * glc - g * rlc * shift
-    return rem
-
-
-def _coeff_of(p: Polynomial, var: str, k: int) -> Polynomial:
-    i = p.vars.index(var)
-    terms = {e[:i] + (0,) + e[i + 1:]: c for e, c in p.terms.items() if e[i] == k}
-    return Polynomial(p.vars, terms, p.laurent)
+    """Pseudo-remainder of f by g in var, lc(g)^(df-dg+1) f = q g + r, on
+    the cleared representatives; 0 when g has degree 0 in var."""
+    f._check(g)
+    R = _ring(f.vars)
+    F, G = R(f.clear_laurent()[0].terms), R(g.clear_laurent()[0].terms)
+    return _from_ring(f.vars, F.prem(G, R.gens[f.vars.index(var)]))
 
 
 def _primitive_cleared(p: Polynomial) -> Polynomial:

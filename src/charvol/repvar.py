@@ -52,9 +52,12 @@ class CuspFunctions:
     trace_l: Polynomial
     trace_ml: Polynomial
     # eigenvalue slot data: (m, l) are read along a coordinate eigenvector
-    # (e1 for a generator-1 meridian, e2 for a generator-2 meridian)
+    # (e1 for a generator-1 meridian, e2 for a generator-2 meridian), and
+    # m = x[slot_index] ** slot_power
     m_poly: Polynomial
     l_poly: Polynomial
+    slot_index: int
+    slot_power: int
 
 
 class GaugedSystem:
@@ -80,7 +83,6 @@ class GaugedSystem:
         gens = [g1, g2]
         for j in range(3, n + 1):
             gens.append(SymMatrix2(var(f"a{j}"), var(f"b{j}"), var(f"c{j}"), var(f"d{j}")))
-        self.gen_syms = gens
 
         polys: list[Polynomial] = []
         for r in spec.relators:
@@ -110,7 +112,8 @@ class GaugedSystem:
             self.cusps.append(CuspFunctions(
                 index=c.index, meridian=c.meridian, longitude=c.longitude,
                 trace_m=tm, trace_l=tl, trace_ml=tml,
-                m_poly=m_poly, l_poly=l_poly))
+                m_poly=m_poly, l_poly=l_poly, slot_index=V.index(name),
+                slot_power=power))
         trace_polys, ml = [], []
         for cf in self.cusps:
             trace_polys.extend((cf.trace_m, cf.trace_l, cf.trace_ml))
@@ -559,8 +562,7 @@ def find_complete(spec: ManifoldSpec, system: Optional[GaugedSystem] = None,
 
     # the lift sign eps pins each cusp's slot variable (s or p) to eps
     # whatever the power sign: a row x[slot] - eps with a unit gradient
-    slots = [system.vars.index("s" if cf.m_poly.support_vars() == {"s"} else "p")
-             for cf in system.cusps]
+    slots = [cf.slot_index for cf in system.cusps]
     pin_jac = np.eye(len(system.vars), dtype=complex)[slots]
     gauge = system.gauge_rows
 

@@ -34,7 +34,7 @@ def test_criterion_1_loop_exactness(fixture, request):
     complete = request.getfixturevalue(f"{fixture}_complete")
     t0 = time.time()
     integrals, failures, _, _ = run_exactness_loops(spec, problem, complete,
-                                                    count=10, seed=2026, tol=1e-6)
+                                                    count=10, seed=2026)
     elapsed = time.time() - t0
     worst = max(map(abs, integrals), default=float("inf"))
     ok = len(integrals) >= 10 and not failures and worst < 1e-6 and elapsed < 60

@@ -178,13 +178,13 @@ LADDER = [1 / 64, 0.004, 0.004 / 3, 0.004 / 9, 0.004 / 27]
 
 def test_unresolved_exactness_loop_is_dropped(fig8_spec, fig8_problem, fig8_complete,
                                               monkeypatch):
-    """A loop whose quadrature estimate stays above tol/20 after the last
+    """A loop whose quadrature estimate stays above LOOP_TOL/20 after the last
     refinement is not counted; the next loop is drawn instead."""
     import charvol.cli as cli
     # the first loop never resolves; the next two do at the first level
     steps = _cheap_loops(monkeypatch, [1.0] * 5 + [0.0] * 2)
     integrals, failures, dropped, levels = cli.run_exactness_loops(
-        fig8_spec, fig8_problem, fig8_complete, count=2, seed=0, tol=1e-6)
+        fig8_spec, fig8_problem, fig8_complete, count=2, seed=0)
     assert integrals == [1e-12, 1e-12] and failures == []
     assert dropped == {"near_U": 0, "unresolved": 1, "tracking_failed": 0}
     assert levels == {64: 2, 250: 0, 750: 0, 2250: 0, 6750: 0}
@@ -199,7 +199,7 @@ def test_exactness_loop_that_fails_to_track_goes_to_the_next_level(
     from charvol.continuation import TrackingError
     steps = _cheap_loops(monkeypatch, [TrackingError, 0.0])
     integrals, failures, dropped, levels = cli.run_exactness_loops(
-        fig8_spec, fig8_problem, fig8_complete, count=1, seed=0, tol=1e-6)
+        fig8_spec, fig8_problem, fig8_complete, count=1, seed=0)
     assert integrals == [1e-12] and failures == []
     assert dropped == {"near_U": 0, "unresolved": 0, "tracking_failed": 0}
     assert levels == {64: 0, 250: 1, 750: 0, 2250: 0, 6750: 0}
@@ -214,7 +214,7 @@ def test_exactness_loop_failing_to_track_at_the_last_level_is_dropped(
     from charvol.continuation import TrackingError
     steps = _cheap_loops(monkeypatch, [1.0] * 4 + [TrackingError, 0.0])
     integrals, failures, dropped, levels = cli.run_exactness_loops(
-        fig8_spec, fig8_problem, fig8_complete, count=1, seed=0, tol=1e-6)
+        fig8_spec, fig8_problem, fig8_complete, count=1, seed=0)
     assert integrals == [1e-12] and failures == []
     assert dropped == {"near_U": 0, "unresolved": 0, "tracking_failed": 1}
     assert levels == {64: 1, 250: 0, 750: 0, 2250: 0, 6750: 0}
@@ -277,12 +277,6 @@ def test_different_seed_changes_search(tmp_path):
     assert da["report"]["fiber"]["psl2_count"] == db["report"]["fiber"]["psl2_count"] == 1
 
 
-def test_tolerance_flags_must_be_positive(tmp_path):
-    code = run(["loops", "--spec", "fig8", "--out", str(tmp_path),
-                "--tol-loop-exactness", "-1"])
-    assert code == 1
-
-
 # a valid command line for each command; the usage tests add one bad option
 VALID = {
     "complete": ["complete", "--spec", "nonhyp"],
@@ -313,6 +307,12 @@ VALID = {
     VALID["fill"] + ["--seed", "1"],
     *(VALID[c] + [flag, "1e-3"] for c in VALID
       for flag in ("--tol-residual", "--tol-parabolic-trace")),
+    # the four thresholds are constants; no command takes them as options
+    VALID["apoly"] + ["--tol-eliminant-residual", "1e-3"],
+    VALID["loops"] + ["--tol-loop-exactness", "1e-3"],
+    VALID["fiber"] + ["--tol-dedup", "1e-3"],
+    *(VALID["certify"] + [flag, "1e-3"]
+      for flag in ("--tol-dedup", "--tol-loop-exactness", "--tol-quadrature")),
 ], ids=" ".join)
 def test_usage_errors_exit_1(argv, tmp_path, capsys):
     """An option the command does not read, or a count out of range, is a
@@ -323,17 +323,30 @@ def test_usage_errors_exit_1(argv, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_settable_values_per_command():
+    """Counted from the parser, besides --spec: 23 values over the eight
+    commands, none of them a threshold (those are module constants)."""
+    import argparse
+    from charvol.cli import build_parser
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {name: [a.option_strings[0] for a in parser._actions
+                    if a.option_strings and a.dest not in ("help", "spec")]
+             for name, parser in sub.choices.items()}
+    assert {name: len(f) for name, f in flags.items()} == {
+        "complete": 1, "apoly": 3, "fill": 3, "track": 3, "loops": 3, "fiber": 4,
+        "h1z2": 1, "certify": 5}
+    assert not [f for fs in flags.values() for f in fs if f.startswith("--tol")]
+
+
 def test_report_config_records_exactly_the_command_options(tmp_path):
     assert run(["certify", "--spec", "nonhyp", "--out", str(tmp_path)]) == 1
     config = json.loads((tmp_path / "nonhyp_certify.json").read_text())["config"]
     assert config == {"command": "certify", "spec": "nonhyp", "seed": 0,
-                      "out": str(tmp_path), "kappas": [], "budget": 64, "loops": 10,
-                      "tolerances": {"dedup": 1e-6, "loop_exactness": 1e-6,
-                                     "quadrature": 1e-7}}
+                      "out": str(tmp_path), "kappas": [], "budget": 64, "loops": 10}
     assert run(["h1z2", "--spec", "fig8", "--out", str(tmp_path)]) == 0
     config = json.loads((tmp_path / "fig8_h1z2.json").read_text())["config"]
-    assert config == {"command": "h1z2", "spec": "fig8",
-                      "out": str(tmp_path), "tolerances": {}}
+    assert config == {"command": "h1z2", "spec": "fig8", "out": str(tmp_path)}
 
 
 def test_certify_small_fig8(tmp_path):
@@ -367,7 +380,8 @@ def test_certify_writes_only_checks_that_can_fail(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    *(["certify", "--spec", "fig8", "--kappa", text] for text in ("1", "1,5,7", "x,5", "1,5;1,5")),
+    *(["certify", "--spec", "fig8", "--kappa", text]
+      for text in ("1", "1,5,7", "x,5", "1,5;1,5", "oo")),
     *([command, "--spec", "fig8", "--kappa", "1"] for command in ("apoly", "fill", "fiber")),
 ], ids=" ".join)
 def test_malformed_kappa_is_an_error_before_any_solve(argv, tmp_path, capsys, monkeypatch):

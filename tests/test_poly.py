@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from charvol.poly import (CompiledSystem, Polynomial, ResultantError,
                           SymMatrix2, VariableMismatchError, exact_div, factor_list,
-                          poly_gcd, resultant, squarefree_part, trace_poly,
+                          poly_gcd, pseudo_rem, resultant, squarefree_part, trace_poly,
                           word_matrix)
 
 V = ("x", "y", "z")
@@ -225,6 +225,22 @@ def test_resultant_linear_pair():
     # an integer-scaled pair: the Sylvester determinant carries the scale
     two = Polynomial.constant(2, W)
     assert resultant(two * (x - a), x - b, "x") == two * (a - b)
+
+
+def test_pseudo_rem_contract():
+    """lc(g)^(df-dg+1) f = q g + r, with the full power of lc(g) also when a
+    reduction step drops the degree by more than one."""
+    W = ("x", "y")
+    x = Polynomial.variable("x", W)
+    y = Polynomial.variable("y", W)
+    one, two = Polynomial.constant(1, W), Polynomial.constant(2, W)
+    # x^3 by 2x^2 + 1: 2^2 x^3 = (2x)(2x^2 + 1) - 2x
+    assert pseudo_rem(x * x * x, two * x * x + one, "x") == -(two * x)
+    # x^2 y + 1 by y x + 2: y^2 (x^2 y + 1) = (x y - 2)(y x + 2) y + y^2 + 4y
+    assert pseudo_rem(x * x * y + one, y * x + two, "x") == \
+        y * y + Polynomial.constant(4, W) * y
+    # g of degree 0 in x: the remainder is 0
+    assert pseudo_rem(x * x * y + one, two * y + one, "x").is_zero()
 
 
 def test_resultant_quadratic():

@@ -284,7 +284,7 @@ def test_loop_exactness_sees_a_non_exact_term(fixture, eps, request, monkeypatch
         return increment(a, b, sign) + eps * sum(_area_sum([a, b], u0))
     monkeypatch.setattr(volume, "_segment_increment", perturbed)
     integrals, failures, _, _ = run_exactness_loops(spec, problem, complete,
-                                                    count=3, seed=1000, tol=1e-6)
+                                                    count=3, seed=1000)
     assert len(integrals) == 3
     failed = [f["loop"] for f in failures]
     assert failed == ([0, 1, 2] if eps else [])
