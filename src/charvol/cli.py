@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures
-from .continuation import (ContinuationError, DeformationProblem,
+from .continuation import (QUADRATURE_STEP, ContinuationError, DeformationProblem,
                            FillingCoefficients, fiber_over, sample_dense_set, solve_filling,
                            track, track_closed_loop, random_log_loop_targets)
 from .eigenvar import (EigenvarError, EliminationBudgetError, build_extended, eliminate,
@@ -146,7 +146,7 @@ def cmd_fill(args) -> int:
     kappa = FillingCoefficients.parse(args.kappa, spec.cusp_count)
     system = GaugedSystem(spec)
     comp = find_complete(spec, system)
-    pt, path_ = solve_filling(DeformationProblem(system), comp, kappa)
+    pt, path_ = solve_filling(DeformationProblem(system), comp, kappa, QUADRATURE_STEP)
     vol = anchored_volume(spec, path_)
     body = {"status": "ok", "kappa": args.kappa, "point": pt.to_json(),
             "volume": vol.to_json(), "samples": len(path_),
@@ -349,7 +349,7 @@ def cmd_certify(args) -> int:
     # filled characters: volumes below reference, increasing along a series,
     # quadrature-stable
     t1 = time.perf_counter()
-    fillings = sample_dense_set(problem, comp, kappas)
+    fillings = sample_dense_set(problem, comp, kappas, QUADRATURE_STEP)
     for f in fillings:
         if f.point is None:
             check(f"filling_{f.kappa.label()}", False, None, None, f.error)

@@ -338,11 +338,19 @@ class FillingCoefficients:
         return ";".join("inf" if s is None else f"{s[0]},{s[1]}" for s in self.slopes)
 
 
+# the fixed step of a filling path that a volume is integrated along: 992
+# samples, whose Richardson estimate stays below the quadrature tolerance
+QUADRATURE_STEP = 0.001
+
+
 def solve_filling(problem: DeformationProblem, complete: CharacterPoint,
-                  kappa: FillingCoefficients) -> tuple[CharacterPoint, TrackedPath]:
+                  kappa: FillingCoefficients,
+                  step: Optional[float] = None) -> tuple[CharacterPoint, TrackedPath]:
     """Continue from the complete structure to the solution of the log-form
     filling equations p_i u_i + q_i v_i = 2 pi i at filled cusps, keeping
-    unfilled cusps parabolic."""
+    unfilled cusps parabolic.  The path is tracked at the fixed `step` when
+    one is given (a caller that integrates a volume along it passes
+    QUADRATURE_STEP), else at `track`'s adaptive steps."""
     system = problem.system
     h = len(system.cusps)
     if len(kappa.slopes) != h:
@@ -382,9 +390,9 @@ def solve_filling(problem: DeformationProblem, complete: CharacterPoint,
     start_pt, res, ok = problem.correct(start_pt.coords, start_pt, family, tau_start)
     if not ok:
         raise FillingError(f"kappa={kappa.label()}: start correction failed ({res:.2e})")
+    steps = {} if step is None else {"first_step": step, "max_step": step}
     try:
-        path = track(problem, start_pt, family, tau0=tau_start, tau1=1.0,
-                     first_step=0.001, max_step=0.001,
+        path = track(problem, start_pt, family, tau0=tau_start, tau1=1.0, **steps,
                      description=f"filling {kappa.label()} of {system.spec.name}")
     except TrackingError as e:
         raise FillingError(f"kappa={kappa.label()}: {e}") from e
@@ -446,14 +454,16 @@ class FilledCharacter:
 
 
 def sample_dense_set(problem: DeformationProblem, complete: CharacterPoint,
-                     kappas: Sequence[FillingCoefficients]) -> list[FilledCharacter]:
-    """Filled characters chi_kappa for the given slopes: a finite sample of
-    the Zariski-dense filled set.  A filling that fails is recorded with its
+                     kappas: Sequence[FillingCoefficients],
+                     step: Optional[float] = None) -> list[FilledCharacter]:
+    """Filled characters chi_kappa for the given slopes, each path tracked as
+    `solve_filling` tracks it at `step`: a finite sample of the
+    Zariski-dense filled set.  A filling that fails is recorded with its
     error."""
     out = []
     for kappa in kappas:
         try:
-            pt, path = solve_filling(problem, complete, kappa)
+            pt, path = solve_filling(problem, complete, kappa, step)
             out.append(FilledCharacter(kappa, pt, path))
         except ContinuationError as e:
             out.append(FilledCharacter(kappa, None, None, error=str(e)))
@@ -506,7 +516,12 @@ def _char_distance(k1: np.ndarray, k2: np.ndarray) -> float:
     return float(np.max(np.abs(k1 - k2)))
 
 
-def restriction_rank_ok(system: GaugedSystem, coords, threshold=1e-6) -> bool:
+# the smallest singular value of the boundary-trace map on the slice tangent
+# space at which the map has full rank
+RANK_TOL = 1e-6
+
+
+def restriction_rank_ok(system: GaugedSystem, coords) -> bool:
     """Full-rank test of the boundary-trace map on the slice tangent space."""
     J = system.compiled.jacobian(coords)
     M = J[system.trace_rows] @ system.tangent_basis(J)
@@ -514,7 +529,7 @@ def restriction_rank_ok(system: GaugedSystem, coords, threshold=1e-6) -> bool:
         return False
     sv = np.linalg.svd(M, compute_uv=False)
     h = len(system.cusps)
-    return len(sv) >= h and bool(sv[min(h, len(sv)) - 1] > threshold)
+    return len(sv) >= h and bool(sv[min(h, len(sv)) - 1] > RANK_TOL)
 
 
 # the largest character-key distance at which two fiber points are one
@@ -677,9 +692,13 @@ def concatenate_paths(a: TrackedPath, b: TrackedPath) -> TrackedPath:
                        steps_rejected=a.steps_rejected + b.steps_rejected)
 
 
+# the largest eigenvalue-coordinate gap at which a tracked loop is closed
+CLOSURE_TOL = 1e-9
+
+
 def track_closed_loop(problem: DeformationProblem, base: CharacterPoint,
                       family: ConstraintFamily, max_windings: int = 2,
-                      closure_tol: float = 1e-9, **opts) -> TrackedPath:
+                      **opts) -> TrackedPath:
     """Track the family's loop until the eigenvalue coordinates close up.
 
     A loop in the meridian logs may permute the finitely many sheets of the
@@ -690,7 +709,7 @@ def track_closed_loop(problem: DeformationProblem, base: CharacterPoint,
         end = total.endpoint()
         gap = max(max(abs(ca.m - cb.m), abs(ca.l - cb.l))
                   for ca, cb in zip(base.cusps, end.cusps))
-        if gap < closure_tol:
+        if gap < CLOSURE_TOL:
             return total
         if winding < max_windings:
             total = concatenate_paths(

@@ -105,16 +105,21 @@ class EigenvaluePoint:
         return len(self.values) // 2
 
 
-def sample_point(ext: ExtendedSystem, pt: CharacterPoint,
-                 tol: float = 1e-8) -> EigenvaluePoint:
+# the largest scaled residual at which a sample lies on a factor or a slot
+# branch, and at which an eliminant is validated; also the largest trace
+# defect of a sample's slot eigenvalues
+SAMPLE_TOL = 1e-8
+
+
+def sample_point(ext: ExtendedSystem, pt: CharacterPoint) -> EigenvaluePoint:
     """Peripheral eigenvalue data of a character point, read off the
     eigenvalue slots and checked against the three trace generators."""
     point = EigenvaluePoint(values=ext.gauged.ml_values(pt.coords))
-    _check_trace_consistency(pt, point, tol)
+    _check_trace_consistency(pt, point)
     return point
 
 
-def _check_trace_consistency(pt: CharacterPoint, x: EigenvaluePoint, tol: float):
+def _check_trace_consistency(pt: CharacterPoint, x: EigenvaluePoint):
     for i, c in enumerate(pt.cusps):
         m, l = x.cusp(i)
         checks = (
@@ -122,7 +127,7 @@ def _check_trace_consistency(pt: CharacterPoint, x: EigenvaluePoint, tol: float)
             abs(l + 1 / l - c.trace_l),
             abs(m * l + 1 / (m * l) - c.trace_ml),
         )
-        if max(checks) >= tol:
+        if max(checks) >= SAMPLE_TOL:
             raise EigenvarError(
                 f"cusp {i + 1}: slot eigenvalues inconsistent with traces "
                 f"(defects {[f'{v:.2e}' for v in checks]})")
@@ -221,11 +226,6 @@ def _localize(p: Polynomial, samples, tol, removed_log: list[str]) -> Polynomial
         raise EigenvarError(f"no factor of a {p.total_terms()}-term polynomial "
                             "vanishes at every sample")
     return kept
-
-
-# the largest scaled residual at which a sample lies on a factor or a slot
-# branch, and at which an eliminant is validated
-SAMPLE_TOL = 1e-8
 
 
 def eliminate(ext: ExtendedSystem,

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .continuation import TrackedPath
+from .continuation import CLOSURE_TOL, TrackedPath
 from .locus import eigenvalues, moving_along, on_U
 from .manifold import ManifoldSpec
 from .repvar import CharacterPoint
@@ -105,7 +105,7 @@ def loop_integral(loop: TrackedPath, handedness_sign: int = 1) -> IntegralResult
     zero."""
     a, b = loop.points[0], loop.points[-1]
     for ca, cb in zip(a.cusps, b.cusps):
-        if abs(ca.m - cb.m) >= 1e-9 or abs(ca.l - cb.l) >= 1e-9:
+        if abs(ca.m - cb.m) >= CLOSURE_TOL or abs(ca.l - cb.l) >= CLOSURE_TOL:
             raise VolumeError(
                 f"loop endpoints differ in eigenvalue coordinates: "
                 f"|dm| = {abs(ca.m - cb.m):.2e}, |dl| = {abs(ca.l - cb.l):.2e}")

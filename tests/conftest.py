@@ -1,6 +1,7 @@
 import pytest
 
-from charvol.continuation import DeformationProblem, FillingCoefficients, solve_filling
+from charvol.continuation import (QUADRATURE_STEP, DeformationProblem, FillingCoefficients,
+                                  solve_filling)
 from charvol.eigenvar import build_extended
 from charvol.fixtures import load_fixture
 from charvol.repvar import GaugedSystem, find_complete
@@ -63,11 +64,12 @@ def fig8_extended(fig8_system):
 
 @pytest.fixture(scope="session")
 def fig8_fillings(fig8_spec, fig8_problem, fig8_complete):
-    """(kappa text, point, path) for q = 5, 7, 11, computed once."""
+    """(kappa text, point, path) for q = 5, 7, 11, computed once, each path
+    tracked at the quadrature step that volumes along it need."""
     out = []
     for q in (5, 7, 11):
         kappa = FillingCoefficients.parse(f"1,{q}", fig8_spec.cusp_count)
-        pt, path = solve_filling(fig8_problem, fig8_complete, kappa)
+        pt, path = solve_filling(fig8_problem, fig8_complete, kappa, QUADRATURE_STEP)
         out.append((f"1,{q}", pt, path))
     return out
 
@@ -77,7 +79,7 @@ def wlink_fillings(wlink_spec, wlink_problem, wlink_complete):
     out = []
     for ktext in ("1,5;1,7", "1,7;1,5", "1,5;inf"):
         kappa = FillingCoefficients.parse(ktext, wlink_spec.cusp_count)
-        pt, path = solve_filling(wlink_problem, wlink_complete, kappa)
+        pt, path = solve_filling(wlink_problem, wlink_complete, kappa, QUADRATURE_STEP)
         out.append((ktext, pt, path))
     return out
 

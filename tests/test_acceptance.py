@@ -77,9 +77,9 @@ def test_criterion_2_degree_one(fixture, budget, request):
 
 @pytest.fixture(scope="session")
 def wlink_third_filling(wlink_spec, wlink_problem, wlink_complete):
-    from charvol.continuation import FillingCoefficients, solve_filling
+    from charvol.continuation import QUADRATURE_STEP, FillingCoefficients, solve_filling
     kappa = FillingCoefficients.parse("1,5;1,5", 2)
-    return solve_filling(wlink_problem, wlink_complete, kappa)
+    return solve_filling(wlink_problem, wlink_complete, kappa, QUADRATURE_STEP)
 
 
 def test_criterion_2_wlink_third_point(wlink_system, wlink_third_filling):

@@ -59,7 +59,9 @@ def test_fill_and_volume_commands(tmp_path):
     assert abs(doc["report"]["volume"]["value"] - 1.8190770) < 1e-5
     csv = (tmp_path / "fig8_fill.csv").read_text().splitlines()
     assert csv[0].startswith("t,re_u1")
-    assert len(csv) > 100
+    # fill integrates a volume, so it tracks at the quadrature step: the
+    # complete structure, then tau = 0.01, 0.011, ..., 1
+    assert len(csv) == 1 + 992
 
     code = run(["fill", "--spec", "fig8", "--kappa", "1,7", "--out", str(tmp_path)])
     assert code == 0
@@ -82,35 +84,48 @@ def test_apoly_command_fig8(tmp_path):
 
 
 @pytest.fixture
-def filled_slopes(monkeypatch):
-    """The slopes that `apoly` fills, read off its `sample_dense_set` call."""
+def fillings(monkeypatch):
+    """The filled characters that `apoly` gets from its `sample_dense_set`
+    call."""
     import charvol.cli as cli
-    labels = []
+    out = []
     original = cli.sample_dense_set
 
-    def recording(problem, complete, kappas):
-        out = original(problem, complete, kappas)
-        labels.extend(f.kappa.label() for f in out)
-        return out
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        out.extend(result)
+        return result
 
     monkeypatch.setattr(cli, "sample_dense_set", recording)
-    return labels
+    return out
 
 
-def test_apoly_fills_exactly_the_given_slope(tmp_path, filled_slopes):
+def test_apoly_fills_exactly_the_given_slope(tmp_path, fillings):
     code = run(["apoly", "--spec", "fig8", "--kappa", "2,5", "--out", str(tmp_path)])
     assert code == 0
-    assert filled_slopes == ["2,5"]
+    assert [f.kappa.label() for f in fillings] == ["2,5"]
     doc = json.loads((tmp_path / "fig8_apoly.json").read_text())
     assert doc["report"]["eliminants"]["validated"]
 
 
-def test_apoly_two_cusp_kappa_with_unfilled_cusp(tmp_path, filled_slopes, capsys):
+def test_apoly_tracks_fillings_at_adaptive_steps(tmp_path, fillings):
+    """`apoly` reads each filled point and two samples of its path and
+    integrates no volume, so it tracks at `track`'s own steps, not at the
+    992-sample quadrature step, and the eliminant still validates."""
+    code = run(["apoly", "--spec", "fig8", "--out", str(tmp_path)])
+    assert code == 0
+    assert [f.kappa.label() for f in fillings] == ["1,5", "1,7", "1,11"]
+    assert all(len(f.path) < 100 for f in fillings)
+    el = json.loads((tmp_path / "fig8_apoly.json").read_text())["report"]["eliminants"]
+    assert el["validated"] and len(el["polynomials"]) == 1
+
+
+def test_apoly_two_cusp_kappa_with_unfilled_cusp(tmp_path, fillings, capsys):
     """The slope is filled as given; every sample then has m2 = 1, where both
     branches of cusp 2's slot meet, and the elimination says so."""
     code = run(["apoly", "--spec", "wlink", "--kappa", "1,5;inf", "--out", str(tmp_path)])
     assert code == 1
-    assert filled_slopes == ["1,5;inf"]
+    assert [f.kappa.label() for f in fillings] == ["1,5;inf"]
     err = capsys.readouterr().err
     assert err.startswith("error:") and "both branches of the slot p meet" in err
     report = json.loads((tmp_path / "wlink_apoly.json").read_text())["report"]

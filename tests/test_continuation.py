@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from charvol.continuation import (ContinuationError, DivergenceError,
+from charvol.continuation import (QUADRATURE_STEP, ContinuationError, DivergenceError,
                                   FillingCoefficients, SingularJacobianError,
                                   TrackingError, fiber_over, jacobian_check,
                                   newton_correct, pin_log,
@@ -407,7 +407,7 @@ def test_whitehead_symmetry_in_volumes(wlink_spec, wlink_fillings):
 
 def test_sample_dense_set_fig8(fig8_spec, fig8_problem, fig8_complete):
     kappas = [FillingCoefficients.parse(k, 1) for k in ("1,5", "1,7")]
-    out = sample_dense_set(fig8_problem, fig8_complete, kappas)
+    out = sample_dense_set(fig8_problem, fig8_complete, kappas, QUADRATURE_STEP)
     assert len(out) == 2
     assert all(f.error is None for f in out)
     vols = [anchored_volume(fig8_spec, f.path).value for f in out]

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from charvol.continuation import (TrackedPath, random_log_loop_targets,
-                                  step_off_complete)
+from charvol.continuation import (FillingCoefficients, TrackedPath, random_log_loop_targets,
+                                  solve_filling, step_off_complete)
 from charvol.repvar import CharacterPoint, PeripheralState
 from charvol.volume import (VolumeError, anchored_volume, eta_at, integrate_eta,
                             lobachevsky, lobachevsky_series, loop_integral,
@@ -139,6 +139,19 @@ def test_quadrature_error_estimate_small(fig8_fillings):
     for _, _, path in fig8_fillings:
         integ = integrate_eta(path)
         assert integ.error_estimate < 1e-7
+
+
+def test_volume_needs_the_quadrature_step(fig8_spec, fig8_problem, fig8_complete,
+                                          fig8_fillings):
+    """On a (1,5) path at `track`'s adaptive steps the volume's Richardson
+    estimate exceeds certify's quadrature tolerance; on the path at
+    QUADRATURE_STEP it does not.  So `fill` and `certify` pass the step."""
+    from charvol.cli import QUADRATURE_TOL
+    _, adaptive = solve_filling(fig8_problem, fig8_complete,
+                                FillingCoefficients.parse("1,5", 1))
+    _, _, dense = fig8_fillings[0]
+    assert anchored_volume(fig8_spec, adaptive).quadrature_error > QUADRATURE_TOL
+    assert anchored_volume(fig8_spec, dense).quadrature_error < QUADRATURE_TOL
 
 
 def test_gamma_mirror_leaves_integral_unchanged(fig8_fillings):
