@@ -339,7 +339,7 @@ class FillingCoefficients:
 
 
 # the fixed step of a filling path that a volume is integrated along: 992
-# samples, whose Richardson estimate stays below the quadrature tolerance
+# samples, whose Richardson estimate stays below cli.QUADRATURE_TOL
 QUADRATURE_STEP = 0.001
 
 
