@@ -149,7 +149,7 @@ def cmd_fill(args) -> int:
     pt, path_ = solve_filling(DeformationProblem(system), comp, kappa, QUADRATURE_STEP)
     vol = anchored_volume(spec, path_)
     body = {"status": "ok", "kappa": args.kappa, "point": pt.to_json(),
-            "volume": vol.to_json(), "samples": len(path_),
+            "volume": vol.to_json(), "samples": len(path_), "filling_stats": path_.stats,
             "eta_integral": vol.eta_integral, "reference": spec.reference_volume.value}
     path = write_report(args, f"{spec.name}_fill", body,
                         {"total_s": time.perf_counter() - t0})
@@ -419,6 +419,7 @@ def cmd_certify(args) -> int:
         ("inconclusive" if overall_inconclusive or "inconclusive" in statuses else "pass")
     body = {"checks": checks, "overall": overall,
             "reference_volume": spec.reference_volume.value,
+            "filling_stats": {f.kappa.label(): f.path.stats for f in filled},
             "h1z2": {"h1_dim": z2.h1_dim, "k": z2.k, "bound": z2.degree_bound}}
     path = write_report(args, f"{spec.name}_certify", body,
                         {"total_s": time.perf_counter() - t0, **timings})

@@ -128,6 +128,37 @@ class DeformationProblem:
             return np.concatenate([vals[g], rows]), np.vstack([J[g], *grads])
         return F
 
+    def _stacked_rows(self, refs: Sequence[CharacterPoint], family: ConstraintFamily,
+                      taus):
+        """The stacked twin of `_rows`, for `gauss_newton_lockstep`: sample k
+        imposes the family at taus[k] and lifts its logs from refs[k].
+        F(X, live) evaluates the samples `live` at the stack X, and keeps
+        each sample's last compiled row vector in the rows of `F.vals`."""
+        system = self.system
+        h = len(system.cusps)
+        p = np.fromiter(itertools.islice(family.p, h), complex, h)
+        q = np.fromiter(itertools.islice(family.q, h), complex, h)
+        ref = {a: np.array([[getattr(c, a) for c in r.cusps] for r in refs])
+               for a in ("u", "v", "m", "l", "base_u", "base_v")}
+        # the family's rows at each sample's lift reference; F adds the log
+        # increments from the reference
+        offset = (p * (ref["u"] - ref["base_u"]) + q * (ref["v"] - ref["base_v"])
+                  - np.array([family.target(t) for t in taus], dtype=complex))
+        g, ml = system.gauge_rows, system.ml_rows
+
+        def F(X, live):
+            vals, J = system.compiled.values_and_jacobian(X)
+            F.vals[live] = vals
+            m, l = vals[:, ml][:, 0::2], vals[:, ml][:, 1::2]
+            Jm, Jl = J[:, ml][:, 0::2], J[:, ml][:, 1::2]
+            rows = offset[live] + p * np.log(m / ref["m"][live]) + \
+                q * np.log(l / ref["l"][live])
+            grads = p[:, None] * Jm / m[:, :, None] + q[:, None] * Jl / l[:, :, None]
+            return (np.concatenate([vals[:, g], rows], axis=1),
+                    np.concatenate([J[:, g], grads], axis=1))
+        F.vals = np.empty((len(refs), system.compiled.npolys), dtype=complex)
+        return F
+
     def correct(self, x0, prev: CharacterPoint, family: ConstraintFamily, tau,
                 tol=1e-11, maxiter=30):
         """Newton-correct x0 onto the gauge system plus the family at tau;
@@ -168,6 +199,8 @@ class TrackedPath:
     taus: list[float]
     description: str = ""
     steps_rejected: int = 0
+    # deterministic solver statistics of the path, for reports
+    stats: dict = field(default_factory=dict)
 
     def endpoint(self) -> CharacterPoint:
         return self.points[-1]
@@ -338,9 +371,18 @@ class FillingCoefficients:
         return ";".join("inf" if s is None else f"{s[0]},{s[1]}" for s in self.slopes)
 
 
-# the fixed step of a filling path that a volume is integrated along: 992
-# samples, whose Richardson estimate stays below cli.QUADRATURE_TOL
+# the grid step of a filling path that a volume is integrated along: 992
+# samples.  Its Richardson estimate is below cli.QUADRATURE_TOL on the
+# default slopes, not on every slope: tracked one sample at a time at this
+# step, fig8 (5,1) read 2.3e-6.
 QUADRATURE_STEP = 0.001
+
+# the largest fourth difference of a filling path's gauge coordinates on its
+# quadrature grid.  The default slopes read below 1e-10.  A larger one marks
+# a kinked path, a skeleton that jumped sheets or an ill-conditioned end:
+# fig8 (3,1), whose filled point has a gauge singular value of 6e-6, reads
+# 1.8e-6 at its last samples.
+FOURTH_DIFFERENCE_TOL = 1e-6
 
 
 def solve_filling(problem: DeformationProblem, complete: CharacterPoint,
@@ -348,9 +390,10 @@ def solve_filling(problem: DeformationProblem, complete: CharacterPoint,
                   step: Optional[float] = None) -> tuple[CharacterPoint, TrackedPath]:
     """Continue from the complete structure to the solution of the log-form
     filling equations p_i u_i + q_i v_i = 2 pi i at filled cusps, keeping
-    unfilled cusps parabolic.  The path is tracked at the fixed `step` when
-    one is given (a caller that integrates a volume along it passes
-    QUADRATURE_STEP), else at `track`'s adaptive steps."""
+    unfilled cusps parabolic.  The path is tracked at `track`'s adaptive
+    steps.  With a `step` (a caller that integrates a volume along the path
+    passes QUADRATURE_STEP), that track is the skeleton of the path that
+    `_grid_samples` returns, on the uniform grid of `step`."""
     system = problem.system
     h = len(system.cusps)
     if len(kappa.slopes) != h:
@@ -390,10 +433,11 @@ def solve_filling(problem: DeformationProblem, complete: CharacterPoint,
     start_pt, res, ok = problem.correct(start_pt.coords, start_pt, family, tau_start)
     if not ok:
         raise FillingError(f"kappa={kappa.label()}: start correction failed ({res:.2e})")
-    steps = {} if step is None else {"first_step": step, "max_step": step}
     try:
-        path = track(problem, start_pt, family, tau0=tau_start, tau1=1.0, **steps,
+        path = track(problem, start_pt, family, tau0=tau_start, tau1=1.0,
                      description=f"filling {kappa.label()} of {system.spec.name}")
+        if step is not None:
+            path = _grid_samples(problem, family, path, step)
     except TrackingError as e:
         raise FillingError(f"kappa={kappa.label()}: {e}") from e
 
@@ -408,9 +452,85 @@ def solve_filling(problem: DeformationProblem, complete: CharacterPoint,
 
     full_path = TrackedPath(points=[complete] + path.points, taus=[0.0] + path.taus,
                             description=path.description,
-                            steps_rejected=path.steps_rejected)
+                            steps_rejected=path.steps_rejected, stats=path.stats)
     end.label = f"filled:{system.spec.name}:{kappa.label()}"
     return end, full_path
+
+
+def _cubic_interpolant(taus: np.ndarray, coords: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Coordinates at the parameters `at` on the cubic in tau through the
+    four samples (taus, coords) around each, in Lagrange form; needs at
+    least four samples."""
+    k = np.searchsorted(taus, at, side="right") - 1
+    nodes = np.clip(k - 1, 0, len(taus) - 4)[:, None] + np.arange(4)
+    tn = taus[nodes]
+    x = 0
+    for j in range(4):
+        w = 1.0
+        for i in range(4):
+            if i != j:
+                w = w * (at - tn[:, i]) / (tn[:, j] - tn[:, i])
+        x = x + w[:, None] * coords[nodes[:, j]]
+    return x
+
+
+def _fourth_difference(coords: np.ndarray, taus: Sequence[float]) -> float:
+    """The largest fourth difference of the coordinate rows `coords` of
+    samples at the uniformly spaced `taus`; raises TrackingError when it
+    reaches FOURTH_DIFFERENCE_TOL."""
+    d4 = np.abs(np.diff(coords, 4, axis=0)).max(axis=1)
+    worst = int(np.argmax(d4))
+    if not d4[worst] < FOURTH_DIFFERENCE_TOL:
+        raise TrackingError(f"fourth difference {d4[worst]:.2e} of the quadrature samples "
+                            f"at tau={taus[worst + 2]:.6f} reaches "
+                            f"FOURTH_DIFFERENCE_TOL {FOURTH_DIFFERENCE_TOL:.0e}")
+    return float(d4[worst])
+
+
+def _grid_samples(problem: DeformationProblem, family: ConstraintFamily,
+                  skeleton: TrackedPath, step: float) -> TrackedPath:
+    """The path of the tracked `skeleton` on the uniform grid of `step` over
+    the skeleton's tau range.  Every grid sample after the first is solved
+    in one `gauss_newton_lockstep` call (tol 1e-11 and 30 iterations, as
+    `track` corrects), started from the skeleton's cubic interpolant, with its logs
+    lifted from the skeleton sample before it.  The samples are then lifted
+    in order and checked as `track` checks its own: the branch check and,
+    before the end, the V check.
+
+    Raises TrackingError on a sample that does not converge, on a largest
+    fourth difference of the coordinates of FOURTH_DIFFERENCE_TOL or more
+    (a kinked path, or a skeleton that jumped sheets, whose interpolant the
+    grid follows), and on a failed check."""
+    system = problem.system
+    taus = np.asarray(skeleton.taus)
+    coords = np.array([pt.coords for pt in skeleton.points])
+    grid = np.linspace(taus[0], taus[-1], round((taus[-1] - taus[0]) / step) + 1)
+    at = grid[1:]
+    before = np.clip(np.searchsorted(taus, at, side="right") - 1, 0, len(taus) - 2)
+    F = problem._stacked_rows([skeleton.points[k] for k in before], family, at)
+    xs, converged, iterations = gauss_newton_lockstep(
+        F, _cubic_interpolant(taus, coords, at), 1e-11, 30)
+    if not converged.all():
+        bad = np.flatnonzero(~converged)
+        raise TrackingError(f"{len(bad)} of {len(at)} quadrature samples did not "
+                            f"converge, the first at tau={at[bad[0]]:.6f}")
+    d4 = _fourth_difference(np.vstack([coords[:1], xs]), grid)
+    pt = skeleton.points[0]
+    points = [pt]
+    for k, (tau, x, vals) in enumerate(zip(at, xs, F.vals)):
+        new_pt = make_character_point(system, x, prev=pt, vals=vals)
+        cause = _branch_jump(pt, new_pt)
+        if cause:
+            raise TrackingError(f"the quadrature sample at tau={tau:.6f} fails {cause}")
+        if k < len(at) - 1 and \
+                on_V(traces(new_pt), moving=[moved(c) for c in new_pt.cusps]):
+            raise TrackingError(f"path crossed V at tau={tau:.6f}")
+        points.append(new_pt)
+        pt = new_pt
+    stats = {"skeleton_samples": len(skeleton), "skeleton_rejected": skeleton.steps_rejected,
+             "newton_iterations_max": int(iterations.max()), "fourth_difference_max": d4}
+    return TrackedPath(points=points, taus=grid.tolist(), description=skeleton.description,
+                       steps_rejected=skeleton.steps_rejected, stats=stats)
 
 
 def make_filling_route_via_detour(problem: DeformationProblem,
@@ -550,7 +670,7 @@ def fiber_over(system: GaugedSystem, z: np.ndarray,
     rng = np.random.default_rng(seed)
     gauge, trace = system.gauge_rows, system.trace_rows
 
-    def F(X):
+    def F(X, live):
         vals, J = system.compiled.values_and_jacobian(X)
         return (np.concatenate([vals[:, gauge], vals[:, trace] - z], axis=1),
                 np.concatenate([J[:, gauge], J[:, trace]], axis=1))

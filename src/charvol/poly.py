@@ -509,8 +509,9 @@ class _CompiledBlock:
     The per-variable exponent ranges, each term's index into them and a
     sum buffer with one trailing zero (for polynomials without terms) are
     built once per block.  A stack of points (N, nvars) multiplies the same
-    factors in the same order into an (N, terms) buffer and reduces each
-    row like a single point."""
+    factors in the same order into a (terms, N) buffer and sums each
+    polynomial's terms like a single point, so every row of the result has
+    the bytes of a single-point call."""
 
     def __init__(self, polys: list[Polynomial], vars):
         exps, coeffs, bounds = [], [], [0]
@@ -548,12 +549,14 @@ class _CompiledBlock:
         return out
 
     def _stacked(self, x: np.ndarray) -> np.ndarray:
-        buf = np.zeros((len(x), len(self.buf)), dtype=complex)
-        vals = buf[:, :-1]
-        vals[:] = self.coeffs
+        # terms-major: each factor multiplies contiguous (terms, N) rows, and
+        # each polynomial's terms are summed down the rows
+        buf = np.zeros((len(self.buf), len(x)), dtype=complex)
+        vals = buf[:-1]
+        vals[:] = self.coeffs[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             for xv, exps, col in zip(x.T, self.ranges, self.columns):
-                vals *= (xv[:, None] ** exps)[:, col]
-        out = np.add.reduceat(buf, self.starts, axis=1)
-        out[:, self.empty] = 0
-        return out
+                vals *= (xv ** exps[:, None])[col]
+        out = np.add.reduceat(buf, self.starts, axis=0)
+        out[self.empty] = 0
+        return out.T

@@ -440,21 +440,25 @@ def gauss_newton(F, start, tol: float, maxiter: int, max_step: Optional[float] =
                           x, res)
 
 
-def gauss_newton_lockstep(F, starts, tol: float, maxiter: int, condition_limit: float):
-    """`gauss_newton` with condition_limit (and no step cap) on a stack of
-    independent starts, all stepped together: F maps a (k, n) stack of
-    points to (k, m) values and (k, m, n) Jacobians.
+def gauss_newton_lockstep(F, starts, tol: float, maxiter: int,
+                          condition_limit: Optional[float] = None):
+    """`gauss_newton` (with no step cap) on a stack of independent starts,
+    all stepped together: F(X, live) maps a (k, n) stack of points to (k, m)
+    values and (k, m, n) Jacobians, where live holds the indices into
+    `starts` of the k points, so that F can give each start its own
+    equations.
 
     Each start follows gauss_newton's rules.  It converges at once when its
     starting residual is below tol, and fails when its starting Jacobian
-    condition exceeds condition_limit, on a non-finite residual, Jacobian or
-    step, after three 4x growths of the residual 2-norm in a row, or after
-    maxiter steps.  Steps are minimum-norm least squares with lstsq's cutoff
-    eps * max(m, n) * sigma_max, from a stacked pseudo-inverse.  A start
-    that converges or fails leaves the stack at once, so no non-finite
-    member reaches the stacked SVD (which would raise for all of them).
-    Sequential callers keep `gauss_newton`: one stacked call costs about
-    twice a single-point call.
+    condition exceeds condition_limit (when one is given), on a non-finite
+    residual, Jacobian or step, after three 4x growths of the residual
+    2-norm in a row, or after maxiter steps.  Steps are minimum-norm least
+    squares with lstsq's cutoff eps * max(m, n) * sigma_max, from a stacked
+    pseudo-inverse.  A start that converges or fails leaves the stack at
+    once, so no non-finite member reaches the stacked SVD (which would raise
+    for all of them).  Sequential callers keep `gauss_newton`: a stack of
+    one costs more than one point (on fig8, about 35 against 23 us for the
+    compiled evaluation, and 52 against 27 us with the filling rows).
 
     Returns (x, converged, iterations): each start's last iterate, whether
     it converged, and the number of steps applied to it."""
@@ -465,7 +469,7 @@ def gauss_newton_lockstep(F, starts, tol: float, maxiter: int, condition_limit: 
         return x, converged, iterations
 
     def evaluate(live):
-        vals, J = F(x[live])
+        vals, J = F(x[live], live)
         res = np.abs(vals).max(axis=1, initial=0.0)
         ok = np.isfinite(res) & np.isfinite(J).all(axis=(1, 2))
         return vals, J, res, ok
@@ -476,7 +480,7 @@ def gauss_newton_lockstep(F, starts, tol: float, maxiter: int, condition_limit: 
     converged[live[done]] = True
     keep = ok & ~done
     live, vals, J = live[keep], vals[keep], J[keep]
-    if len(live):
+    if len(live) and condition_limit is not None:
         sv = np.linalg.svd(J, compute_uv=False)
         with np.errstate(divide="ignore", invalid="ignore"):
             keep = sv[:, 0] / sv[:, -1] <= condition_limit

@@ -62,6 +62,11 @@ def test_fill_and_volume_commands(tmp_path):
     # fill integrates a volume, so it tracks at the quadrature step: the
     # complete structure, then tau = 0.01, 0.011, ..., 1
     assert len(csv) == 1 + 992
+    # the grid's solver statistics, outside the timings
+    stats = doc["report"]["filling_stats"]
+    assert sorted(stats) == ["fourth_difference_max", "newton_iterations_max",
+                             "skeleton_rejected", "skeleton_samples"]
+    assert stats["skeleton_samples"] < 100 and stats["fourth_difference_max"] < 1e-6
 
     code = run(["fill", "--spec", "fig8", "--kappa", "1,7", "--out", str(tmp_path)])
     assert code == 0

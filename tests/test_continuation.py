@@ -3,8 +3,9 @@ import copy
 import numpy as np
 import pytest
 
-from charvol.continuation import (QUADRATURE_STEP, ContinuationError, DivergenceError,
-                                  FillingCoefficients, SingularJacobianError,
+from charvol.continuation import (FOURTH_DIFFERENCE_TOL, QUADRATURE_STEP, ConstraintFamily,
+                                  ContinuationError, DivergenceError, FillingCoefficients,
+                                  FillingError, SingularJacobianError,
                                   TrackingError, fiber_over, jacobian_check,
                                   newton_correct, pin_log,
                                   sample_dense_set, solve_filling,
@@ -396,6 +397,82 @@ def test_filling_parse_errors():
         FillingCoefficients.parse("1,5", 2)
 
 
+def _filling_family(kappa: FillingCoefficients) -> ConstraintFamily:
+    """The constraint family that solve_filling imposes for kappa."""
+    return ConstraintFamily([1 if s is None else s[0] for s in kappa.slopes],
+                            [0 if s is None else s[1] for s in kappa.slopes],
+                            lambda tau: [0j if s is None else TWO_PI_I * tau
+                                         for s in kappa.slopes])
+
+
+@pytest.mark.parametrize("name", ["fig8", "wlink"])
+def test_stacked_rows_equal_single_rows(name, fig8_problem, fig8_fillings,
+                                        wlink_problem, wlink_fillings):
+    """The stacked family rows give each sample the values and Jacobian of
+    `_rows` at that sample's tau and lift reference, also when F sees only
+    some of the samples (wlink's "1,5;inf" pins its unfilled cusp).  A
+    family row sums the logs u, u0, v, v0 (times p or q) and -t, which
+    cancel, so it agrees to 1e-14 relative to the largest of them."""
+    problem, (ktext, _, path) = {"fig8": (fig8_problem, fig8_fillings[0]),
+                                 "wlink": (wlink_problem, wlink_fillings[2])}[name]
+    family = _filling_family(FillingCoefficients.parse(ktext, len(problem.system.cusps)))
+    rng = np.random.default_rng(5)
+    picks = [2, 3, 200, 600, 990]
+    refs = [path.points[k - 1] for k in picks]
+    taus = [path.taus[k] for k in picks]
+    X = np.array([path.points[k].coords for k in picks])
+    X = X + 1e-3 * (rng.normal(size=X.shape) + 1j * rng.normal(size=X.shape))
+    F = problem._stacked_rows(refs, family, taus)
+    for live in (np.arange(len(picks)), np.array([1, 4])):
+        vals, J = F(X[live], live)
+        for k, v, j in zip(live, vals, J):
+            F1 = problem._rows(refs[k], family, taus[k])
+            v1, j1 = F1(X[k])
+            terms = [max(abs(p) * (abs(c.u) + abs(c.base_u)),
+                         abs(q) * (abs(c.v) + abs(c.base_v)), abs(t))
+                     for p, q, t, c in zip(family.p, family.q, family.target(taus[k]),
+                                           refs[k].cusps)]
+            g = len(v) - len(terms)
+            assert v[:g].tobytes() == v1[:g].tobytes()
+            assert np.all(np.abs(v[g:] - v1[g:]) <= 1e-14 * np.array(terms))
+            assert np.allclose(j, j1, rtol=1e-14, atol=0)
+            assert F.vals[k].tobytes() == F1.vals.tobytes()
+
+
+@pytest.mark.parametrize("ktext", ["5,1", "-5,1"])
+def test_short_slope_fails_at_the_quadrature_step(ktext, fig8_problem, fig8_complete):
+    """The (±5,1) path kinks near tau = 0.73: a sequential track at the
+    quadrature step moves 0.44 and 0.59 there in single steps and yields a
+    volume.  On the grid it ends in a FillingError that names the failed
+    check, never in a volume."""
+    with pytest.raises(FillingError, match="did not converge|fourth difference"):
+        solve_filling(fig8_problem, fig8_complete, FillingCoefficients.parse(ktext, 1),
+                      QUADRATURE_STEP)
+
+
+def test_fourth_difference_rejects_a_shifted_sample():
+    from charvol.continuation import _fourth_difference
+    grid = np.linspace(0.01, 1.0, 991)
+    coords = np.exp(1j * grid)[:, None] * np.array([1.0, 2.0, 0.5j])
+    assert _fourth_difference(coords, grid) < 1e-10
+    coords[500, 1] += 1e-4
+    with pytest.raises(TrackingError, match="fourth difference 6.00e-04 .* tau=0.510000"):
+        _fourth_difference(coords, grid)
+
+
+def test_grid_path_statistics(fig8_fillings, wlink_fillings):
+    """Every default filling keeps 992 samples, solved from a skeleton of
+    track's adaptive steps; its statistics are recorded on the path."""
+    for _, _, path in fig8_fillings + wlink_fillings:
+        assert len(path) == 992
+        stats = path.stats
+        assert 20 <= stats["skeleton_samples"] < 40
+        assert stats["skeleton_rejected"] == 0
+        assert 1 <= stats["newton_iterations_max"] <= 3
+        assert stats["fourth_difference_max"] < 1e-9 < FOURTH_DIFFERENCE_TOL
+        assert np.allclose(np.diff(path.taus[1:]), QUADRATURE_STEP, rtol=0, atol=1e-12)
+
+
 def test_whitehead_symmetry_in_volumes(wlink_spec, wlink_fillings):
     """The component-exchange symmetry makes (1,5;1,7) and (1,7;1,5)
     isometric fillings: equal volumes is a strong independent check."""
@@ -527,7 +604,7 @@ def test_lockstep_matches_gauss_newton_per_start(name, fig8_system, fig8_filling
 
         def F1(y):
             steps.append(1)
-            vals, J = F(y[None])
+            vals, J = F(y[None], [0])
             return vals[0], J[0]
         try:
             r = gauss_newton(F1, x0, 1e-10, 40, condition_limit=1e12)

@@ -277,13 +277,31 @@ def test_irreducibility_defect(fig8_system, fig8_complete):
     assert irreducibility_defect(fig8_system, fig8_complete.coords) > 1e-3
 
 
+def test_lockstep_passes_the_live_indices(fig8_system, fig8_fillings):
+    """F sees, with each stack, the indices of its starts: a start that
+    converges at once leaves the stack before the first step."""
+    _, pt, _ = fig8_fillings[0]
+    z, g, tr = pt.trace_vector(), fig8_system.gauge_rows, fig8_system.trace_rows
+    seen = []
+
+    def F(X, live):
+        seen.append(list(live))
+        vals, J = fig8_system.compiled.values_and_jacobian(X)
+        return (np.concatenate([vals[:, g], vals[:, tr] - z], axis=1),
+                np.concatenate([J[:, g], J[:, tr]], axis=1))
+    near = pt.coords + np.array([1e-3, -2e-3j, 1e-3 + 1e-3j])
+    _, converged, _ = gauss_newton_lockstep(F, [pt.coords, near], 1e-10, 40)
+    assert list(converged) == [True, True]
+    assert seen[0] == [0, 1] and all(live == [1] for live in seen[1:]) and len(seen) > 1
+
+
 def test_lockstep_start_at_s_zero_fails_alone(fig8_system, fig8_fillings):
     """A start with s = 0 has non-finite values (the gauge is Laurent in s):
     it fails at once without taking the rest of the stack with it."""
     _, pt, _ = fig8_fillings[0]
     z, g, tr = pt.trace_vector(), fig8_system.gauge_rows, fig8_system.trace_rows
 
-    def F(X):
+    def F(X, live):
         vals, J = fig8_system.compiled.values_and_jacobian(X)
         return (np.concatenate([vals[:, g], vals[:, tr] - z], axis=1),
                 np.concatenate([J[:, g], J[:, tr]], axis=1))
