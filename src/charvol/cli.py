@@ -7,6 +7,14 @@ passes to every command.  Reports are JSON; identical run configurations
 (including the seed) produce byte-identical reports apart from the timing
 block.  Exit codes: 0 all checks passed, 1 failure, error or usage error,
 2 inconclusive.
+
+`main` runs every command alike: it loads the spec, starts the clock and
+calls the command's function, which returns (exit code, report body,
+summary line, timings).  `main` writes the one report
+`{spec}_{command}.json` under `--out`, with `total_s` and those timings as
+its timing block, and prints `<summary line> -> <report path>` as the last
+line of standard output.  A command that raises writes no report; `main`
+prints the error to standard error and returns 1.
 """
 
 from __future__ import annotations
@@ -23,7 +31,8 @@ import numpy as np
 from . import fixtures
 from .continuation import (QUADRATURE_STEP, ContinuationError, DeformationProblem,
                            FillingCoefficients, fiber_over, sample_dense_set, solve_filling,
-                           track, track_closed_loop, random_log_loop_targets)
+                           step_off_complete, track, track_closed_loop,
+                           random_log_loop_targets)
 from .eigenvar import (EigenvarError, EliminationBudgetError, build_extended, eliminate,
                        extended_point)
 from .locus import TOLERANCES as LOCUS_TOL, eigenvalues, on_U
@@ -62,40 +71,39 @@ def report_bytes_without_timings(path: Path) -> bytes:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_complete(args) -> int:
-    t0 = time.perf_counter()
-    spec = _load(args.spec)
+def _write_csv(args, spec, text: str) -> None:
+    path = Path(args.out) / f"{spec.name}_{args.command}.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    print(f"{args.command} csv -> {path}")
+
+
+def _solved(spec):
+    """(system, complete structure, deformation problem) of the spec."""
+    system = GaugedSystem(spec)
+    comp = find_complete(spec, system)
+    return system, comp, DeformationProblem(system)
+
+
+def cmd_complete(args, spec):
     try:
-        system = GaugedSystem(spec)
-        pt = find_complete(spec, system)
+        pt = find_complete(spec, GaugedSystem(spec))
     except (NoCompleteStructureError, SpecError) as e:
-        write_report(args, f"{spec.name}_complete",
-                     {"status": "failed", "error": str(e)},
-                     {"total_s": time.perf_counter() - t0})
-        print(f"complete: FAILED ({e})")
-        return 1
+        return 1, {"status": "failed", "error": str(e)}, f"complete: FAILED ({e})", {}
     body = {"status": "ok", "point": pt.to_json(),
             "eta_max": eta_at(pt, handedness_sign(spec)).max_abs()}
-    path = write_report(args, f"{spec.name}_complete", body,
-                        {"total_s": time.perf_counter() - t0})
-    print(f"complete: ok -> {path}")
-    return 0
+    return 0, body, "complete: ok", {}
 
 
-def cmd_h1z2(args) -> int:
-    spec = _load(args.spec)
+def cmd_h1z2(args, spec):
     z2 = h1_z2(spec)
     body = {"h1_dim": z2.h1_dim, "cusps": z2.cusp_count, "k": z2.k,
             "degree_bound": z2.degree_bound,
             "twists": [list(t.epsilon) for t in enumerate_twists(spec)]}
-    path = write_report(args, f"{spec.name}_h1z2", body, {})
-    print(f"h1z2: dim H^1 = {z2.h1_dim}, k = {z2.k}, bound = {z2.degree_bound} -> {path}")
-    return 0
+    return 0, body, f"h1z2: dim H^1 = {z2.h1_dim}, k = {z2.k}, bound = {z2.degree_bound}", {}
 
 
-def cmd_apoly(args) -> int:
-    t0 = time.perf_counter()
-    spec = _load(args.spec)
+def cmd_apoly(args, spec):
     kappas = _kappas(spec, args.kappas)
     system = GaugedSystem(spec)
     ext = build_extended(system)
@@ -119,83 +127,51 @@ def cmd_apoly(args) -> int:
     except EliminationBudgetError as e:
         body = {"status": "budget_exceeded", "message": str(e),
                 "hint": "use the fiber/certify commands for numerical sampling", **sampled}
-        path = write_report(args, f"{spec.name}_apoly", body,
-                            {"total_s": time.perf_counter() - t0})
-        print(f"apoly: variable budget exceeded -> {path}")
-        return 0
+        return 0, body, "apoly: variable budget exceeded", {}
     except EigenvarError as e:
+        print(f"error: {e}", file=sys.stderr)
         body = {"status": "failed", "message": str(e), **sampled,
                 "filling_errors": filling_errors}
-        path = write_report(args, f"{spec.name}_apoly", body,
-                            {"total_s": time.perf_counter() - t0})
-        print(f"error: {e}", file=sys.stderr)
-        print(f"apoly: FAILED -> {path}")
-        return 1
-    body = {"status": "ok", "eliminants": es.to_json(), **sampled}
-    path = write_report(args, f"{spec.name}_apoly", body,
-                        {"total_s": time.perf_counter() - t0})
+        return 1, body, "apoly: FAILED", {}
     for p in es.polynomials:
         print("eliminant:", p.as_text())
-    print(f"apoly: -> {path}")
-    return 0
+    return 0, {"status": "ok", "eliminants": es.to_json(), **sampled}, "apoly:", {}
 
 
-def cmd_fill(args) -> int:
-    t0 = time.perf_counter()
-    spec = _load(args.spec)
+def cmd_fill(args, spec):
     kappa = FillingCoefficients.parse(args.kappa, spec.cusp_count)
-    system = GaugedSystem(spec)
-    comp = find_complete(spec, system)
-    pt, path_ = solve_filling(DeformationProblem(system), comp, kappa, QUADRATURE_STEP)
+    _, comp, problem = _solved(spec)
+    pt, path_ = solve_filling(problem, comp, kappa, QUADRATURE_STEP)
     vol = anchored_volume(spec, path_)
     body = {"status": "ok", "kappa": args.kappa, "point": pt.to_json(),
             "volume": vol.to_json(), "samples": len(path_), "filling_stats": path_.stats,
             "eta_integral": vol.eta_integral, "reference": spec.reference_volume.value}
-    path = write_report(args, f"{spec.name}_fill", body,
-                        {"total_s": time.perf_counter() - t0})
     if args.csv:
-        csv_path = Path(args.out) / f"{spec.name}_fill.csv"
-        sign0 = path_.points[0].orientation or 1
         rv = running_integral(path_, handedness_sign(spec)) + \
-            sign0 * spec.reference_volume.value
-        csv_path.write_text(path_.export_csv(rv))
-        print(f"fill csv -> {csv_path}")
-    print(f"fill {args.kappa}: volume {vol.value:.9f} -> {path}")
-    return 0
+            (path_.points[0].orientation or 1) * spec.reference_volume.value
+        _write_csv(args, spec, path_.export_csv(rv))
+    return 0, body, f"fill {args.kappa}: volume {vol.value:.9f}", {}
 
 
-def cmd_track(args) -> int:
+def cmd_track(args, spec):
     """Track a closed random loop in the log-eigenvalue coordinates and
     report the endpoint match (a smoke test of the path tracker)."""
-    t0 = time.perf_counter()
-    spec = _load(args.spec)
-    system = GaugedSystem(spec)
-    comp = find_complete(spec, system)
-    problem = DeformationProblem(system)
+    _, comp, problem = _solved(spec)
     rng = np.random.default_rng(args.seed)
     base = _generic_base_point(spec, problem, comp)
-    loop = track(problem, base, random_log_loop_targets(base, rng),
-                 tau0=0.0, tau1=1.0, first_step=0.01, max_step=0.01,
-                 description=f"random loop on {spec.name}")
-    end = loop.endpoint()
+    loop = track(problem, base, random_log_loop_targets(base, rng), first_step=0.01,
+                 max_step=0.01, description=f"random loop on {spec.name}")
     mismatch = max(max(abs(a.m - b.m), abs(a.l - b.l))
-                   for a, b in zip(base.cusps, end.cusps))
+                   for a, b in zip(base.cusps, loop.endpoint().cusps))
     body = {"status": "ok", "samples": len(loop), "endpoint_mismatch": mismatch}
-    path = write_report(args, f"{spec.name}_track", body,
-                        {"total_s": time.perf_counter() - t0})
     if args.csv:
-        csv_path = Path(args.out) / f"{spec.name}_track.csv"
-        csv_path.write_text(loop.export_csv(running_integral(loop, handedness_sign(spec))))
-        print(f"track csv -> {csv_path}")
-    print(f"track: loop of {len(loop)} samples, endpoint mismatch {mismatch:.2e} -> {path}")
-    return 0
+        _write_csv(args, spec, loop.export_csv(running_integral(loop, handedness_sign(spec))))
+    return 0, body, f"track: loop of {len(loop)} samples, endpoint mismatch {mismatch:.2e}", {}
 
 
 def _generic_base_point(spec, problem, comp):
     """A tracked point away from the parabolic locus to base loops at."""
-    from .continuation import step_off_complete
-    h = spec.cusp_count
-    du = [0.35 + 0.1j * (i + 1) for i in range(h)]
+    du = [0.35 + 0.1j * (i + 1) for i in range(spec.cusp_count)]
     return step_off_complete(problem, comp, du)
 
 
@@ -204,22 +180,16 @@ def _generic_base_point(spec, problem, comp):
 LOOP_TOL = 1e-6
 
 
-def cmd_loops(args) -> int:
-    t0 = time.perf_counter()
-    spec = _load(args.spec)
-    system = GaugedSystem(spec)
-    comp = find_complete(spec, system)
-    problem = DeformationProblem(system)
+def cmd_loops(args, spec):
+    _, comp, problem = _solved(spec)
     results, failures, dropped, levels = run_exactness_loops(
         spec, problem, comp, args.loops, args.seed)
     body = {"status": "ok" if not failures else "failed",
             "loop_integrals": results, "failures": failures, "dropped": dropped,
             "levels": levels, "tolerance": LOOP_TOL}
-    path = write_report(args, f"{spec.name}_loops", body,
-                        {"total_s": time.perf_counter() - t0})
-    print(f"loops: {len(results)} loop integrals, max |I| = "
-          f"{max(map(abs, results), default=0):.2e} -> {path}")
-    return 0 if not failures else 1
+    summary = (f"loops: {len(results)} loop integrals, max |I| = "
+               f"{max(map(abs, results), default=0):.2e}")
+    return (0 if not failures else 1), body, summary, {}
 
 
 def run_exactness_loops(spec, problem, comp, count, seed):
@@ -273,23 +243,16 @@ def run_exactness_loops(spec, problem, comp, count, seed):
     return results, failures, dropped, levels
 
 
-def cmd_fiber(args) -> int:
-    t0 = time.perf_counter()
-    spec = _load(args.spec)
+def cmd_fiber(args, spec):
     kappa = FillingCoefficients.parse(args.kappa, spec.cusp_count)
-    system = GaugedSystem(spec)
-    comp = find_complete(spec, system)
-    problem = DeformationProblem(system)
-    pt, path_ = solve_filling(problem, comp, kappa)
-    z = pt.trace_vector()
-    report = fiber_over(system, z, [pt], budget=args.budget, seed=args.seed)
+    system, comp, problem = _solved(spec)
+    pt, _ = solve_filling(problem, comp, kappa)
+    report = fiber_over(system, pt.trace_vector(), [pt], budget=args.budget, seed=args.seed)
     body = {"status": "inconclusive" if report.inconclusive else "ok",
             "fiber": report.to_json()}
-    path = write_report(args, f"{spec.name}_fiber", body,
-                        {"total_s": time.perf_counter() - t0})
-    print(f"fiber over kappa={args.kappa}: sl2 {report.sl2_count}, "
-          f"psl2 {report.psl2_count}{' INCONCLUSIVE' if report.inconclusive else ''} -> {path}")
-    return 2 if report.inconclusive else 0
+    summary = (f"fiber over kappa={args.kappa}: sl2 {report.sl2_count}, "
+               f"psl2 {report.psl2_count}{' INCONCLUSIVE' if report.inconclusive else ''}")
+    return (2 if report.inconclusive else 0), body, summary, {}
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +263,7 @@ def cmd_fiber(args) -> int:
 QUADRATURE_TOL = 1e-7
 
 
-def cmd_certify(args) -> int:
-    t0 = time.perf_counter()
-    spec = _load(args.spec)
+def cmd_certify(args, spec):
     kappas = _kappas(spec, args.kappas)
     checks: list[dict] = []
     timings: dict = {}
@@ -317,17 +278,11 @@ def cmd_certify(args) -> int:
         print(f"  [{flag}] {name}: {details or value}")
 
     print(f"certify {spec.name} (seed {args.seed})")
-    system = GaugedSystem(spec)
     try:
-        comp = find_complete(spec, system)
+        system, comp, problem = _solved(spec)
     except NoCompleteStructureError as e:
         check("complete_structure", False, None, None, str(e))
-        path = write_report(args, f"{spec.name}_certify",
-                            {"checks": checks, "overall": "fail"},
-                            {"total_s": time.perf_counter() - t0})
-        print(f"certify: FAIL -> {path}")
-        return 1
-    problem = DeformationProblem(system)
+        return 1, {"checks": checks, "overall": "fail"}, "certify: FAIL", {}
 
     # volume anchor cross-check against the Lobachevsky oracle
     t1 = time.perf_counter()
@@ -421,10 +376,8 @@ def cmd_certify(args) -> int:
             "reference_volume": spec.reference_volume.value,
             "filling_stats": {f.kappa.label(): f.path.stats for f in filled},
             "h1z2": {"h1_dim": z2.h1_dim, "k": z2.k, "bound": z2.degree_bound}}
-    path = write_report(args, f"{spec.name}_certify", body,
-                        {"total_s": time.perf_counter() - t0, **timings})
-    print(f"certify: {overall.upper()} -> {path}")
-    return 0 if overall == "pass" else (2 if overall == "inconclusive" else 1)
+    code = 0 if overall == "pass" else (2 if overall == "inconclusive" else 1)
+    return code, body, f"certify: {overall.upper()}", timings
 
 
 def _kappas(spec: ManifoldSpec, texts: list[str]) -> list[FillingCoefficients]:
@@ -540,7 +493,13 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     try:
-        return COMMANDS[args.command][0](args)
+        t0 = time.perf_counter()
+        spec = _load(args.spec)
+        code, body, summary, timings = COMMANDS[args.command][0](args, spec)
+        path = write_report(args, f"{spec.name}_{args.command}", body,
+                            {"total_s": time.perf_counter() - t0, **timings})
+        print(f"{summary} -> {path}")
+        return code
     except (SpecError, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

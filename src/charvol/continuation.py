@@ -241,42 +241,40 @@ def _branch_jump(old: CharacterPoint, new: CharacterPoint) -> Optional[str]:
 
 
 def track(problem: DeformationProblem, start: CharacterPoint,
-          family: ConstraintFamily,
-          tau0: float = 0.0, tau1: float = 1.0,
-          first_step: float = 0.02, max_step: float = 0.05,
-          min_step: float = 1e-7, tol: float = 1e-11,
+          family: ConstraintFamily, tau0: float = 0.0,
+          first_step: float = 0.02, max_step: float = 0.05, min_step: float = 1e-7,
           description: str = "", allow_V_interior: bool = False) -> TrackedPath:
     """Adaptive predictor-corrector tracking of the constraint family from
-    tau0 to tau1.  Each step is predicted from the path's own accepted
+    tau0 up to tau = 1.  Each step is predicted from the path's own accepted
     samples (`DeformationProblem.predict`) and corrected by Newton.  Every
-    accepted sample satisfies the residual tolerance; branch continuity is
-    enforced by rejecting steps whose log increments reach pi/2 in
-    imaginary part.  A rejection halves the step, and each accepted step
-    grows it by 1.5 up to max_step: no step is longer than max_step."""
+    accepted sample satisfies `correct`'s residual tolerance; branch
+    continuity is enforced by rejecting steps whose log increments reach
+    pi/2 in imaginary part.  A rejection halves the step, and each accepted
+    step grows it by 1.5 up to max_step: no step is longer than max_step."""
     pt = start
     points = [start]
     taus = [tau0]
     rejected = 0
-    dtau = min(first_step, abs(tau1 - tau0)) * (1 if tau1 >= tau0 else -1)
+    dtau = min(first_step, 1.0 - tau0)
     tau = tau0
-    while (tau1 - tau) * (1 if tau1 >= tau0 else -1) > 1e-14:
+    while 1.0 - tau > 1e-14:
         if len(points) > 20000:
             raise TrackingError("sample budget exceeded")
         step = dtau
-        if (tau + step - tau1) * (1 if tau1 >= tau0 else -1) > 0:
-            step = tau1 - tau
+        if tau + step > 1.0:
+            step = 1.0 - tau
         xpred = problem.predict(points, taus, step)
-        new_pt, res, converged = problem.correct(xpred, pt, family, tau + step, tol=tol)
+        new_pt, res, converged = problem.correct(xpred, pt, family, tau + step)
         cause = _branch_jump(pt, new_pt) if converged else \
             f"Newton (residual {res:.2e})"
         if cause:
             rejected += 1
             dtau *= 0.5
-            if abs(dtau) < min_step:
+            if dtau < min_step:
                 raise TrackingError(f"minimum step reached at tau={tau:.6f}; "
                                     f"the last step was rejected by {cause}")
             continue
-        interior = abs(tau + step - tau1) > 1e-14
+        interior = abs(tau + step - 1.0) > 1e-14
         # a cusp that has deformed away from its base lift yet returned to
         # parabolic traces; cusps pinned at the complete structure are harmless
         if interior and not allow_V_interior and \
@@ -286,7 +284,7 @@ def track(problem: DeformationProblem, start: CharacterPoint,
         tau += step
         points.append(pt)
         taus.append(tau)
-        dtau = min(1.5 * abs(dtau), max_step) * (1 if dtau > 0 else -1)
+        dtau = min(1.5 * dtau, max_step)
     return TrackedPath(points=points, taus=taus, description=description,
                        steps_rejected=rejected)
 
@@ -311,18 +309,17 @@ def step_off_complete(problem: DeformationProblem, complete: CharacterPoint,
     return pt
 
 
-def cusp_shape_matrix(problem: DeformationProblem, complete: CharacterPoint,
-                      delta: float = 1e-2) -> np.ndarray:
+def cusp_shape_matrix(problem: DeformationProblem, complete: CharacterPoint) -> np.ndarray:
     """tau[i][j] ~ d v_i / d u_j at the complete structure, by one-sided
-    differences of the pinned deformation."""
+    differences of the pinned deformation at offsets 0.01."""
     h = len(problem.system.cusps)
     M = np.zeros((h, h), dtype=complex)
     for j in range(h):
         du = [0j] * h
-        du[j] = delta
+        du[j] = 1e-2
         pt = step_off_complete(problem, complete, du)
         for i in range(h):
-            M[i, j] = (pt.cusps[i].v - complete.cusps[i].v) / delta
+            M[i, j] = (pt.cusps[i].v - complete.cusps[i].v) / 1e-2
     return M
 
 
@@ -434,7 +431,7 @@ def solve_filling(problem: DeformationProblem, complete: CharacterPoint,
     if not ok:
         raise FillingError(f"kappa={kappa.label()}: start correction failed ({res:.2e})")
     try:
-        path = track(problem, start_pt, family, tau0=tau_start, tau1=1.0,
+        path = track(problem, start_pt, family, tau0=tau_start,
                      description=f"filling {kappa.label()} of {system.spec.name}")
         if step is not None:
             path = _grid_samples(problem, family, path, step)
@@ -552,13 +549,12 @@ def make_filling_route_via_detour(problem: DeformationProblem,
     step = min(0.002 / abs(detour), 0.05)
     start = step_off_complete(problem, complete, [detour * first], tol=1e-11)
     approach = track(problem, start, pin_log(lambda tau: [tau * detour]),
-                     tau0=first, tau1=1.0, first_step=step, max_step=step)
+                     tau0=first, first_step=step, max_step=step)
     start = approach.endpoint()
     # the family's left-hand side p*u + q*v (normalized) at the detour point
     c0 = ConstraintFamily(p, q, lambda tau: [0j]).residual(start, 0.0)
     family = ConstraintFamily(p, q, lambda tau: [c + tau * (TWO_PI_I - c) for c in c0])
-    path = track(problem, start, family, tau0=0.0, tau1=1.0,
-                 first_step=0.002, max_step=0.002,
+    path = track(problem, start, family, first_step=0.002, max_step=0.002,
                  description=f"detour filling route ({p},{q})")
     route = concatenate_paths(approach, path)
     return TrackedPath(points=[complete] + route.points, taus=[0.0] + route.taus,
@@ -817,25 +813,23 @@ CLOSURE_TOL = 1e-9
 
 
 def track_closed_loop(problem: DeformationProblem, base: CharacterPoint,
-                      family: ConstraintFamily, max_windings: int = 2,
-                      **opts) -> TrackedPath:
+                      family: ConstraintFamily, **opts) -> TrackedPath:
     """Track the family's loop until the eigenvalue coordinates close up.
 
     A loop in the meridian logs may permute the finitely many sheets of the
-    eigenvalue variety over it; winding the same loop again closes any
-    order-two monodromy.  Raises when the path refuses to close."""
-    total = track(problem, base, family, tau0=0.0, tau1=1.0, **opts)
-    for winding in range(max_windings + 1):
+    eigenvalue variety over it; winding the same loop again, at most twice
+    more, closes any order-two monodromy.  Raises when the path refuses to
+    close."""
+    total = track(problem, base, family, **opts)
+    for winding in range(3):
         end = total.endpoint()
         gap = max(max(abs(ca.m - cb.m), abs(ca.l - cb.l))
                   for ca, cb in zip(base.cusps, end.cusps))
         if gap < CLOSURE_TOL:
             return total
-        if winding < max_windings:
-            total = concatenate_paths(
-                total, track(problem, end, family, tau0=0.0, tau1=1.0, **opts))
-    raise TrackingError(f"loop failed to close after {max_windings} windings "
-                        f"(gap {gap:.2e})")
+        if winding < 2:
+            total = concatenate_paths(total, track(problem, end, family, **opts))
+    raise TrackingError(f"loop failed to close after 2 windings (gap {gap:.2e})")
 
 
 def _monodromy_loop(problem, points, z, rng, register):
@@ -844,7 +838,7 @@ def _monodromy_loop(problem, points, z, rng, register):
     False for a loop that passes near U, which is not a legal monodromy
     loop."""
     base = points[int(rng.integers(len(points)))]
-    path = track(problem, base, random_log_loop_targets(base, rng), tau0=0.0, tau1=1.0,
+    path = track(problem, base, random_log_loop_targets(base, rng),
                  first_step=0.05, max_step=0.05 * 1.5 * 1.5,  # steps 0.05, 0.075, 0.1125
                  description="monodromy loop", allow_V_interior=True)
     if any(on_U(eigenvalues(pt), LOCUS_TOL["near"]) for pt in path.points):

@@ -60,8 +60,8 @@ def moved(c, tol: float = TOLERANCES["moved"]) -> bool:
     return max(abs(c.u - c.base_u), abs(c.v - c.base_v)) > tol
 
 
-def moving_along(points, tol: float = TOLERANCES["moved"]) -> list[bool]:
+def moving_along(points) -> list[bool]:
     """Per cusp: does it leave the complete structure's lift anywhere along
     the given points?"""
-    return [any(moved(pt.cusps[i], tol) for pt in points)
+    return [any(moved(pt.cusps[i]) for pt in points)
             for i in range(len(points[0].cusps))]

@@ -472,9 +472,10 @@ class CompiledSystem:
 
     One block holds the polynomials followed by their partial derivatives,
     so values and Jacobian come from a single evaluation; the per-call
-    overhead, not the term count, dominates its cost.  `values_and_jacobian`
-    also evaluates a stack of points (N, nvars) in one call, row by row
-    bit-identical to single points; `values` and `jacobian` take one point."""
+    overhead, not the term count, dominates its cost.  Each method takes a
+    point (nvars,) or a stack of points (N, nvars), evaluated in one call
+    and row by row bit-identical to single points, and returns values
+    (..., npolys) and Jacobians (..., npolys, nvars)."""
 
     def __init__(self, polys: list[Polynomial], vars: tuple[str, ...]):
         self.vars = tuple(vars)
@@ -487,20 +488,16 @@ class CompiledSystem:
         self._block = _CompiledBlock(list(polys) + derivs, self.vars)
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        return self._block(np.asarray(x, dtype=complex))[:self.npolys]
+        return self._block(np.asarray(x, dtype=complex))[..., :self.npolys]
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         out = self._block(np.asarray(x, dtype=complex))
-        return out[self.npolys:].reshape(self.npolys, self.nvars)
+        return out[..., self.npolys:].reshape(out.shape[:-1] + (self.npolys, self.nvars))
 
     def values_and_jacobian(self, x):
-        """(npolys,) values and (npolys, nvars) Jacobian at a point, or
-        (N, npolys) and (N, npolys, nvars) at a stack of N points."""
         out = self._block(np.asarray(x, dtype=complex))
-        if out.ndim == 1:
-            return out[:self.npolys], out[self.npolys:].reshape(self.npolys, self.nvars)
-        return (out[:, :self.npolys],
-                out[:, self.npolys:].reshape(len(out), self.npolys, self.nvars))
+        return (out[..., :self.npolys],
+                out[..., self.npolys:].reshape(out.shape[:-1] + (self.npolys, self.nvars)))
 
 
 class _CompiledBlock:

@@ -169,14 +169,15 @@ class GaugedSystem:
     def char_key(self, coords) -> np.ndarray:
         return self.compiled.values(coords)[self.key_rows]
 
-    def tangent_basis(self, J, rtol=1e-8) -> np.ndarray:
+    def tangent_basis(self, J) -> np.ndarray:
         """Orthonormal basis of the numerical null space of the gauge rows of
-        J, a full Jacobian of `compiled`."""
+        J, a full Jacobian of `compiled`: singular values up to 1e-8 times
+        the largest (or 1e-8, when that is below 1)."""
         J = J[self.gauge_rows]
         if J.shape[0] == 0:
             return np.eye(len(self.vars), dtype=complex)
         u, sv, vh = np.linalg.svd(J)
-        cut = rtol * max(1.0, sv[0] if len(sv) else 1.0)
+        cut = 1e-8 * max(1.0, sv[0] if len(sv) else 1.0)
         null_dim = sum(1 for x in sv if x <= cut) + max(0, J.shape[1] - len(sv))
         return vh.conj().T[:, J.shape[1] - null_dim:]
 
@@ -220,16 +221,18 @@ class CharacterPoint:
             out.extend((c.trace_m, c.trace_l, c.trace_ml))
         return np.array(out, dtype=complex)
 
-    def validate(self, tol_exp=1e-9, tol_trace=1e-8, tol_res=1e-10):
+    def validate(self):
+        """True, or RepVarError when a log misses its eigenvalue by 1e-9, an
+        eigenvalue misses its trace by 1e-8 or the residual reaches 1e-10."""
         for c in self.cusps:
-            if abs(cmath.exp(c.u) - c.m) >= tol_exp:
+            if abs(cmath.exp(c.u) - c.m) >= 1e-9:
                 raise RepVarError(f"branch lift broken: |exp(u) - m| = {abs(cmath.exp(c.u) - c.m):.2e}")
-            if abs(cmath.exp(c.v) - c.l) >= tol_exp:
+            if abs(cmath.exp(c.v) - c.l) >= 1e-9:
                 raise RepVarError(f"branch lift broken: |exp(v) - l| = {abs(cmath.exp(c.v) - c.l):.2e}")
             for val, tr in ((c.m, c.trace_m), (c.l, c.trace_l), (c.m * c.l, c.trace_ml)):
-                if abs(val + 1 / val - tr) >= tol_trace:
+                if abs(val + 1 / val - tr) >= 1e-8:
                     raise RepVarError(f"eigenvalue/trace mismatch: {abs(val + 1/val - tr):.2e}")
-        if self.residual >= tol_res:
+        if self.residual >= 1e-10:
             raise RepVarError(f"system residual {self.residual:.2e} too large")
         return True
 

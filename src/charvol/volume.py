@@ -139,15 +139,8 @@ def anchored_volume(spec: ManifoldSpec, path: TrackedPath) -> VolumeLabel:
     complete structure."""
     start = path.points[0]
     sign = start.orientation if start.orientation != 0 else 1
-    anchor_value = sign * spec.reference_volume.value
-    if len(path.points) == 1:
-        return VolumeLabel(value=anchor_value,
-                           anchor=f"complete structure of {spec.name} "
-                                  f"({'+' if sign > 0 else '-'}reference)",
-                           path_id=path.description or "trivial path",
-                           quadrature_error=0.0, eta_integral=0.0)
     integ = integrate_eta(path, handedness_sign(spec))
-    return VolumeLabel(value=anchor_value + integ.value,
+    return VolumeLabel(value=sign * spec.reference_volume.value + integ.value,
                        anchor=f"complete structure of {spec.name} "
                               f"({'+' if sign > 0 else '-'}reference)",
                        path_id=path.description or f"path[{len(path.points)}]",

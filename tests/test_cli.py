@@ -310,6 +310,18 @@ VALID = {
 }
 
 
+@pytest.mark.parametrize("command", VALID)
+def test_every_command_writes_one_report_and_names_it_last(command, tmp_path, capsys):
+    """`main` writes each command's one report, with `total_s` among its
+    timings, and names it on the last line of standard output, whether the
+    command passes (h1z2 fig8) or fails (complete and certify on nonhyp)."""
+    run(VALID[command] + ["--out", str(tmp_path)])
+    path = tmp_path / f"{VALID[command][2]}_{command}.json"
+    assert list(tmp_path.glob("*.json")) == [path]
+    assert "total_s" in json.loads(path.read_text())["timings"]
+    assert capsys.readouterr().out.splitlines()[-1].endswith(f" -> {path}")
+
+
 @pytest.mark.parametrize("argv", [
     VALID["h1z2"] + ["--budget", "5"],
     VALID["complete"] + ["--tol-dedup", "1e-3"],

@@ -345,7 +345,8 @@ def test_compiled_system_matches_evaluate():
 @pytest.mark.parametrize("name", ["fig8", "wlink"])
 def test_compiled_stack_equals_single_points_bytewise(name):
     """A stacked call gives each row exactly the bytes of a single-point call,
-    for the gauged and the extended system (Laurent rows included)."""
+    for the gauged and the extended system (Laurent rows included), through
+    each of the three evaluation methods."""
     from charvol.eigenvar import build_extended
     from charvol.fixtures import load_fixture
     from charvol.repvar import GaugedSystem
@@ -356,6 +357,10 @@ def test_compiled_stack_equals_single_points_bytewise(name):
         X = rng.normal(size=(200, cs.nvars)) + 1j * rng.normal(size=(200, cs.nvars))
         vals, J = cs.values_and_jacobian(X)
         assert vals.shape == (200, cs.npolys) and J.shape == (200, cs.npolys, cs.nvars)
+        assert cs.values(X).tobytes() == vals.tobytes()
+        assert cs.jacobian(X).tobytes() == J.tobytes()
         for x, v, j in zip(X, vals, J):
             v1, j1 = cs.values_and_jacobian(x)
             assert v.tobytes() == v1.tobytes() and j.tobytes() == j1.tobytes()
+            assert cs.values(x).tobytes() == v1.tobytes()
+            assert cs.jacobian(x).tobytes() == j1.tobytes()
