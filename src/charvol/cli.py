@@ -30,12 +30,12 @@ import numpy as np
 
 from . import fixtures
 from .continuation import (QUADRATURE_STEP, ContinuationError, DeformationProblem,
-                           FillingCoefficients, fiber_over, sample_dense_set, solve_filling,
-                           step_off_complete, track, track_closed_loop,
+                           FillingCoefficients, closure_gap, fiber_over, sample_dense_set,
+                           solve_filling, step_off_complete, track, track_closed_loop,
                            random_log_loop_targets)
 from .eigenvar import (EigenvarError, EliminationBudgetError, build_extended, eliminate,
                        extended_point)
-from .locus import TOLERANCES as LOCUS_TOL, eigenvalues, on_U
+from .locus import near_U
 from .manifold import ManifoldSpec, SpecError, h1_z2, load_spec
 from .repvar import (GaugedSystem, NoCompleteStructureError, find_complete,
                      enumerate_twists)
@@ -161,8 +161,7 @@ def cmd_track(args, spec):
     base = _generic_base_point(spec, problem, comp)
     loop = track(problem, base, random_log_loop_targets(base, rng), first_step=0.01,
                  max_step=0.01, description=f"random loop on {spec.name}")
-    mismatch = max(max(abs(a.m - b.m), abs(a.l - b.l))
-                   for a, b in zip(base.cusps, loop.endpoint().cusps))
+    mismatch = closure_gap(base, loop.endpoint())
     body = {"status": "ok", "samples": len(loop), "endpoint_mismatch": mismatch}
     if args.csv:
         _write_csv(args, spec, loop.export_csv(running_integral(loop, handedness_sign(spec))))
@@ -222,7 +221,7 @@ def run_exactness_loops(spec, problem, comp, count, seed):
                 loop = track_closed_loop(
                     problem, base, family, first_step=step, max_step=step,
                     description=f"exactness loop {len(results)} on {spec.name}")
-                if any(on_U(eigenvalues(pt), LOCUS_TOL["near"]) for pt in loop.points):
+                if near_U(loop.points):
                     dropped["near_U"] += 1
                     break
                 integ = loop_integral(loop, sign)

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .locus import TOLERANCES as LOCUS_TOL, eigenvalues, moved, on_U, on_V, traces
+from .locus import TOLERANCES as LOCUS_TOL, moved, near_U, on_V, traces
 # the Newton kernel and its errors live in repvar and are re-exported here
 from .repvar import (CharacterPoint, ContinuationError, DivergenceError, GaugedSystem,
                      NewtonResult, SignTwist, SingularJacobianError, TWO_PI_I,
@@ -97,6 +97,12 @@ def pin_log(target: Callable[[float], Sequence[complex]]) -> ConstraintFamily:
     return ConstraintFamily(1.0, 0.0, target)
 
 
+# the corrector of every tracked sample, quadrature grids included: Newton to
+# a max-abs residual below CORRECT_TOL in at most CORRECT_MAXITER steps
+CORRECT_TOL = 1e-11
+CORRECT_MAXITER = 30
+
+
 class DeformationProblem:
     """A gauged system with the constraint families imposed on it along
     paths.  Logs are lifted from, and measured from the lift reference of,
@@ -121,8 +127,7 @@ class DeformationProblem:
             rows, grads = [], []
             for i, (p, q, t, c) in enumerate(terms):
                 m, l = ml[2 * i], ml[2 * i + 1]
-                u = c.u + cmath.log(m / c.m)
-                v = c.v + cmath.log(l / c.l)
+                u, v = c.continued_logs(m, l)
                 rows.append(p * (u - c.base_u) + q * (v - c.base_v) - t)
                 grads.append(p * Jml[2 * i] / m + q * Jml[2 * i + 1] / l)
             return np.concatenate([vals[g], rows]), np.vstack([J[g], *grads])
@@ -160,7 +165,7 @@ class DeformationProblem:
         return F
 
     def correct(self, x0, prev: CharacterPoint, family: ConstraintFamily, tau,
-                tol=1e-11, maxiter=30):
+                tol=CORRECT_TOL, maxiter=CORRECT_MAXITER):
         """Newton-correct x0 onto the gauge system plus the family at tau;
         returns (point or None, residual, converged), the point lifted from
         prev and built from the last Newton evaluation."""
@@ -240,6 +245,14 @@ def _branch_jump(old: CharacterPoint, new: CharacterPoint) -> Optional[str]:
     return None
 
 
+def _check_off_V(pt: CharacterPoint, tau: float) -> None:
+    """The V check of an interior sample: raises TrackingError when a cusp
+    that has deformed away from its base lift has returned to parabolic
+    traces.  Cusps pinned at the complete structure are harmless."""
+    if on_V(traces(pt), moving=[moved(c) for c in pt.cusps]):
+        raise TrackingError(f"path crossed V at tau={tau:.6f}")
+
+
 def track(problem: DeformationProblem, start: CharacterPoint,
           family: ConstraintFamily, tau0: float = 0.0,
           first_step: float = 0.02, max_step: float = 0.05, min_step: float = 1e-7,
@@ -274,12 +287,8 @@ def track(problem: DeformationProblem, start: CharacterPoint,
                 raise TrackingError(f"minimum step reached at tau={tau:.6f}; "
                                     f"the last step was rejected by {cause}")
             continue
-        interior = abs(tau + step - 1.0) > 1e-14
-        # a cusp that has deformed away from its base lift yet returned to
-        # parabolic traces; cusps pinned at the complete structure are harmless
-        if interior and not allow_V_interior and \
-                on_V(traces(new_pt), moving=[moved(c) for c in new_pt.cusps]):
-            raise TrackingError(f"path crossed V at tau={tau + step:.6f}")
+        if abs(tau + step - 1.0) > 1e-14 and not allow_V_interior:
+            _check_off_V(new_pt, tau + step)
         pt = new_pt
         tau += step
         points.append(pt)
@@ -488,8 +497,8 @@ def _grid_samples(problem: DeformationProblem, family: ConstraintFamily,
                   skeleton: TrackedPath, step: float) -> TrackedPath:
     """The path of the tracked `skeleton` on the uniform grid of `step` over
     the skeleton's tau range.  Every grid sample after the first is solved
-    in one `gauss_newton_lockstep` call (tol 1e-11 and 30 iterations, as
-    `track` corrects), started from the skeleton's cubic interpolant, with its logs
+    in one `gauss_newton_lockstep` call with `track`'s corrector budget,
+    started from the skeleton's cubic interpolant, with its logs
     lifted from the skeleton sample before it.  The samples are then lifted
     in order and checked as `track` checks its own: the branch check and,
     before the end, the V check.
@@ -506,7 +515,7 @@ def _grid_samples(problem: DeformationProblem, family: ConstraintFamily,
     before = np.clip(np.searchsorted(taus, at, side="right") - 1, 0, len(taus) - 2)
     F = problem._stacked_rows([skeleton.points[k] for k in before], family, at)
     xs, converged, iterations = gauss_newton_lockstep(
-        F, _cubic_interpolant(taus, coords, at), 1e-11, 30)
+        F, _cubic_interpolant(taus, coords, at), CORRECT_TOL, CORRECT_MAXITER)
     if not converged.all():
         bad = np.flatnonzero(~converged)
         raise TrackingError(f"{len(bad)} of {len(at)} quadrature samples did not "
@@ -519,9 +528,8 @@ def _grid_samples(problem: DeformationProblem, family: ConstraintFamily,
         cause = _branch_jump(pt, new_pt)
         if cause:
             raise TrackingError(f"the quadrature sample at tau={tau:.6f} fails {cause}")
-        if k < len(at) - 1 and \
-                on_V(traces(new_pt), moving=[moved(c) for c in new_pt.cusps]):
-            raise TrackingError(f"path crossed V at tau={tau:.6f}")
+        if k < len(at) - 1:
+            _check_off_V(new_pt, tau)
         points.append(new_pt)
         pt = new_pt
     stats = {"skeleton_samples": len(skeleton), "skeleton_rejected": skeleton.steps_rejected,
@@ -547,7 +555,7 @@ def make_filling_route_via_detour(problem: DeformationProblem,
     # track the pinned meridian log in steps of 0.002 in u
     first = min(1e-2 / abs(detour), 0.2)
     step = min(0.002 / abs(detour), 0.05)
-    start = step_off_complete(problem, complete, [detour * first], tol=1e-11)
+    start = step_off_complete(problem, complete, [detour * first], tol=CORRECT_TOL)
     approach = track(problem, start, pin_log(lambda tau: [tau * detour]),
                      tau0=first, first_step=step, max_step=step)
     start = approach.endpoint()
@@ -812,6 +820,11 @@ def concatenate_paths(a: TrackedPath, b: TrackedPath) -> TrackedPath:
 CLOSURE_TOL = 1e-9
 
 
+def closure_gap(a: CharacterPoint, b: CharacterPoint) -> float:
+    """max(|dm|, |dl|) over the cusps: a closed loop's ends are within CLOSURE_TOL."""
+    return max(max(abs(ca.m - cb.m), abs(ca.l - cb.l)) for ca, cb in zip(a.cusps, b.cusps))
+
+
 def track_closed_loop(problem: DeformationProblem, base: CharacterPoint,
                       family: ConstraintFamily, **opts) -> TrackedPath:
     """Track the family's loop until the eigenvalue coordinates close up.
@@ -823,8 +836,7 @@ def track_closed_loop(problem: DeformationProblem, base: CharacterPoint,
     total = track(problem, base, family, **opts)
     for winding in range(3):
         end = total.endpoint()
-        gap = max(max(abs(ca.m - cb.m), abs(ca.l - cb.l))
-                  for ca, cb in zip(base.cusps, end.cusps))
+        gap = closure_gap(base, end)
         if gap < CLOSURE_TOL:
             return total
         if winding < 2:
@@ -841,7 +853,7 @@ def _monodromy_loop(problem, points, z, rng, register):
     path = track(problem, base, random_log_loop_targets(base, rng),
                  first_step=0.05, max_step=0.05 * 1.5 * 1.5,  # steps 0.05, 0.075, 0.1125
                  description="monodromy loop", allow_V_interior=True)
-    if any(on_U(eigenvalues(pt), LOCUS_TOL["near"]) for pt in path.points):
+    if near_U(path.points):
         return False
     end = path.endpoint()
     if np.max(np.abs(end.trace_vector() - z)) < 1e-7:

@@ -112,25 +112,15 @@ SAMPLE_TOL = 1e-8
 
 
 def sample_point(ext: ExtendedSystem, pt: CharacterPoint) -> EigenvaluePoint:
-    """Peripheral eigenvalue data of a character point, read off the
-    eigenvalue slots and checked against the three trace generators."""
-    point = EigenvaluePoint(values=ext.gauged.ml_values(pt.coords))
-    _check_trace_consistency(pt, point)
-    return point
-
-
-def _check_trace_consistency(pt: CharacterPoint, x: EigenvaluePoint):
-    for i, c in enumerate(pt.cusps):
-        m, l = x.cusp(i)
-        checks = (
-            abs(m + 1 / m - c.trace_m),
-            abs(l + 1 / l - c.trace_l),
-            abs(m * l + 1 / (m * l) - c.trace_ml),
-        )
-        if max(checks) >= SAMPLE_TOL:
+    """Peripheral eigenvalue data of a character point: its slot
+    eigenvalues (m, l) per cusp, checked against its three traces."""
+    for i, c in enumerate(pt.cusps, 1):
+        defects = c.trace_defects()
+        if max(defects) >= SAMPLE_TOL:
             raise EigenvarError(
-                f"cusp {i + 1}: slot eigenvalues inconsistent with traces "
-                f"(defects {[f'{v:.2e}' for v in checks]})")
+                f"cusp {i}: slot eigenvalues inconsistent with traces "
+                f"(defects {[f'{v:.2e}' for v in defects]})")
+    return EigenvaluePoint(values=[z for c in pt.cusps for z in (c.m, c.l)])
 
 
 def gamma_act(x: EigenvaluePoint, subset: Sequence[int]) -> EigenvaluePoint:

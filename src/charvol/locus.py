@@ -45,6 +45,11 @@ def on_V(traces: Iterable, tol: float = TOLERANCES["on"],
     return _some_cusp(traces, 4, tol, moving)
 
 
+def near_U(points) -> bool:
+    """Does some sample come within TOLERANCES["near"] of U, at any cusp?"""
+    return any(on_U(eigenvalues(pt), TOLERANCES["near"]) for pt in points)
+
+
 def eigenvalues(pt) -> list:
     """(m, l) per cusp of a character point."""
     return [(c.m, c.l) for c in pt.cusps]

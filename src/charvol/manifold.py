@@ -65,18 +65,6 @@ class Z2CohomologyData:
 # GF(2) and integer lattice linear algebra
 # ---------------------------------------------------------------------------
 
-def gf2_rank(rows: list[list[int]]) -> int:
-    mat = [sum((x & 1) << j for j, x in enumerate(r)) for r in rows]
-    basis: list[int] = []
-    for r in mat:
-        cur = r
-        for b in basis:
-            cur = min(cur, cur ^ b)
-        if cur:
-            basis.append(cur)
-    return len(basis)
-
-
 def gf2_nullspace(rows: list[list[int]], ncols: int) -> list[list[int]]:
     """Basis of {v : M v = 0 over GF(2)} for the matrix with the given rows."""
     mat = [sum((x & 1) << j for j, x in enumerate(r)) for r in rows]
@@ -162,8 +150,7 @@ def h1_z2(spec: ManifoldSpec) -> Z2CohomologyData:
     Reports k = h1_dim - h and the degree bound 2^k; k < 0 violates the
     peripheral-image rank and is a spec-consistency failure.
     """
-    rank = gf2_rank(relator_matrix(spec))
-    h1 = spec.generators - rank
+    h1 = len(gf2_nullspace(relator_matrix(spec), spec.generators))
     h = spec.cusp_count
     k = h1 - h
     if k < 0:

@@ -162,10 +162,6 @@ class GaugedSystem:
     def residual(self, coords) -> float:
         return self.gauge_residual(self.compiled.values(coords))
 
-    def ml_values(self, coords) -> np.ndarray:
-        """(m_1, l_1, ..., m_h, l_h) along the slot eigenvectors."""
-        return self.compiled.values(coords)[self.ml_rows]
-
     def char_key(self, coords) -> np.ndarray:
         return self.compiled.values(coords)[self.key_rows]
 
@@ -199,6 +195,16 @@ class PeripheralState:
     base_u: complex = 0j
     base_v: complex = 0j
 
+    def continued_logs(self, m: complex, l: complex) -> tuple[complex, complex]:
+        """The logs of (m, l) continued from this state's by principal increments."""
+        return self.u + cmath.log(m / self.m), self.v + cmath.log(l / self.l)
+
+    def trace_defects(self) -> tuple[float, float, float]:
+        """|x + 1/x - I| for x = m, l and ml against I_M, I_L and I_ML."""
+        m, l = self.m, self.l
+        return (abs(m + 1 / m - self.trace_m), abs(l + 1 / l - self.trace_l),
+                abs(m * l + 1 / (m * l) - self.trace_ml))
+
     def to_json(self):
         c = lambda z: [z.real, z.imag]
         return {"u": c(self.u), "v": c(self.v), "m": c(self.m), "l": c(self.l),
@@ -229,9 +235,9 @@ class CharacterPoint:
                 raise RepVarError(f"branch lift broken: |exp(u) - m| = {abs(cmath.exp(c.u) - c.m):.2e}")
             if abs(cmath.exp(c.v) - c.l) >= 1e-9:
                 raise RepVarError(f"branch lift broken: |exp(v) - l| = {abs(cmath.exp(c.v) - c.l):.2e}")
-            for val, tr in ((c.m, c.trace_m), (c.l, c.trace_l), (c.m * c.l, c.trace_ml)):
-                if abs(val + 1 / val - tr) >= 1e-8:
-                    raise RepVarError(f"eigenvalue/trace mismatch: {abs(val + 1/val - tr):.2e}")
+            for defect in c.trace_defects():
+                if defect >= 1e-8:
+                    raise RepVarError(f"eigenvalue/trace mismatch: {defect:.2e}")
         if self.residual >= 1e-10:
             raise RepVarError(f"system residual {self.residual:.2e} too large")
         return True
@@ -265,8 +271,7 @@ def make_character_point(system: GaugedSystem, coords, prev: Optional[CharacterP
         m, l = ml[2 * i], ml[2 * i + 1]
         if prev is not None:
             pc = prev.cusps[i]
-            u = pc.u + cmath.log(m / pc.m)
-            v = pc.v + cmath.log(l / pc.l)
+            u, v = pc.continued_logs(m, l)
             base_u, base_v = pc.base_u, pc.base_v
         else:
             u = cmath.log(m)
@@ -302,8 +307,7 @@ class SignTwist:
 
 def enumerate_twists(spec: ManifoldSpec) -> list[SignTwist]:
     """All homomorphisms pi_1 -> {+-1}: sign assignments killing the relators mod 2."""
-    rows = [[x % 2 for x in r] for r in relator_matrix(spec)]
-    basis = gf2_nullspace(rows, spec.generators)
+    basis = gf2_nullspace(relator_matrix(spec), spec.generators)
     twists = set()
     for mask in range(2 ** len(basis)):
         v = [0] * spec.generators
@@ -585,24 +589,28 @@ def find_complete(spec: ManifoldSpec, system: Optional[GaugedSystem] = None,
     for mask in range(2 ** h):
         eps = [1 - 2 * ((mask >> i) & 1) for i in range(h)]
         F = pinned(np.array(eps))
+        reducible, diverged, best = 0, 0, math.inf
         for x0 in starts:
             try:
                 x = gauss_newton(F, x0, 1e-12, maxiter=80, max_step=5.0).x
             except DivergenceError as e:
-                diagnostics.append(f"eps={eps}: residual {e.residual:.2e}")
+                diverged += 1
+                best = min(best, e.residual)
                 continue
-            defect = irreducibility_defect(system, x)
-            if defect < 1e-6:
-                diagnostics.append(f"eps={eps}: converged but reducible (defect {defect:.2e})")
+            if irreducibility_defect(system, x) < 1e-6:
+                reducible += 1
                 continue
             if any(abs(system.char_key(x) - system.char_key(c)).max() < 1e-8
                    for c in candidates):
                 continue
             candidates.append(x)
+        diagnostics.append(f"eps={eps}: {len(starts)} attempts, {reducible} converged but "
+                           f"reducible, {diverged} diverged" +
+                           (f" (best residual {best:.2e})" if diverged else ""))
     if not candidates:
         raise NoCompleteStructureError(
             f"{spec.name}: no irreducible boundary-parabolic solution found "
-            f"({len(diagnostics)} attempts); " + "; ".join(diagnostics[:4]))
+            f"({len(starts) * 2 ** h} attempts); " + "; ".join(diagnostics))
 
     def orient(x):
         if seed_key is None:

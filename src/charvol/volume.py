@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .continuation import CLOSURE_TOL, TrackedPath
+from .continuation import CLOSURE_TOL, TrackedPath, closure_gap
 from .locus import eigenvalues, moving_along, on_U
 from .manifold import ManifoldSpec
 from .repvar import CharacterPoint
@@ -49,21 +49,25 @@ def eta_at(pt: CharacterPoint, handedness_sign: int = 1) -> EtaValue:
                                   for c in pt.cusps])
 
 
-def _segment_increment(a: CharacterPoint, b: CharacterPoint, sign: int) -> float:
-    total = 0.0
-    for ca, cb in zip(a.cusps, b.cusps):
-        du = (cb.u - ca.u).imag
-        dv = (cb.v - ca.v).imag
-        total += -0.5 * (ca.v.real + cb.v.real) * du + 0.5 * (ca.u.real + cb.u.real) * dv
-    return sign * total
+def _segment_increments(points: Sequence[CharacterPoint], sign: int) -> np.ndarray:
+    """The trapezoid increment of the form on each segment between
+    consecutive points, the cusps' terms added in cusp order."""
+    n = len(points)
+    u = np.array([c.u for pt in points for c in pt.cusps], dtype=complex).reshape(n, -1).T
+    v = np.array([c.v for pt in points for c in pt.cusps], dtype=complex).reshape(n, -1).T
+    terms = (-0.5 * (v.real[:, :-1] + v.real[:, 1:]) * np.diff(u.imag) +
+             0.5 * (u.real[:, :-1] + u.real[:, 1:]) * np.diff(v.imag))
+    return sign * sum(terms, 0.0)
+
+
+def _trapezoid(points: Sequence[CharacterPoint], sign: int) -> np.ndarray:
+    """The trapezoid integral from the first point to each, adding in order
+    (`np.sum`'s pairwise order would change the last bits)."""
+    return np.cumsum(np.concatenate(([0.0], _segment_increments(points, sign))))
 
 
 def running_integral(path: TrackedPath, handedness_sign: int = 1) -> np.ndarray:
-    out = np.zeros(len(path.points))
-    for k in range(len(path.points) - 1):
-        out[k + 1] = out[k] + _segment_increment(path.points[k], path.points[k + 1],
-                                                 handedness_sign)
-    return out
+    return _trapezoid(path.points, handedness_sign)
 
 
 @dataclass
@@ -85,16 +89,11 @@ def integrate_eta(path: TrackedPath, handedness_sign: int = 1) -> IntegralResult
     for pt in path.points[1:-1]:
         if on_U(eigenvalues(pt), moving=moving):
             raise VolumeError("interior path sample lies on U")
-    fine = running_integral(path, handedness_sign)
-    value = float(fine[-1])
     pts = path.points
-    coarse = 0.0
-    idx = list(range(0, len(pts), 2))
-    if idx[-1] != len(pts) - 1:
-        idx.append(len(pts) - 1)
-    for a, b in zip(idx, idx[1:]):
-        coarse += _segment_increment(pts[a], pts[b], handedness_sign)
-    err = abs(value - coarse) / 3.0
+    value = float(_trapezoid(pts, handedness_sign)[-1])
+    # every second sample, and the last
+    coarse = _trapezoid(pts[::2] if len(pts) % 2 else pts[::2] + pts[-1:], handedness_sign)
+    err = float(abs(value - coarse[-1]) / 3.0)
     return IntegralResult(value=value, error_estimate=err)
 
 
@@ -104,11 +103,9 @@ def loop_integral(loop: TrackedPath, handedness_sign: int = 1) -> IntegralResult
     with its Richardson error estimate.  Exactness predicts a value near
     zero."""
     a, b = loop.points[0], loop.points[-1]
-    for ca, cb in zip(a.cusps, b.cusps):
-        if abs(ca.m - cb.m) >= CLOSURE_TOL or abs(ca.l - cb.l) >= CLOSURE_TOL:
-            raise VolumeError(
-                f"loop endpoints differ in eigenvalue coordinates: "
-                f"|dm| = {abs(ca.m - cb.m):.2e}, |dl| = {abs(ca.l - cb.l):.2e}")
+    gap = closure_gap(a, b)
+    if not gap < CLOSURE_TOL:
+        raise VolumeError(f"loop endpoints differ in eigenvalue coordinates by {gap:.2e}")
     # integrate_eta rejects interior samples on U; the loop's base point
     # is checked here
     moving = moving_along(loop.points)

@@ -34,6 +34,16 @@ def test_complete_nonhyperbolic_exits_nonzero(tmp_path):
     assert doc["report"]["status"] == "failed"
 
 
+def test_complete_failure_names_every_lift_sign(tmp_path, capsys):
+    """The failure of `complete --spec nonhyp` summarizes the attempts of
+    each lift sign, eps=[1] and eps=[-1], in the report and on stdout."""
+    assert run(["complete", "--spec", "nonhyp", "--out", str(tmp_path)]) == 1
+    error = json.loads((tmp_path / "nonhyp_complete.json").read_text())["report"]["error"]
+    for eps in ("[1]", "[-1]"):
+        assert f"eps={eps}: 40 attempts, 0 converged but reducible, 40 diverged" in error
+    assert error in capsys.readouterr().out
+
+
 def test_missing_spec_file_errors(tmp_path):
     code = run(["complete", "--spec", str(tmp_path / "nope.spec"),
                 "--out", str(tmp_path)])

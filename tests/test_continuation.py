@@ -450,6 +450,25 @@ def test_short_slope_fails_at_the_quadrature_step(ktext, fig8_problem, fig8_comp
                       QUADRATURE_STEP)
 
 
+def test_V_check_stops_track_and_grid_at_the_first_interior_sample(fig8_problem,
+                                                                   fig8_complete,
+                                                                   monkeypatch):
+    """With `on_V` patched to report V everywhere, `track` and the quadrature
+    grid both raise the same error at their first interior sample."""
+    import charvol.continuation as continuation
+    base = step_off_complete(fig8_problem, fig8_complete, [0.3])
+    u0 = base.cusps[0].u - base.cusps[0].base_u
+    family = pin_log(lambda tau: np.array([u0 + 0.1 * tau]))
+    skeleton = track(fig8_problem, base, family)
+    monkeypatch.setattr(continuation, "on_V", lambda *args, **kwargs: True)
+    with pytest.raises(TrackingError, match=r"^path crossed V at tau=0\.020000$"):
+        track(fig8_problem, base, family)
+    with pytest.raises(TrackingError, match=r"^path crossed V at tau=0\.010000$"):
+        continuation._grid_samples(fig8_problem, family, skeleton, 0.01)
+    # a monodromy loop may cross V
+    assert len(track(fig8_problem, base, family, allow_V_interior=True)) == len(skeleton)
+
+
 def test_fourth_difference_rejects_a_shifted_sample():
     from charvol.continuation import _fourth_difference
     grid = np.linspace(0.01, 1.0, 991)

@@ -35,6 +35,22 @@ def test_extended_system_vanishes_on_samples(fig8_extended, fig8_fillings):
     assert max(abs(p.evaluate(point)) for p in fig8_extended.polynomials) < 1e-8
 
 
+def test_sample_point_names_the_cusp_of_a_trace_mismatch(wlink_system, wlink_fillings):
+    """A point whose I_L misses l + 1/l by 1e-6 at cusp 2 is no eigenvalue
+    sample; `CharacterPoint.validate` rejects it by the same defects."""
+    import copy
+    from charvol.repvar import RepVarError
+    ext = build_extended(wlink_system)
+    _, pt, _ = wlink_fillings[0]
+    sample_point(ext, pt)
+    bad = copy.deepcopy(pt)
+    bad.cusps[1].trace_l += 1e-6
+    with pytest.raises(EigenvarError, match=r"^cusp 2: slot eigenvalues inconsistent"):
+        sample_point(ext, bad)
+    with pytest.raises(RepVarError, match="eigenvalue/trace mismatch: 1.00e-06"):
+        bad.validate()
+
+
 def test_sample_point_complete_unit_modulus(fig8_extended, fig8_complete):
     x = sample_point(fig8_extended, fig8_complete)
     m, l = x.cusp(0)

@@ -4,8 +4,8 @@ import json
 import pytest
 
 from charvol.fixtures import fixture_text, load_fixture
-from charvol.manifold import (SpecError, gf2_nullspace, gf2_rank, h1_z2,
-                              lattice_contains, parse_spec)
+from charvol.manifold import (SpecError, gf2_nullspace, h1_z2, lattice_contains,
+                              parse_spec)
 from charvol.words import sign_character
 
 
@@ -136,7 +136,6 @@ def test_h1_invariant_under_adding_conjugate_relator(fig8_spec):
 
 def test_gf2_rank_and_nullspace():
     rows = [[1, 0, 1], [0, 1, 1], [1, 1, 0]]
-    assert gf2_rank(rows) == 2
     null = gf2_nullspace(rows, 3)
     assert len(null) == 1
     v = null[0]

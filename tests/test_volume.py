@@ -93,6 +93,35 @@ def test_eta_matches_finite_difference_of_volume(fig8_spec, fig8_fillings):
 
 # -- integration -------------------------------------------------------------------
 
+def _loop_trapezoid(points, sign):
+    """Reference: the trapezoid sums one segment and one cusp at a time."""
+    def increment(a, b):
+        total = 0.0
+        for ca, cb in zip(a.cusps, b.cusps):
+            du, dv = (cb.u - ca.u).imag, (cb.v - ca.v).imag
+            total += -0.5 * (ca.v.real + cb.v.real) * du + 0.5 * (ca.u.real + cb.u.real) * dv
+        return sign * total
+    out = [0.0]
+    for a, b in zip(points, points[1:]):
+        out.append(out[-1] + increment(a, b))
+    return out
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_vectorized_trapezoid_equals_the_loop_bitwise(sign, fig8_fillings, wlink_fillings):
+    """Running integral, value and Richardson estimate are bit-identical to
+    per-segment sums added in order, on odd and even sample counts and on
+    one and two cusps."""
+    for _, _, path in fig8_fillings + wlink_fillings:
+        for pts in (path.points, path.points[:-1], path.points[:2], path.points[:1]):
+            ref = _loop_trapezoid(pts, sign)
+            coarse = _loop_trapezoid(pts[::2] if len(pts) % 2 else pts[::2] + pts[-1:], sign)
+            sub = TrackedPath(points=pts, taus=list(range(len(pts))))
+            assert running_integral(sub, sign).tolist() == ref
+            integ = integrate_eta(sub, sign)
+            assert (integ.value, integ.error_estimate) == (ref[-1], abs(ref[-1] - coarse[-1]) / 3.0)
+
+
 def test_integrate_constant_path(fig8_fillings):
     _, pt, _ = fig8_fillings[0]
     path = TrackedPath(points=[pt, pt, pt], taus=[0.0, 0.5, 1.0])
@@ -291,11 +320,12 @@ def test_loop_exactness_sees_a_non_exact_term(fixture, eps, request, monkeypatch
     problem = request.getfixturevalue(f"{fixture}_problem")
     complete = request.getfixturevalue(f"{fixture}_complete")
     u0 = [c.u for c in _generic_base_point(spec, problem, complete).cusps]
-    increment = volume._segment_increment
+    increments = volume._segment_increments
 
-    def perturbed(a, b, sign):
-        return increment(a, b, sign) + eps * sum(_area_sum([a, b], u0))
-    monkeypatch.setattr(volume, "_segment_increment", perturbed)
+    def perturbed(points, sign):
+        return increments(points, sign) + eps * np.array(
+            [sum(_area_sum([a, b], u0)) for a, b in zip(points, points[1:])])
+    monkeypatch.setattr(volume, "_segment_increments", perturbed)
     integrals, failures, _, _ = run_exactness_loops(spec, problem, complete,
                                                     count=3, seed=1000)
     assert len(integrals) == 3
