@@ -114,10 +114,10 @@ def cmd_apoly(args, spec):
         filled = [f for f in fillings if f.point is not None]
         filling_errors = {f.kappa.label(): f.error for f in fillings if f.point is None}
         slopes = [f.kappa.label() for f in filled]
-        samples = [extended_point(ext, f.point) for f in filled]
+        samples = [extended_point(f.point) for f in filled]
         for f in filled:
             for k in (len(f.path) // 3, 2 * len(f.path) // 3):
-                samples.append(extended_point(ext, f.path.points[k]))
+                samples.append(extended_point(f.path.points[k]))
     except (NoCompleteStructureError, ContinuationError):
         samples, slopes = None, []
     # every report says which slopes were filled and how many samples were used

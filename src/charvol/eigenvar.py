@@ -35,17 +35,6 @@ class DimensionAnomalyError(EigenvarError):
     pass
 
 
-def _embed(p: Polynomial, new_vars: tuple[str, ...], laurent) -> Polynomial:
-    idx = [new_vars.index(v) for v in p.vars]
-    terms = {}
-    for e, c in p.terms.items():
-        ne = [0] * len(new_vars)
-        for k, x in zip(idx, e):
-            ne[k] = x
-        terms[tuple(ne)] = c
-    return Polynomial(new_vars, terms, laurent)
-
-
 class ExtendedSystem:
     """GaugedSystem with peripheral eigenvalue variables adjoined."""
 
@@ -67,15 +56,15 @@ class ExtendedSystem:
         for i, cf in enumerate(gauged.cusps, start=1):
             m, l = var(f"m{i}"), var(f"l{i}")
             minv, linv = var(f"m{i}", -1), var(f"l{i}", -1)
-            IM = _embed(cf.trace_m, V, lau)
-            IL = _embed(cf.trace_l, V, lau)
-            IML = _embed(cf.trace_ml, V, lau)
+            IM = cf.trace_m.embed(V, lau)
+            IL = cf.trace_l.embed(V, lau)
+            IML = cf.trace_ml.embed(V, lau)
             self.trace_equations += [
                 IM - m - minv,
                 IL - l - linv,
                 IML - m * l - minv * linv,
             ]
-        self.polynomials = [_embed(p, V, lau) for p in gauged.polynomials] + \
+        self.polynomials = [p.embed(V, lau) for p in gauged.polynomials] + \
             self.trace_equations
 
 
@@ -111,7 +100,7 @@ class EigenvaluePoint:
 SAMPLE_TOL = 1e-8
 
 
-def sample_point(ext: ExtendedSystem, pt: CharacterPoint) -> EigenvaluePoint:
+def sample_point(pt: CharacterPoint) -> EigenvaluePoint:
     """Peripheral eigenvalue data of a character point: its slot
     eigenvalues (m, l) per cusp, checked against its three traces."""
     for i, c in enumerate(pt.cusps, 1):
@@ -132,10 +121,10 @@ def gamma_act(x: EigenvaluePoint, subset: Sequence[int]) -> EigenvaluePoint:
     return EigenvaluePoint(values=vals)
 
 
-def extended_point(ext: ExtendedSystem, pt: CharacterPoint) -> np.ndarray:
+def extended_point(pt: CharacterPoint) -> np.ndarray:
     """A character point with its checked slot eigenvalues adjoined: a point
-    of the extended variety in `ext.vars` order."""
-    return np.concatenate([pt.coords, sample_point(ext, pt).values])
+    of the extended variety in `ExtendedSystem.vars` order."""
+    return np.concatenate([pt.coords, sample_point(pt).values])
 
 
 # ---------------------------------------------------------------------------
@@ -165,40 +154,49 @@ class EliminantSet:
         }
 
 
-def _strip(p: Polynomial, log: list[str], units=None) -> Polynomial:
-    """Clear Laurent denominators and strip unit-variable monomial content,
-    recording the cleared monomials (they flag the extraneous loci where an
-    eigenvalue coordinate would vanish)."""
+def _strip(p: Polynomial, log: list[str], units) -> Polynomial:
+    """Clear Laurent denominators and strip the monomial content in the unit
+    variables, recording the cleared monomials (they flag the extraneous
+    loci where an eigenvalue coordinate would vanish)."""
     cleared, _ = p.clear_laurent()
-    stripped, removed = cleared.strip_monomial_content(
-        restrict_to=units if units is not None else p.laurent)
+    stripped, removed = cleared.strip_monomial_content(restrict_to=units)
     if any(removed):
         mono = "*".join(f"{v}^{k}" for v, k in zip(p.vars, removed) if k)
         log.append(mono)
     return stripped
 
 
-def _detect_slot_substitution(eq: Polynomial, gauge_vars, periph_vars, samples, tol):
-    """Recognize a trace equation equivalent to (g - w^s)(g w^s - 1) = 0 for a
-    gauge variable g and peripheral variable w; returns (g, w^s) for the
-    branch g = w^s that the samples lie on (s = 1 without samples), or None.
-    Raises when every sample lies on both branches (w = +-1 throughout)."""
-    support = eq.support_vars()
-    gs = [v for v in gauge_vars if v in support]
-    ps = [v for v in periph_vars if v in support]
-    if len(gs) != 1 or len(ps) != 1:
-        return None
-    g, w = gs[0], ps[0]
-    ig, iw = eq.vars.index(g), eq.vars.index(w)
-    branches = [Polynomial.variable(w, eq.vars, eq.laurent, power) for power in (1, -1)
-                if all(abs(x[ig] - x[iw] ** power) < tol * max(1.0, abs(x[ig]))
-                       for x in samples or ())]
-    branches = [b for b in branches if eq.subs_var(g, b).is_zero()]
-    if samples and len(branches) == 2:
-        raise EigenvarError(
-            f"every sample has {w} = +-1, where both branches of the slot {g} meet: "
-            "the samples do not determine X0 (fill every cusp)")
-    return (g, branches[0]) if branches else None
+def _slot_substitutions(ext: ExtendedSystem, samples, tol) -> dict[str, Polynomial]:
+    """The gauge's eigenvalue slots as substitutions g -> w^k: each slot
+    polynomial (m, then l, in cusp order) that is a unit power g^k
+    (k = +-1) of one gauge variable g reads w = g^k, so g = w^k.  The first
+    slot of each gauge variable is kept.  Raises when a sample is off a
+    slot, or when every sample lies on both of its branches g = w^+-1
+    (w = +-1 throughout)."""
+    subs: dict[str, Polynomial] = {}
+    for i, cf in enumerate(ext.gauged.cusps, start=1):
+        for w, slot in ((f"m{i}", cf.m_poly), (f"l{i}", cf.l_poly)):
+            if len(slot.terms) != 1:
+                continue
+            (e, c), = slot.terms.items()
+            powers = [(g, k) for g, k in zip(slot.vars, e) if k]
+            if c != 1 or len(powers) != 1 or abs(powers[0][1]) != 1:
+                continue
+            (g, k), = powers
+            if g in subs:
+                continue
+            ig, iw = ext.vars.index(g), ext.vars.index(w)
+            branches = [b for b in (k, -k)
+                        if all(abs(x[ig] - x[iw] ** b) < tol * max(1.0, abs(x[ig]))
+                               for x in samples or ())]
+            if samples and len(branches) == 2:
+                raise EigenvarError(
+                    f"every sample has {w} = +-1, where both branches of the slot {g} "
+                    "meet: the samples do not determine X0 (fill every cusp)")
+            subs[g] = Polynomial.variable(w, ext.vars, ext.laurent, k)
+            if k not in branches:
+                raise EigenvarError(f"a sample is off the slot {g} -> {subs[g].as_text()}")
+    return subs
 
 
 def _localize(p: Polynomial, samples, tol, removed_log: list[str]) -> Polynomial:
@@ -225,8 +223,8 @@ def eliminate(ext: ExtendedSystem,
 
     Samples are points in `ext.vars` order (see `extended_point`) on one
     irreducible component of the extended variety, such as characters
-    continued from the complete structure along filling paths.  Slot
-    equations are solved first, on the branch the samples lie on; each
+    continued from the complete structure along filling paths.  The gauge's
+    eigenvalue slots are substituted first (`_slot_substitutions`); each
     remaining gauge variable is eliminated by the resultants of its
     lowest-degree user (the pivot) with every other user.  Every polynomial
     the chain produces is replaced by the product of its irreducible factors
@@ -234,10 +232,11 @@ def eliminate(ext: ExtendedSystem,
     of each of them, so exactly the factors containing X0 survive.  Without
     samples (None) every factor is kept and the result is not validated; an
     empty sample list is an error, since it says nothing about X0.  Raises
-    when more than six variables survive the substitutions, and when no
-    factor of a polynomial vanishes at every sample (samples off the
-    variety, or on two of its components), and when the chain contains a
-    nonzero constant (the variety is empty)."""
+    when the samples do not fix a slot's branch, when more than six
+    variables survive the substitutions, when no factor of a polynomial
+    vanishes at every sample (samples off the variety, or on two of its
+    components), and when the chain contains a nonzero constant (the
+    variety is empty)."""
     if samples is not None and len(samples) == 0:
         raise EigenvarError("no samples on X0: the eliminant cannot be localized "
                             "or validated")
@@ -255,19 +254,11 @@ def eliminate(ext: ExtendedSystem,
             raise EigenvarError("empty variety: the chain contains a nonzero constant")
         return kept
 
-    tree = []
-    subs: dict[str, Polynomial] = {}
-    remaining = []
-    for eq in ext.polynomials:
-        hit = _detect_slot_substitution(eq, gauge_vars, ext.peripheral_vars,
-                                        samples, SAMPLE_TOL)
-        if hit is not None and hit[0] not in subs:
-            subs[hit[0]] = hit[1]
-            tree.append(f"substitute {hit[0]} -> {hit[1].as_text()}")
-        else:
-            remaining.append(eq)
+    subs = _slot_substitutions(ext, samples, SAMPLE_TOL)
+    tree = [f"substitute {g} -> {val.as_text()}" for g, val in subs.items()]
     work = []
-    for p in remaining:
+    # the trace equation a slot solves substitutes to zero
+    for p in ext.polynomials:
         for g, val in subs.items():
             p = p.subs_var(g, val)
         if not p.is_zero():
@@ -306,7 +297,7 @@ def eliminate(ext: ExtendedSystem,
     if not finals:
         raise DimensionAnomalyError("no eliminant in peripheral variables survived")
     # each cleared monomial and removed factor is logged once, in the order first seen
-    es = EliminantSet([_project_to_periph(ext, p) for p in finals],
+    es = EliminantSet([p.embed(ext.peripheral_vars, frozenset(periph)) for p in finals],
                       "; ".join(tree), list(dict.fromkeys(cleared_log)),
                       list(dict.fromkeys(removed_log)))
     # the peripheral coordinates close `ext.vars`
@@ -316,28 +307,8 @@ def eliminate(ext: ExtendedSystem,
 
 def _scaled_residual(p: Polynomial, x) -> float:
     """|p(x)| scaled by the largest term magnitude at x (ordered as p.vars)."""
-    pt = [complex(z) for z in x]
-    total = 0j
-    scale = 0.0
-    for e, c in p.terms.items():
-        term = complex(c)
-        for z, k in zip(pt, e):
-            if k:
-                term *= z ** k
-        total += term
-        scale = max(scale, abs(term))
-    return abs(total) / max(scale, 1.0)
-
-
-def _project_to_periph(ext: ExtendedSystem, p: Polynomial) -> Polynomial:
-    idx = [ext.vars.index(v) for v in ext.peripheral_vars]
-    terms = {}
-    for e, c in p.terms.items():
-        for k, x in enumerate(e):
-            if x != 0 and ext.vars[k] not in ext.peripheral_vars:
-                raise EigenvarError("projection hit a non-peripheral variable")
-        terms[tuple(e[k] for k in idx)] = c
-    return Polynomial(ext.peripheral_vars, terms, frozenset(ext.peripheral_vars))
+    value, scale = p.evaluate_with_scale(x)
+    return abs(value) / max(scale, 1.0)
 
 
 def _validate(es: EliminantSet, samples, tol) -> EliminantSet:

@@ -176,6 +176,11 @@ class Polynomial:
     # -- evaluation ---------------------------------------------------------
     def evaluate(self, point) -> complex:
         """Evaluate at a complex vector (ordered as self.vars)."""
+        return self.evaluate_with_scale(point)[0]
+
+    def evaluate_with_scale(self, point) -> tuple[complex, float]:
+        """The value at a complex vector (ordered as self.vars) and the
+        largest term magnitude there (0 for the zero polynomial)."""
         pt = [complex(x) for x in point]
         if len(pt) != len(self.vars):
             raise ValueError("point arity does not match variable count")
@@ -183,13 +188,31 @@ class Polynomial:
             if name in self.laurent and pt[i] == 0 and any(e[i] < 0 for e in self.terms):
                 raise ZeroDivisionError(f"unit variable {name} evaluated at zero")
         total = 0j
+        scale = 0.0
         for e, c in self.terms.items():
             v = complex(c)
             for x, k in zip(pt, e):
                 if k:
                     v *= x ** k
             total += v
-        return total
+            scale = max(scale, abs(v))
+        return total, scale
+
+    def embed(self, vars: tuple[str, ...], laurent: frozenset[str]) -> "Polynomial":
+        """The same polynomial over another variable tuple: a shared variable
+        keeps its exponents and a new one gets exponent 0.  Dropping a
+        variable that has a nonzero exponent raises VariableMismatchError."""
+        vars = tuple(vars)
+        dropped = [i for i, name in enumerate(self.vars) if name not in vars]
+        source = [self.vars.index(name) if name in self.vars else None for name in vars]
+        terms = {}
+        for e, c in self.terms.items():
+            if any(e[i] for i in dropped):
+                raise VariableMismatchError(
+                    f"cannot drop {[self.vars[i] for i in dropped if e[i]]}: "
+                    "nonzero exponent")
+            terms[tuple(0 if i is None else e[i] for i in source)] = c
+        return Polynomial(vars, terms, laurent)
 
     # -- Laurent clearing / substitution -------------------------------------
     def clear_laurent(self) -> tuple["Polynomial", Exponents]:

@@ -199,10 +199,9 @@ def test_criterion_7_eliminant(fig8_extended, fig8_forty_samples):
     sheet of the gauge slice over X0, and checked at all 40 characters:
     the random deformations land on both sheets (p = m1 and p = 1/m1)."""
     tracked, deformed = fig8_forty_samples
-    es = eliminate(fig8_extended, samples=[extended_point(fig8_extended, pt)
-                                           for pt in tracked])
+    es = eliminate(fig8_extended, samples=[extended_point(pt) for pt in tracked])
     p = es.polynomials[0]
-    points = [sample_point(fig8_extended, pt) for pt in tracked + deformed]
+    points = [sample_point(pt) for pt in tracked + deformed]
     residuals = [_scaled_residual(p, x.values) for x in points]
     gamma_residuals = [_scaled_residual(p, gamma_act(x, [0]).values) for x in points]
     ok = (len(points) == 40 and es.validated and

@@ -75,6 +75,21 @@ def test_each_compiled_evaluation_counts_once():
         tracer.uninstall()
 
 
+def test_sample_point_span_counts_once_per_extended_point(fig8_fillings):
+    """The tracer's wrapper forwards any signature; a call through
+    `extended_point` is one `eigenvar.sample_point` call."""
+    import charvol.cli  # noqa: F401  (the tracer patches every layer module)
+    from charvol.eigenvar import extended_point
+    _, pt, _ = fig8_fillings[0]
+    tracer = _spans.Tracer().install()
+    try:
+        before = tracer.layer_metrics()["eigenvar.sample_point.calls"]
+        extended_point(pt)
+        assert tracer.layer_metrics()["eigenvar.sample_point.calls"] == before + 1
+    finally:
+        tracer.uninstall()
+
+
 def test_benchmark_workload_command_lines_parse(monkeypatch, tmp_path):
     """perfbench/run.py appends `--seed N --out DIR` to each workload's
     command line; the CLI must accept every one, or the benchmark stops."""

@@ -447,3 +447,18 @@ def test_certify_loops_zero_marks_skipped(tmp_path):
     doc = json.loads((tmp_path / "fig8_certify.json").read_text())
     skipped = [c for c in doc["report"]["checks"] if c["status"] == "skipped"]
     assert any(c["name"] == "loop_exactness" for c in skipped)
+
+
+def test_same_outputs_tool_on_one_command_line():
+    """tools/same_outputs.py runs a command line on two trees in fresh
+    processes and compares their outputs; this tree against itself agrees."""
+    import subprocess
+    import sys
+    from pathlib import Path
+    root = Path(__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, str(root / "tools" / "same_outputs.py"),
+                          str(root), str(root), "h1z2 --spec fig8"],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout.splitlines() == ["same  h1z2 --spec fig8",
+                                       "0 of 1 command lines differ"]

@@ -213,7 +213,7 @@ def test_jacobian_check_fig8(fig8_system, fig8_complete):
 def test_jacobian_check_extended_laurent(fig8_extended, fig8_fillings):
     from charvol.eigenvar import sample_point
     _, pt, _ = fig8_fillings[0]
-    x = sample_point(fig8_extended, pt)
+    x = sample_point(pt)
     point = np.concatenate([pt.coords, x.values])
     cs = CompiledSystem(fig8_extended.polynomials, fig8_extended.vars)
     rep = jacobian_check(cs, point)

@@ -30,29 +30,28 @@ def test_build_extended_counts(fig8_extended, wlink_system):
 
 def test_extended_system_vanishes_on_samples(fig8_extended, fig8_fillings):
     _, pt, _ = fig8_fillings[0]
-    point = extended_point(fig8_extended, pt)
+    point = extended_point(pt)
     assert len(point) == len(fig8_extended.vars)
     assert max(abs(p.evaluate(point)) for p in fig8_extended.polynomials) < 1e-8
 
 
-def test_sample_point_names_the_cusp_of_a_trace_mismatch(wlink_system, wlink_fillings):
+def test_sample_point_names_the_cusp_of_a_trace_mismatch(wlink_fillings):
     """A point whose I_L misses l + 1/l by 1e-6 at cusp 2 is no eigenvalue
     sample; `CharacterPoint.validate` rejects it by the same defects."""
     import copy
     from charvol.repvar import RepVarError
-    ext = build_extended(wlink_system)
     _, pt, _ = wlink_fillings[0]
-    sample_point(ext, pt)
+    sample_point(pt)
     bad = copy.deepcopy(pt)
     bad.cusps[1].trace_l += 1e-6
     with pytest.raises(EigenvarError, match=r"^cusp 2: slot eigenvalues inconsistent"):
-        sample_point(ext, bad)
+        sample_point(bad)
     with pytest.raises(RepVarError, match="eigenvalue/trace mismatch: 1.00e-06"):
         bad.validate()
 
 
 def test_sample_point_complete_unit_modulus(fig8_extended, fig8_complete):
-    x = sample_point(fig8_extended, fig8_complete)
+    x = sample_point(fig8_complete)
     m, l = x.cusp(0)
     assert abs(abs(m) - 1) < 1e-10 and abs(abs(l) - 1) < 1e-10
     assert on_U([x.cusp(0)])
@@ -60,7 +59,7 @@ def test_sample_point_complete_unit_modulus(fig8_extended, fig8_complete):
 
 def test_sample_point_filled_satisfies_filling(fig8_extended, fig8_fillings):
     _, pt, _ = fig8_fillings[0]  # kappa = (1,5)
-    x = sample_point(fig8_extended, pt)
+    x = sample_point(pt)
     c = pt.cusps[0]
     # the sampled eigenvalues are those of the lifts on the filling line
     assert abs(np.exp(c.u) - x.cusp(0)[0]) < 1e-9 and abs(np.exp(c.v) - x.cusp(0)[1]) < 1e-9
@@ -95,8 +94,8 @@ def test_on_U_cases():
 def fig8_samples(fig8_extended, fig8_fillings):
     out = []
     for _, pt, path in fig8_fillings:
-        out.append(extended_point(fig8_extended, pt))
-        out.append(extended_point(fig8_extended, path.points[len(path) // 2]))
+        out.append(extended_point(pt))
+        out.append(extended_point(path.points[len(path) // 2]))
     return out
 
 
@@ -177,7 +176,7 @@ def test_eliminate_raises_for_samples_on_two_sheets(fig8_extended, fig8_problem,
     rng = np.random.default_rng(33)
     for _ in range(10):
         du = 0.15 + rng.uniform(0.0, 0.4) + 1j * rng.uniform(-0.3, 0.3)
-        x = extended_point(fig8_extended, step_off_complete(fig8_problem, fig8_complete, [du]))
+        x = extended_point(step_off_complete(fig8_problem, fig8_complete, [du]))
         if (abs(x[V.index("p")] - x[V.index("m1")]) < 1e-8) != on_first[0]:
             break
     else:
@@ -214,6 +213,24 @@ def test_abelian_eliminant_binomial(abelian_spec):
         s = rng.normal() + 1j * rng.normal()
         for l in (1.0, -1.0):
             assert _scaled_residual(es.polynomials[0], [s, l]) == 0
+
+
+def test_unlocalized_substitutions_take_the_gauge_slot_branch():
+    """With meridian [2] and longitude [1] both slots have power -1: m1 = 1/p
+    and l1 = 1/s.  Without samples the chain substitutes those branches."""
+    doc = json.loads(fixture_text("abelian"))
+    doc["cusps"] = [{"meridian": [2], "longitude": [1]}]
+    es = eliminate(build_extended(GaugedSystem(parse_spec(json.dumps(doc)))))
+    assert es.description.startswith("substitute p -> 1*m1^-1; substitute s -> 1*l1^-1;")
+    assert [p.as_text() for p in es.polynomials] == ["-1 + 1*m1^2"]
+
+
+def test_eliminate_raises_for_a_sample_off_the_slot(fig8_extended, fig8_samples):
+    """Every sample must read the slot m1 = s; one with m1 moved is refused."""
+    x = np.array(fig8_samples[0])
+    x[fig8_extended.vars.index("m1")] *= 1.1
+    with pytest.raises(EigenvarError, match=r"a sample is off the slot s -> 1\*m1$"):
+        eliminate(fig8_extended, samples=fig8_samples + [x])
 
 
 def test_eliminate_raises_on_a_nonzero_constant(nonhyp_spec):
@@ -292,8 +309,8 @@ def wlink_eliminant(wlink_system, wlink_fillings):
     ext = build_extended(wlink_system)
     samples = []
     for _, pt, path in wlink_fillings:
-        samples.append(extended_point(ext, pt))
-        samples.append(extended_point(ext, path.points[len(path) // 2]))
+        samples.append(extended_point(pt))
+        samples.append(extended_point(path.points[len(path) // 2]))
     return eliminate(ext, samples=samples)
 
 

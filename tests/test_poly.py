@@ -127,6 +127,25 @@ def test_evaluate_matches_term_sum_oracle(p):
     assert abs(p.evaluate(pt) - expected) <= 1e-9 * max(1.0, abs(expected))
 
 
+def test_evaluate_with_scale_reads_the_largest_term():
+    p = 3 * var("x") - 2 * var("y")
+    assert p.evaluate_with_scale([1, 2, 0]) == (-1 + 0j, 4.0)
+    assert const(0).evaluate_with_scale([1, 2, 0]) == (0j, 0.0)
+    with pytest.raises(ValueError, match="arity"):
+        p.evaluate_with_scale([1, 2])
+
+
+def test_embed_keeps_exponents_and_drops_only_absent_variables():
+    p = var("x") * var("z", 2) + const(5)
+    W = ("w", "z", "x")
+    q = p.embed(W, frozenset({"w"}))
+    assert q.vars == W and q.laurent == frozenset({"w"})
+    assert q.terms == {(0, 2, 1): 1, (0, 0, 0): 5}
+    assert q.embed(V, frozenset()) == p
+    with pytest.raises(VariableMismatchError, match=r"cannot drop \['z'\]"):
+        p.embed(("x", "y"), frozenset())
+
+
 # -- differentiation -----------------------------------------------------------
 
 def test_differentiate_laurent():

@@ -239,6 +239,16 @@ def test_loop_crossing_U_rejected(fig8_fillings):
         loop_integral(loop)
 
 
+def test_path_through_the_complete_structure_rejected(fig8_fillings):
+    """A filling path run backwards and then forwards has the complete
+    structure, on U, as an interior sample; its endpoints are off U."""
+    _, _, path = fig8_fillings[0]
+    there_and_back = list(reversed(path.points)) + list(path.points[1:])
+    with pytest.raises(VolumeError, match="^interior path sample lies on U$"):
+        integrate_eta(TrackedPath(points=there_and_back,
+                                  taus=list(range(len(there_and_back)))))
+
+
 def test_random_loops_are_exact(fig8_spec, fig8_problem, fig8_complete):
     from charvol.continuation import track_closed_loop
     rng = np.random.default_rng(8)
