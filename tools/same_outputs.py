@@ -78,13 +78,14 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     parent, change = Path(argv[0]), Path(argv[1])
+    commands = argv[2:] or COMMANDS
     failed = 0
-    for command in argv[2:] or COMMANDS:
+    for command in commands:
         diff = differences(outputs(parent, command), outputs(change, command))
         failed += bool(diff)
         print(f"{'DIFFERS' if diff else 'same'}  {command}"
               + (f"  ({', '.join(diff)})" if diff else ""), flush=True)
-    print(f"{failed} of {len(argv[2:] or COMMANDS)} command lines differ")
+    print(f"{failed} of {len(commands)} command lines differ")
     return 1 if failed else 0
 
 
