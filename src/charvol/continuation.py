@@ -116,21 +116,25 @@ class DeformationProblem:
         tau, every row from one evaluation of the compiled system, whose row
         vector F keeps as `F.vals`."""
         system = self.system
-        # per cusp: coefficients, target and the lift to continue from
-        terms = list(zip(family.p, family.q, family.target(tau), prev.cusps))
-        g = system.gauge_rows
+        g, ml = system.gauge_rows, system.ml_rows.start
+        ng = g.stop - g.start
+        # per cusp: its row of F, the compiled rows of its m and l, the
+        # coefficients, the target and the lift to continue from
+        terms = [(ng + i, ml + 2 * i, ml + 2 * i + 1, p, q, t, c) for i, (p, q, t, c)
+                 in enumerate(zip(family.p, family.q, family.target(tau), prev.cusps))]
+        shape = (ng + len(terms), len(system.vars))
 
         def F(x):
             vals, J = system.compiled.values_and_jacobian(x)
             F.vals = vals
-            ml, Jml = vals[system.ml_rows], J[system.ml_rows]
-            rows, grads = [], []
-            for i, (p, q, t, c) in enumerate(terms):
-                m, l = ml[2 * i], ml[2 * i + 1]
+            out, Jout = np.empty(shape[0], dtype=complex), np.empty(shape, dtype=complex)
+            out[:ng], Jout[:ng] = vals[g], J[g]
+            for k, im, il, p, q, t, c in terms:
+                m, l = vals[im], vals[il]
                 u, v = c.continued_logs(m, l)
-                rows.append(p * (u - c.base_u) + q * (v - c.base_v) - t)
-                grads.append(p * Jml[2 * i] / m + q * Jml[2 * i + 1] / l)
-            return np.concatenate([vals[g], rows]), np.vstack([J[g], *grads])
+                out[k] = p * (u - c.base_u) + q * (v - c.base_v) - t
+                Jout[k] = p * J[im] / m + q * J[il] / l
+            return out, Jout
         return F
 
     def _stacked_rows(self, refs: Sequence[CharacterPoint], family: ConstraintFamily,
@@ -311,7 +315,8 @@ def step_off_complete(problem: DeformationProblem, complete: CharacterPoint,
     system = problem.system
     x0 = np.array(complete.coords, dtype=complex)
     for i, cf in enumerate(system.cusps):
-        x0[cf.slot_index] *= cmath.exp(du[i] / cf.slot_power)
+        index, power = cf.meridian_slot
+        x0[index] *= cmath.exp(du[i] / power)
     pt, res, ok = problem.correct(x0, complete, pin_log(lambda tau: du), 0.0, tol=tol)
     if not ok:
         raise TrackingError(f"could not step off the complete structure (residual {res:.2e})")

@@ -176,15 +176,10 @@ def _slot_substitutions(ext: ExtendedSystem, samples, tol) -> dict[str, Polynomi
     subs: dict[str, Polynomial] = {}
     for i, cf in enumerate(ext.gauged.cusps, start=1):
         for w, slot in ((f"m{i}", cf.m_poly), (f"l{i}", cf.l_poly)):
-            if len(slot.terms) != 1:
+            power = slot.unit_power()
+            if power is None or abs(power[1]) != 1 or power[0] in subs:
                 continue
-            (e, c), = slot.terms.items()
-            powers = [(g, k) for g, k in zip(slot.vars, e) if k]
-            if c != 1 or len(powers) != 1 or abs(powers[0][1]) != 1:
-                continue
-            (g, k), = powers
-            if g in subs:
-                continue
+            g, k = power
             ig, iw = ext.vars.index(g), ext.vars.index(w)
             branches = [b for b in (k, -k)
                         if all(abs(x[ig] - x[iw] ** b) < tol * max(1.0, abs(x[ig]))

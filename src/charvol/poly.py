@@ -10,6 +10,7 @@ division) happens on cleared, non-Laurent representatives.
 from __future__ import annotations
 
 import operator
+from typing import Optional
 
 import numpy as np
 
@@ -74,6 +75,15 @@ class Polynomial:
     def min_degree(self, var: str) -> int:
         i = self.vars.index(var)
         return min((e[i] for e in self.terms), default=0)
+
+    def unit_power(self) -> Optional[tuple[str, int]]:
+        """(g, k) when the polynomial is g^k for one variable g and k != 0,
+        else None."""
+        if len(self.terms) != 1:
+            return None
+        (e, c), = self.terms.items()
+        powers = [(g, k) for g, k in zip(self.vars, e) if k]
+        return powers[0] if c == 1 and len(powers) == 1 else None
 
     def total_terms(self) -> int:
         return len(self.terms)
@@ -526,57 +536,62 @@ class CompiledSystem:
 class _CompiledBlock:
     """Every term's coefficient times its monomial, summed per polynomial.
 
-    The per-variable exponent ranges, each term's index into them and a
-    sum buffer with one trailing zero (for polynomials without terms) are
-    built once per block.  A stack of points (N, nvars) multiplies the same
-    factors in the same order into a (terms, N) buffer and sums each
-    polynomial's terms like a single point, so every row of the result has
-    the bytes of a single-point call."""
+    A polynomial without terms is compiled as the one term 0 * x^0, which
+    evaluates to 0 at every point, so every polynomial's sum starts at its
+    own term.  A single point takes its factors from one power table over
+    every (variable, exponent) pair the terms use, through one flat index
+    per variable and term, built once per block.  A stack of points (N,
+    nvars) takes them from per-variable exponent ranges into a (terms, N)
+    buffer.  Both multiply each term's coefficient by its factors in
+    variable order and sum each polynomial's terms in term order, with the
+    same power per factor, so every row of a stacked result has the bytes of
+    a single-point call."""
 
     def __init__(self, polys: list[Polynomial], vars):
-        exps, coeffs, bounds = [], [], [0]
+        zero_term = ((0,) * len(vars), 0)
+        exps, coeffs, starts = [], [], []
         for p in polys:
-            for e, c in p.sorted_terms():
+            starts.append(len(coeffs))
+            for e, c in p.sorted_terms() or [zero_term]:
                 exps.append(e)
                 coeffs.append(complex(c))
-            bounds.append(len(coeffs))
         self.npolys = len(polys)
         self.coeffs = np.array(coeffs, dtype=complex)
-        bounds = np.array(bounds, dtype=np.int64)
-        self.starts = bounds[:-1]
-        self.empty = bounds[:-1] == bounds[1:]
-        self.buf = np.zeros(len(coeffs) + 1, dtype=complex)
+        self.starts = np.array(starts, dtype=np.int64)
+        self.buf = np.empty(len(coeffs), dtype=complex)
         self.ranges, self.columns = [], []
-        if coeffs:  # a block without terms evaluates to zeros
+        if coeffs:  # a block without polynomials evaluates to an empty row
             E = np.array(exps, dtype=np.int64)
             emin, emax = E.min(axis=0), E.max(axis=0)
             for v in range(len(vars)):
                 self.ranges.append(np.arange(emin[v], emax[v] + 1))
                 self.columns.append(np.ascontiguousarray(E[:, v] - emin[v]))
+            sizes = emax - emin + 1
+            self.table_vars = np.repeat(np.arange(len(vars)), sizes)
+            self.table_exps = np.concatenate(self.ranges)
+            self.factors = [offset + col for offset, col
+                            in zip(np.cumsum(sizes) - sizes, self.columns)]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if not len(self.coeffs):
             return np.zeros(x.shape[:-1] + (self.npolys,), dtype=complex)
         if x.ndim == 2:
             return self._stacked(x)
-        vals = self.buf[:-1]
-        vals[:] = self.coeffs
+        vals = self.buf
         with np.errstate(divide="ignore", invalid="ignore"):
-            for xv, exps, col in zip(x, self.ranges, self.columns):
-                vals *= (xv ** exps)[col]
-        out = np.add.reduceat(self.buf, self.starts)
-        out[self.empty] = 0
-        return out
+            table = x[self.table_vars] ** self.table_exps
+            first, *rest = self.factors
+            np.multiply(self.coeffs, table[first], out=vals)
+            for idx in rest:
+                vals *= table[idx]
+        return np.add.reduceat(vals, self.starts)
 
     def _stacked(self, x: np.ndarray) -> np.ndarray:
         # terms-major: each factor multiplies contiguous (terms, N) rows, and
         # each polynomial's terms are summed down the rows
-        buf = np.zeros((len(self.buf), len(x)), dtype=complex)
-        vals = buf[:-1]
+        vals = np.empty((len(self.coeffs), len(x)), dtype=complex)
         vals[:] = self.coeffs[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             for xv, exps, col in zip(x.T, self.ranges, self.columns):
                 vals *= (xv ** exps[:, None])[col]
-        out = np.add.reduceat(buf, self.starts, axis=0)
-        out[self.empty] = 0
-        return out.T
+        return np.add.reduceat(vals, self.starts, axis=0).T

@@ -53,11 +53,15 @@ class CuspFunctions:
     trace_ml: Polynomial
     # eigenvalue slot data: (m, l) are read along a coordinate eigenvector
     # (e1 for a generator-1 meridian, e2 for a generator-2 meridian), and
-    # m = x[slot_index] ** slot_power
+    # m_poly is a unit power of one gauge variable (see `meridian_slot`)
     m_poly: Polynomial
     l_poly: Polynomial
-    slot_index: int
-    slot_power: int
+
+    @property
+    def meridian_slot(self) -> tuple[int, int]:
+        """(index, power) of the meridian's slot: m = x[index] ** power."""
+        g, k = self.m_poly.unit_power()
+        return self.m_poly.vars.index(g), k
 
 
 class GaugedSystem:
@@ -112,8 +116,7 @@ class GaugedSystem:
             self.cusps.append(CuspFunctions(
                 index=c.index, meridian=c.meridian, longitude=c.longitude,
                 trace_m=tm, trace_l=tl, trace_ml=tml,
-                m_poly=m_poly, l_poly=l_poly, slot_index=V.index(name),
-                slot_power=power))
+                m_poly=m_poly, l_poly=l_poly))
         trace_polys, ml = [], []
         for cf in self.cusps:
             trace_polys.extend((cf.trace_m, cf.trace_l, cf.trace_ml))
@@ -394,6 +397,11 @@ class NewtonResult:
     quad_ratios: list[float]
 
 
+def _norm2(z: np.ndarray) -> float:
+    """The 2-norm of a vector as `np.linalg.norm` computes it, bit for bit."""
+    return math.sqrt(z.real.dot(z.real) + z.imag.dot(z.imag))
+
+
 def gauss_newton(F, start, tol: float, maxiter: int, max_step: Optional[float] = None,
                  condition_limit: Optional[float] = None) -> NewtonResult:
     """Gauss-Newton (least-squares steps, so non-square systems are fine) on
@@ -407,7 +415,7 @@ def gauss_newton(F, start, tol: float, maxiter: int, max_step: Optional[float] =
     are recorded so quadratic convergence can be audited."""
     def evaluate(x):
         vals, J = F(x)
-        res = float(np.max(np.abs(vals))) if len(vals) else 0.0
+        res = float(np.abs(vals).max()) if len(vals) else 0.0
         if not math.isfinite(res):
             raise DivergenceError("non-finite Newton residual", x, float("inf"))
         return vals, J, res
@@ -424,15 +432,15 @@ def gauss_newton(F, start, tol: float, maxiter: int, max_step: Optional[float] =
     ratios, prev_norm, bad = [], None, 0
     for it in range(1, maxiter + 1):
         dx, *_ = np.linalg.lstsq(J, -vals, rcond=None)
-        if not np.all(np.isfinite(dx)):
+        if not np.isfinite(dx).all():
             raise DivergenceError("non-finite Newton step", x, res)
         if max_step is not None:
-            ndx = float(np.linalg.norm(dx))
+            ndx = _norm2(dx)
             if ndx > max_step:
                 dx *= max_step / ndx
         x = x + dx
         vals, J, res = evaluate(x)
-        norm = float(np.linalg.norm(vals))
+        norm = _norm2(vals)
         if prev_norm is not None:
             # contraction ratios are only meaningful above the roundoff floor
             if prev_norm > 1e-8:
@@ -573,7 +581,7 @@ def find_complete(spec: ManifoldSpec, system: Optional[GaugedSystem] = None,
 
     # the lift sign eps pins each cusp's slot variable (s or p) to eps
     # whatever the power sign: a row x[slot] - eps with a unit gradient
-    slots = [cf.slot_index for cf in system.cusps]
+    slots = [cf.meridian_slot[0] for cf in system.cusps]
     pin_jac = np.eye(len(system.vars), dtype=complex)[slots]
     gauge = system.gauge_rows
 

@@ -462,3 +462,26 @@ def test_same_outputs_tool_on_one_command_line():
     assert out.returncode == 0, out.stdout + out.stderr
     assert out.stdout.splitlines() == ["same  h1z2 --spec fig8",
                                        "0 of 1 command lines differ"]
+
+
+def test_layer_timing_tool_on_one_round():
+    """tools/layer_timing.py times each layer of one sequential Newton
+    evaluation on two trees in fresh processes; one round of this tree
+    against itself prints every layer on both specs."""
+    import re
+    import subprocess
+    import sys
+    from pathlib import Path
+    root = Path(__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, str(root / "tools" / "layer_timing.py"),
+                          str(root), str(root), "--rounds", "1"],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stdout + out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0].startswith("1 rounds")
+    rows = [line.split()[:2] for line in lines[1:]]
+    assert rows == [[spec, layer] for spec in ("fig8", "wlink")
+                    for layer in ("values_and_jacobian", "rows_F", "correct", "track_step")]
+    for line in lines[1:]:
+        parent, change = map(float, re.findall(r" (?:parent|change) +([\d.]+) \[", line))
+        assert parent > 0 and change > 0

@@ -439,6 +439,46 @@ def test_stacked_rows_equal_single_rows(name, fig8_problem, fig8_fillings,
             assert F.vals[k].tobytes() == F1.vals.tobytes()
 
 
+@pytest.mark.parametrize("name", ["fig8", "wlink"])
+def test_rows_equal_the_concatenated_rows_bytewise(name, request):
+    """`_rows` writes the gauge rows and the family's rows into preallocated
+    arrays; its values and Jacobian have the bytes of the concatenate/vstack
+    formula written out here, for a filling family (integer p, q) and a
+    random loop family (float p, q)."""
+    from charvol.cli import _generic_base_point
+    from charvol.continuation import random_log_loop_targets
+    spec, problem, complete = (request.getfixturevalue(f"{name}_{k}")
+                               for k in ("spec", "problem", "complete"))
+    system = problem.system
+    base = _generic_base_point(spec, problem, complete)
+    slopes = "1,5" if name == "fig8" else "1,5;inf"
+    families = [_filling_family(FillingCoefficients.parse(slopes, len(system.cusps))),
+                random_log_loop_targets(base, np.random.default_rng(3), radius=(0.08, 0.3))]
+    rng = np.random.default_rng(11)
+    n = len(system.vars)
+    for family in families:
+        for tau in (0.0, 0.3, 0.7):
+            F = problem._rows(base, family, tau)
+            for _ in range(4):
+                x = base.coords + 0.05 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+                vals, J = F(x)
+                cv, cJ = system.compiled.values_and_jacobian(x)
+                ml, Jml = cv[system.ml_rows], cJ[system.ml_rows]
+                rows, grads = [], []
+                for i, (p, q, t, c) in enumerate(zip(family.p, family.q, family.target(tau),
+                                                     base.cusps)):
+                    m, l = ml[2 * i], ml[2 * i + 1]
+                    u, v = c.continued_logs(m, l)
+                    rows.append(p * (u - c.base_u) + q * (v - c.base_v) - t)
+                    grads.append(p * Jml[2 * i] / m + q * Jml[2 * i + 1] / l)
+                want_vals = np.concatenate([cv[system.gauge_rows], rows])
+                want_J = np.vstack([cJ[system.gauge_rows], *grads])
+                assert vals.dtype == want_vals.dtype and J.shape == want_J.shape
+                assert vals.tobytes() == want_vals.tobytes()
+                assert J.tobytes() == want_J.tobytes()
+                assert F.vals.tobytes() == cv.tobytes()
+
+
 @pytest.mark.parametrize("ktext", ["5,1", "-5,1"])
 def test_short_slope_fails_at_the_quadrature_step(ktext, fig8_problem, fig8_complete):
     """The (±5,1) path kinks near tau = 0.73: a sequential track at the

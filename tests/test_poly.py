@@ -135,6 +135,14 @@ def test_evaluate_with_scale_reads_the_largest_term():
         p.evaluate_with_scale([1, 2])
 
 
+def test_unit_power_reads_a_bare_power_of_one_variable():
+    W = ("m", "y")
+    assert Polynomial.variable("m", W, frozenset({"m"}), -1).unit_power() == ("m", -1)
+    assert var("y", 3).unit_power() == ("y", 3)
+    for p in (2 * var("x"), var("x") * var("y"), var("x") + const(1), const(1), const(0)):
+        assert p.unit_power() is None
+
+
 def test_embed_keeps_exponents_and_drops_only_absent_variables():
     p = var("x") * var("z", 2) + const(5)
     W = ("w", "z", "x")
@@ -365,7 +373,8 @@ def test_compiled_system_matches_evaluate():
 def test_compiled_stack_equals_single_points_bytewise(name):
     """A stacked call gives each row exactly the bytes of a single-point call,
     for the gauged and the extended system (Laurent rows included), through
-    each of the three evaluation methods."""
+    each of the three evaluation methods.  Points with s = 0 or p = 0 raise
+    those units to negative powers, so their rows carry inf and nan."""
     from charvol.eigenvar import build_extended
     from charvol.fixtures import load_fixture
     from charvol.repvar import GaugedSystem
@@ -374,8 +383,11 @@ def test_compiled_stack_equals_single_points_bytewise(name):
     rng = np.random.default_rng(31)
     for cs in (gauged.compiled, CompiledSystem(ext.polynomials, ext.vars)):
         X = rng.normal(size=(200, cs.nvars)) + 1j * rng.normal(size=(200, cs.nvars))
+        X[:10, cs.vars.index("s")] = 0
+        X[10:20, cs.vars.index("p")] = 0
         vals, J = cs.values_and_jacobian(X)
         assert vals.shape == (200, cs.npolys) and J.shape == (200, cs.npolys, cs.nvars)
+        assert not np.isfinite(J[:10]).all() and not np.isfinite(J[10:20]).all()
         assert cs.values(X).tobytes() == vals.tobytes()
         assert cs.jacobian(X).tobytes() == J.tobytes()
         for x, v, j in zip(X, vals, J):

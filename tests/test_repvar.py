@@ -27,6 +27,22 @@ def test_gauged_system_requires_eigenvalue_slots():
         GaugedSystem(spec)
 
 
+@pytest.mark.parametrize("meridian", [[1], [-1], [2], [-2]])
+def test_meridian_slot_reads_the_meridian_eigenvalue(meridian):
+    """m = x[index] ** power at any point, for each bare-generator meridian,
+    and the slot keeps the meridian's eigenvector entry."""
+    doc = json.loads(fixture_text("fig8"))
+    doc["cusps"] = [{"meridian": meridian, "longitude": doc["cusps"][0]["longitude"]}]
+    system = GaugedSystem(parse_spec(json.dumps(doc)))
+    (cf,) = system.cusps
+    index, power = cf.meridian_slot
+    assert (system.vars[index], power) == {1: ("s", 1), -1: ("s", -1),
+                                           2: ("p", -1), -2: ("p", 1)}[meridian[0]]
+    x = np.random.default_rng(2).normal(size=len(system.vars)) + 0.5j
+    m = system.compiled.values(x)[system.ml_rows][0]
+    assert m == pytest.approx(x[index] ** power, rel=1e-15)
+
+
 def test_build_gauged_free_group():
     doc = json.loads(fixture_text("abelian"))
     doc["relators"] = []

@@ -341,3 +341,30 @@ def test_loop_exactness_sees_a_non_exact_term(fixture, eps, request, monkeypatch
     assert len(integrals) == 3
     failed = [f["loop"] for f in failures]
     assert failed == ([0, 1, 2] if eps else [])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the Richardson estimate of a 1/64 loop can under-read its error: this one "
+    "reads 3.8e-8 against 2.7e-6 (ROADMAP item 4)"))
+def test_a_loop_resolved_at_1_64_meets_the_loop_tolerance(wlink_spec, wlink_problem,
+                                                          wlink_complete):
+    """Loop 8 of `certify --spec wlink --seed 201005`, the ninth draw, tracked
+    at 1/64: two windings, 129 samples.  It integrates to 2.7e-6 with a
+    Richardson estimate of 3.8e-8, below LOOP_TOL/20, so the check keeps it
+    and loop_exactness fails.  The form is exact on it: a 1/1024 track of
+    the same loop agrees with these samples to 3e-12 and integrates to
+    1e-13.  A loop the check keeps must have |value| below LOOP_TOL, or an
+    estimate that hands it to the next level."""
+    from charvol.cli import LOOP_TOL, _generic_base_point
+    from charvol.continuation import track_closed_loop
+    from charvol.volume import handedness_sign
+    base = _generic_base_point(wlink_spec, wlink_problem, wlink_complete)
+    rng = np.random.default_rng(201005)
+    for _ in range(9):
+        family = random_log_loop_targets(base, rng, radius=(0.08, 0.3))
+    loop = track_closed_loop(wlink_problem, base, family, first_step=1 / 64,
+                             max_step=1 / 64)
+    if len(loop) != 129:
+        pytest.fail(f"the pinned loop took {len(loop)} samples, not 129")
+    integ = loop_integral(loop, handedness_sign(wlink_spec))
+    assert integ.error_estimate >= LOOP_TOL / 20 or abs(integ.value) < LOOP_TOL
