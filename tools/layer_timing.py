@@ -17,9 +17,10 @@ and the first loop that `default_rng(1)` draws, it times:
 Each round runs both trees, each in a fresh process with
 `PYTHONPATH=<tree>/src` (the parent first in even rounds, the change first
 in odd ones).  A process reports, per layer, the fastest of `REPEATS` timed
-runs of about `RUN_SECONDS` each.  The tool prints, per layer and tree, the
-median and quartiles over the rounds in microseconds, and the ratio of the
-medians.  `--rounds` defaults to 10.
+runs of about `RUN_SECONDS` each (`measure`; the process is this script
+with the single argument `measure`).  The tool prints, per layer and tree,
+the median and quartiles over the rounds in microseconds, and the ratio of
+the medians.  `--rounds` defaults to 10.
 """
 
 from __future__ import annotations
@@ -32,51 +33,53 @@ import sys
 import timeit
 from pathlib import Path
 
-REPEATS = 5
-RUN_SECONDS = 0.02
+REPEATS = 15
+RUN_SECONDS = 0.01
 SPECS = ("fig8", "wlink")
 LAYERS = ("values_and_jacobian", "rows_F", "correct", "track_step")
 
 
-def _per_call(fn) -> float:
-    """Seconds per call of fn: the fastest of REPEATS runs of n calls, with
-    n chosen so that one run takes about RUN_SECONDS."""
-    timer = timeit.Timer(fn)
-    n = max(1, round(RUN_SECONDS / max(timer.timeit(1), 1e-7)))
-    return min(timer.repeat(REPEATS, n)) / n
-
-
-def measure() -> dict:
-    """Microseconds per call of each layer on each spec, in this process's
-    charvol."""
+def _layers(name: str) -> dict:
+    """The timed calls on one spec: layer -> (function, calls it stands for)."""
     import numpy as np
     from charvol.cli import _generic_base_point
     from charvol.continuation import DeformationProblem, random_log_loop_targets, track
     from charvol.fixtures import load_fixture
     from charvol.repvar import GaugedSystem, find_complete
 
-    out = {}
-    for name in SPECS:
-        spec = load_fixture(name)
-        system = GaugedSystem(spec)
-        problem = DeformationProblem(system)
-        base = _generic_base_point(spec, problem, find_complete(spec, system))
-        family = random_log_loop_targets(base, np.random.default_rng(1), radius=(0.08, 0.3))
-        step = 1 / 64
-        x = problem.predict([base], [0.0], step)
-        F = problem._rows(base, family, step)
-        path = track(problem, base, family, first_step=step, max_step=step)
-        accepted = len(path) - 1
+    spec = load_fixture(name)
+    system = GaugedSystem(spec)
+    problem = DeformationProblem(system)
+    base = _generic_base_point(spec, problem, find_complete(spec, system))
+    family = random_log_loop_targets(base, np.random.default_rng(1), radius=(0.08, 0.3))
+    step = 1 / 64
+    x = problem.predict([base], [0.0], step)
+    F = problem._rows(base, family, step)
 
-        def one_winding():
-            track(problem, base, family, first_step=step, max_step=step)
-        out[name] = {
-            "values_and_jacobian": _per_call(lambda: system.compiled.values_and_jacobian(x)),
-            "rows_F": _per_call(lambda: F(x)),
-            "correct": _per_call(lambda: problem.correct(x, base, family, step)),
-            "track_step": _per_call(one_winding) / accepted,
-        }
-    return {name: {k: v * 1e6 for k, v in layers.items()} for name, layers in out.items()}
+    def one_winding():
+        return track(problem, base, family, first_step=step, max_step=step)
+    return {"values_and_jacobian": (lambda: system.compiled.values_and_jacobian(x), 1),
+            "rows_F": (lambda: F(x), 1),
+            "correct": (lambda: problem.correct(x, base, family, step), 1),
+            "track_step": (one_winding, len(one_winding()) - 1)}
+
+
+def measure() -> dict:
+    """Microseconds per call of each layer on each spec, in this process's
+    charvol: per layer, the fastest of REPEATS timed runs of n calls, with n
+    chosen so that one run takes about RUN_SECONDS.  The runs of all layers
+    take turns, so that a slow spell of the host touches every layer."""
+    calls = {(name, layer): call for name in SPECS for layer, call in _layers(name).items()}
+    timers = {}
+    for key, (fn, _) in calls.items():
+        timer = timeit.Timer(fn)
+        timers[key] = (timer, max(1, round(RUN_SECONDS / max(timer.timeit(1), 1e-7))))
+    best = dict.fromkeys(calls, float("inf"))
+    for _ in range(REPEATS):
+        for key, (timer, n) in timers.items():
+            best[key] = min(best[key], timer.timeit(n) / n)
+    return {name: {layer: best[name, layer] / calls[name, layer][1] * 1e6 for layer in LAYERS}
+            for name in SPECS}
 
 
 def run_tree(tree: Path) -> dict:
