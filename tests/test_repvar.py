@@ -29,8 +29,8 @@ def test_gauged_system_requires_eigenvalue_slots():
 
 @pytest.mark.parametrize("meridian", [[1], [-1], [2], [-2]])
 def test_meridian_slot_reads_the_meridian_eigenvalue(meridian):
-    """m = x[index] ** power at any point, for each bare-generator meridian,
-    and the slot keeps the meridian's eigenvector entry."""
+    """m = x[index] ** power at any point, for each of the four
+    bare-generator meridians."""
     doc = json.loads(fixture_text("fig8"))
     doc["cusps"] = [{"meridian": meridian, "longitude": doc["cusps"][0]["longitude"]}]
     system = GaugedSystem(parse_spec(json.dumps(doc)))
