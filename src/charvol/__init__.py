@@ -11,8 +11,7 @@ from .locus import on_U, on_V
 from .eigenvar import (EigenvaluePoint, EliminantSet, ExtendedSystem,
                        build_extended, eliminate, gamma_act, sample_point)
 from .continuation import (DeformationProblem, FillingCoefficients, FiberReport,
-                           TrackedPath, fiber_over, jacobian_check, newton_correct,
-                           sample_dense_set, solve_filling, track)
+                           TrackedPath, fiber_over, sample_dense_set, solve_filling, track)
 from .volume import (EtaValue, VolumeLabel, anchored_volume, eta_at, integrate_eta,
                      lobachevsky, loop_integral)
 
@@ -23,7 +22,6 @@ __all__ = [
     "EigenvaluePoint", "EliminantSet", "ExtendedSystem", "build_extended",
     "eliminate", "gamma_act", "on_U", "sample_point", "DeformationProblem",
     "FillingCoefficients", "FiberReport", "TrackedPath", "fiber_over",
-    "jacobian_check", "newton_correct", "sample_dense_set", "solve_filling",
-    "track", "EtaValue", "VolumeLabel", "anchored_volume", "eta_at",
-    "integrate_eta", "lobachevsky", "loop_integral",
+    "sample_dense_set", "solve_filling", "track", "EtaValue", "VolumeLabel",
+    "anchored_volume", "eta_at", "integrate_eta", "lobachevsky", "loop_integral",
 ]

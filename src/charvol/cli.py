@@ -37,9 +37,8 @@ from .eigenvar import (EigenvarError, EliminationBudgetError, build_extended, el
                        extended_point)
 from .locus import near_U
 from .manifold import ManifoldSpec, SpecError, h1_z2, load_spec
-from .repvar import (GaugedSystem, NoCompleteStructureError, find_complete,
-                     enumerate_twists)
-from .volume import (anchored_volume, eta_at, handedness_sign, loop_integral,
+from .repvar import GaugedSystem, NoCompleteStructureError, find_complete, enumerate_twists
+from .volume import (anchor, anchored_volume, eta_at, handedness_sign, loop_integral,
                      reference_volume_from_formula, running_integral, VolumeError)
 
 
@@ -79,15 +78,14 @@ def _write_csv(args, spec, text: str) -> None:
 
 
 def _solved(spec):
-    """(system, complete structure, deformation problem) of the spec."""
-    system = GaugedSystem(spec)
-    comp = find_complete(spec, system)
-    return system, comp, DeformationProblem(system)
+    """(deformation problem, complete structure) of the spec."""
+    problem = DeformationProblem(spec)
+    return problem, find_complete(problem)
 
 
 def cmd_complete(args, spec):
     try:
-        pt = find_complete(spec, GaugedSystem(spec))
+        pt = find_complete(GaugedSystem(spec))
     except (NoCompleteStructureError, SpecError) as e:
         return 1, {"status": "failed", "error": str(e)}, f"complete: FAILED ({e})", {}
     body = {"status": "ok", "point": pt.to_json(),
@@ -105,12 +103,12 @@ def cmd_h1z2(args, spec):
 
 def cmd_apoly(args, spec):
     kappas = _kappas(spec, args.kappas)
-    system = GaugedSystem(spec)
-    ext = build_extended(system)
+    problem = DeformationProblem(spec)
+    ext = build_extended(problem)
     samples, slopes, filling_errors = None, [], {}
     try:
-        comp = find_complete(spec, system)
-        fillings = sample_dense_set(DeformationProblem(system), comp, kappas)
+        comp = find_complete(problem)
+        fillings = sample_dense_set(problem, comp, kappas)
         filled = [f for f in fillings if f.point is not None]
         filling_errors = {f.kappa.label(): f.error for f in fillings if f.point is None}
         slopes = [f.kappa.label() for f in filled]
@@ -140,15 +138,14 @@ def cmd_apoly(args, spec):
 
 def cmd_fill(args, spec):
     kappa = FillingCoefficients.parse(args.kappa, spec.cusp_count)
-    _, comp, problem = _solved(spec)
+    problem, comp = _solved(spec)
     pt, path_ = solve_filling(problem, comp, kappa, QUADRATURE_STEP)
     vol = anchored_volume(spec, path_)
     body = {"status": "ok", "kappa": args.kappa, "point": pt.to_json(),
             "volume": vol.to_json(), "samples": len(path_), "filling_stats": path_.stats,
             "eta_integral": vol.eta_integral, "reference": spec.reference_volume.value}
     if args.csv:
-        rv = running_integral(path_, handedness_sign(spec)) + \
-            (path_.points[0].orientation or 1) * spec.reference_volume.value
+        rv = running_integral(path_, handedness_sign(spec)) + anchor(spec, path_.points[0])
         _write_csv(args, spec, path_.export_csv(rv))
     return 0, body, f"fill {args.kappa}: volume {vol.value:.9f}", {}
 
@@ -156,9 +153,9 @@ def cmd_fill(args, spec):
 def cmd_track(args, spec):
     """Track a closed random loop in the log-eigenvalue coordinates and
     report the endpoint match (a smoke test of the path tracker)."""
-    _, comp, problem = _solved(spec)
+    problem, comp = _solved(spec)
     rng = np.random.default_rng(args.seed)
-    base = _generic_base_point(spec, problem, comp)
+    base = _generic_base_point(problem, comp)
     loop = track(problem, base, random_log_loop_targets(base, rng), first_step=0.01,
                  max_step=0.01, description=f"random loop on {spec.name}")
     mismatch = closure_gap(base, loop.endpoint())
@@ -168,9 +165,9 @@ def cmd_track(args, spec):
     return 0, body, f"track: loop of {len(loop)} samples, endpoint mismatch {mismatch:.2e}", {}
 
 
-def _generic_base_point(spec, problem, comp):
+def _generic_base_point(problem, comp):
     """A tracked point away from the parabolic locus to base loops at."""
-    du = [0.35 + 0.1j * (i + 1) for i in range(spec.cusp_count)]
+    du = [0.35 + 0.1j * (i + 1) for i in range(problem.spec.cusp_count)]
     return step_off_complete(problem, comp, du)
 
 
@@ -180,9 +177,9 @@ LOOP_TOL = 1e-6
 
 
 def cmd_loops(args, spec):
-    _, comp, problem = _solved(spec)
+    problem, comp = _solved(spec)
     results, failures, dropped, levels = run_exactness_loops(
-        spec, problem, comp, args.loops, args.seed)
+        problem, comp, args.loops, args.seed)
     body = {"status": "ok" if not failures else "failed",
             "loop_integrals": results, "failures": failures, "dropped": dropped,
             "levels": levels, "tolerance": LOOP_TOL}
@@ -191,7 +188,7 @@ def cmd_loops(args, spec):
     return (0 if not failures else 1), body, summary, {}
 
 
-def run_exactness_loops(spec, problem, comp, count, seed):
+def run_exactness_loops(problem, comp, count, seed):
     """Closed U-avoiding loops in deformation space; exactness predicts
     integrals ~ 0.  Each loop is tracked at the steps 1/64, 0.004, 0.004/3,
     0.004/9 and 0.004/27 (64, 250, 750, 2250 and 6750 samples per winding):
@@ -205,9 +202,10 @@ def run_exactness_loops(spec, problem, comp, count, seed):
     counting the loops dropped for each reason and levels the loops kept at
     each samples-per-winding count."""
     steps = (1 / 64, 0.004, 0.004 / 3, 0.004 / 9, 0.004 / 27)
+    spec = problem.spec
     rng = np.random.default_rng(seed)
     sign = handedness_sign(spec)
-    base = _generic_base_point(spec, problem, comp)
+    base = _generic_base_point(problem, comp)
     results = []
     failures = []
     dropped = {"near_U": 0, "unresolved": 0, "tracking_failed": 0}
@@ -244,9 +242,9 @@ def run_exactness_loops(spec, problem, comp, count, seed):
 
 def cmd_fiber(args, spec):
     kappa = FillingCoefficients.parse(args.kappa, spec.cusp_count)
-    system, comp, problem = _solved(spec)
+    problem, comp = _solved(spec)
     pt, _ = solve_filling(problem, comp, kappa)
-    report = fiber_over(system, pt.trace_vector(), [pt], budget=args.budget, seed=args.seed)
+    report = fiber_over(problem, pt.trace_vector(), [pt], budget=args.budget, seed=args.seed)
     body = {"status": "inconclusive" if report.inconclusive else "ok",
             "fiber": report.to_json()}
     summary = (f"fiber over kappa={args.kappa}: sl2 {report.sl2_count}, "
@@ -278,7 +276,7 @@ def cmd_certify(args, spec):
 
     print(f"certify {spec.name} (seed {args.seed})")
     try:
-        system, comp, problem = _solved(spec)
+        problem, comp = _solved(spec)
     except NoCompleteStructureError as e:
         check("complete_structure", False, None, None, str(e))
         return 1, {"checks": checks, "overall": "fail"}, "certify: FAIL", {}
@@ -329,7 +327,7 @@ def cmd_certify(args, spec):
     t1 = time.perf_counter()
     if args.loops > 0:
         integrals, failures, dropped, levels = run_exactness_loops(
-            spec, problem, comp, args.loops, args.seed)
+            problem, comp, args.loops, args.seed)
         worst = max(map(abs, integrals), default=float("inf"))
         check("loop_exactness", not failures, worst, LOOP_TOL,
               f"{len(integrals)} loops, max |integral| = {worst:.2e}; dropped: " +
@@ -349,8 +347,8 @@ def cmd_certify(args, spec):
     for f in filled:
         ktext, pt = f.kappa.label(), f.point
         z = pt.trace_vector()
-        rep1 = fiber_over(system, z, [pt], budget=args.budget, seed=args.seed)
-        rep2 = fiber_over(system, z, [pt], budget=2 * args.budget, seed=args.seed + 1)
+        rep1 = fiber_over(problem, z, [pt], budget=args.budget, seed=args.seed)
+        rep2 = fiber_over(problem, z, [pt], budget=2 * args.budget, seed=args.seed + 1)
         stable = (rep1.sl2_count == rep2.sl2_count and
                   rep1.psl2_count == rep2.psl2_count)
         inconclusive = rep1.inconclusive or rep2.inconclusive or not stable

@@ -49,24 +49,6 @@ def newton_correct(F, start, tol: float = 1e-12, maxiter: int = 50,
     return gauss_newton(F, start, tol, maxiter, condition_limit=condition_limit)
 
 
-def jacobian_check(system, point, step: float = 1e-6, tol: float = 1e-5) -> dict:
-    """Analytic Jacobian against central finite differences; hard failure on mismatch."""
-    x = np.asarray(point, dtype=complex)
-    J = system.jacobian(x)
-    n = len(x)
-    Jfd = np.zeros_like(J)
-    for k in range(n):
-        xp, xm = x.copy(), x.copy()
-        xp[k] += step
-        xm[k] -= step
-        Jfd[:, k] = (system.values(xp) - system.values(xm)) / (2 * step)
-    scale = np.maximum(np.abs(J), 1.0)
-    err = float(np.max(np.abs(J - Jfd) / scale))
-    if err >= tol:
-        raise ContinuationError(f"Jacobian mismatch {err:.2e} >= {tol:.0e}")
-    return {"max_relative_error": err, "step": step, "tolerance": tol, "shape": list(J.shape)}
-
-
 # ---------------------------------------------------------------------------
 # constraints on the gauge slice
 # ---------------------------------------------------------------------------
@@ -103,29 +85,25 @@ CORRECT_TOL = 1e-11
 CORRECT_MAXITER = 30
 
 
-class DeformationProblem:
-    """A gauged system with the constraint families imposed on it along
-    paths.  Logs are lifted from, and measured from the lift reference of,
-    the tracked point passed as `prev`."""
-
-    def __init__(self, system: GaugedSystem):
-        self.system = system
+class DeformationProblem(GaugedSystem):
+    """The gauged system of a spec, with the constraint families imposed on
+    it along paths.  Logs are lifted from, and measured from the lift
+    reference of, the tracked point passed as `prev`."""
 
     def _rows(self, prev: CharacterPoint, family: ConstraintFamily, tau):
         """F(x) -> (values, Jacobian): the gauge rows and the family's rows at
         tau, every row from one evaluation of the compiled system, whose row
         vector F keeps as `F.vals`."""
-        system = self.system
-        g, ml = system.gauge_rows, system.ml_rows.start
+        g, ml = self.gauge_rows, self.ml_rows.start
         ng = g.stop - g.start
         # per cusp: its row of F, the compiled rows of its m and l, the
         # coefficients, the target and the lift to continue from
         terms = [(ng + i, ml + 2 * i, ml + 2 * i + 1, p, q, t, c) for i, (p, q, t, c)
                  in enumerate(zip(family.p, family.q, family.target(tau), prev.cusps))]
-        shape = (ng + len(terms), len(system.vars))
+        shape = (ng + len(terms), len(self.vars))
 
         def F(x):
-            vals, J = system.compiled.values_and_jacobian(x)
+            vals, J = self.compiled.values_and_jacobian(x)
             F.vals = vals
             out, Jout = np.empty(shape[0], dtype=complex), np.empty(shape, dtype=complex)
             out[:ng], Jout[:ng] = vals[g], J[g]
@@ -143,8 +121,7 @@ class DeformationProblem:
         imposes the family at taus[k] and lifts its logs from refs[k].
         F(X, live) evaluates the samples `live` at the stack X, and keeps
         each sample's last compiled row vector in the rows of `F.vals`."""
-        system = self.system
-        h = len(system.cusps)
+        h = len(self.cusps)
         p = np.fromiter(itertools.islice(family.p, h), complex, h)
         q = np.fromiter(itertools.islice(family.q, h), complex, h)
         ref = {a: np.array([[getattr(c, a) for c in r.cusps] for r in refs])
@@ -153,10 +130,10 @@ class DeformationProblem:
         # increments from the reference
         offset = (p * (ref["u"] - ref["base_u"]) + q * (ref["v"] - ref["base_v"])
                   - np.array([family.target(t) for t in taus], dtype=complex))
-        g, ml = system.gauge_rows, system.ml_rows
+        g, ml = self.gauge_rows, self.ml_rows
 
         def F(X, live):
-            vals, J = system.compiled.values_and_jacobian(X)
+            vals, J = self.compiled.values_and_jacobian(X)
             F.vals[live] = vals
             m, l = vals[:, ml][:, 0::2], vals[:, ml][:, 1::2]
             Jm, Jl = J[:, ml][:, 0::2], J[:, ml][:, 1::2]
@@ -165,7 +142,7 @@ class DeformationProblem:
             grads = p[:, None] * Jm / m[:, :, None] + q[:, None] * Jl / l[:, :, None]
             return (np.concatenate([vals[:, g], rows], axis=1),
                     np.concatenate([J[:, g], grads], axis=1))
-        F.vals = np.empty((len(refs), system.compiled.npolys), dtype=complex)
+        F.vals = np.empty((len(refs), self.compiled.npolys), dtype=complex)
         return F
 
     def correct(self, x0, prev: CharacterPoint, family: ConstraintFamily, tau,
@@ -178,7 +155,7 @@ class DeformationProblem:
             r = gauss_newton(F, x0, tol, maxiter)
         except DivergenceError as e:
             return None, e.residual, False
-        return (make_character_point(self.system, r.x, prev=prev, vals=F.vals),
+        return (make_character_point(self, r.x, prev=prev, vals=F.vals),
                 r.residual, True)
 
     def predict(self, points: Sequence[CharacterPoint], taus: Sequence[float], step):
@@ -312,9 +289,8 @@ def step_off_complete(problem: DeformationProblem, complete: CharacterPoint,
     to the given offsets, seeding the eigenvalue slots directly.  This is the
     transversal way past the branch point of the trace coordinates at the
     complete structure."""
-    system = problem.system
     x0 = np.array(complete.coords, dtype=complex)
-    for i, cf in enumerate(system.cusps):
+    for i, cf in enumerate(problem.cusps):
         index, power = cf.meridian_slot
         x0[index] *= cmath.exp(du[i] / power)
     pt, res, ok = problem.correct(x0, complete, pin_log(lambda tau: du), 0.0, tol=tol)
@@ -326,7 +302,7 @@ def step_off_complete(problem: DeformationProblem, complete: CharacterPoint,
 def cusp_shape_matrix(problem: DeformationProblem, complete: CharacterPoint) -> np.ndarray:
     """tau[i][j] ~ d v_i / d u_j at the complete structure, by one-sided
     differences of the pinned deformation at offsets 0.01."""
-    h = len(problem.system.cusps)
+    h = len(problem.cusps)
     M = np.zeros((h, h), dtype=complex)
     for j in range(h):
         du = [0j] * h
@@ -405,14 +381,13 @@ def solve_filling(problem: DeformationProblem, complete: CharacterPoint,
     steps.  With a `step` (a caller that integrates a volume along the path
     passes QUADRATURE_STEP), that track is the skeleton of the path that
     `_grid_samples` returns, on the uniform grid of `step`."""
-    system = problem.system
-    h = len(system.cusps)
+    h = len(problem.cusps)
     if len(kappa.slopes) != h:
         raise FillingError(f"kappa has {len(kappa.slopes)} entries for {h} cusps")
     filled = [i for i, s in enumerate(kappa.slopes) if s is not None]
     if not filled:
         path = TrackedPath(points=[complete], taus=[0.0],
-                           description=f"trivial filling of {system.spec.name}")
+                           description=f"trivial filling of {problem.spec.name}")
         return complete, path
 
     # unfilled cusps stay pinned: (p, q) = (1, 0) with target 0
@@ -446,7 +421,7 @@ def solve_filling(problem: DeformationProblem, complete: CharacterPoint,
         raise FillingError(f"kappa={kappa.label()}: start correction failed ({res:.2e})")
     try:
         path = track(problem, start_pt, family, tau0=tau_start,
-                     description=f"filling {kappa.label()} of {system.spec.name}")
+                     description=f"filling {kappa.label()} of {problem.spec.name}")
         if step is not None:
             path = _grid_samples(problem, family, path, step)
     except TrackingError as e:
@@ -464,7 +439,7 @@ def solve_filling(problem: DeformationProblem, complete: CharacterPoint,
     full_path = TrackedPath(points=[complete] + path.points, taus=[0.0] + path.taus,
                             description=path.description,
                             steps_rejected=path.steps_rejected, stats=path.stats)
-    end.label = f"filled:{system.spec.name}:{kappa.label()}"
+    end.label = f"filled:{problem.spec.name}:{kappa.label()}"
     return end, full_path
 
 
@@ -512,7 +487,6 @@ def _grid_samples(problem: DeformationProblem, family: ConstraintFamily,
     fourth difference of the coordinates of FOURTH_DIFFERENCE_TOL or more
     (a kinked path, or a skeleton that jumped sheets, whose interpolant the
     grid follows), and on a failed check."""
-    system = problem.system
     taus = np.asarray(skeleton.taus)
     coords = np.array([pt.coords for pt in skeleton.points])
     grid = np.linspace(taus[0], taus[-1], round((taus[-1] - taus[0]) / step) + 1)
@@ -529,7 +503,7 @@ def _grid_samples(problem: DeformationProblem, family: ConstraintFamily,
     pt = skeleton.points[0]
     points = [pt]
     for k, (tau, x, vals) in enumerate(zip(at, xs, F.vals)):
-        new_pt = make_character_point(system, x, prev=pt, vals=vals)
+        new_pt = make_character_point(problem, x, prev=pt, vals=vals)
         cause = _branch_jump(pt, new_pt)
         if cause:
             raise TrackingError(f"the quadrature sample at tau={tau:.6f} fails {cause}")
@@ -541,37 +515,6 @@ def _grid_samples(problem: DeformationProblem, family: ConstraintFamily,
              "newton_iterations_max": int(iterations.max()), "fourth_difference_max": d4}
     return TrackedPath(points=points, taus=grid.tolist(), description=skeleton.description,
                        steps_rejected=skeleton.steps_rejected, stats=stats)
-
-
-def make_filling_route_via_detour(problem: DeformationProblem,
-                                  complete: CharacterPoint,
-                                  slope: tuple[int, int], detour: complex,
-                                  ) -> TrackedPath:
-    """An alternative route from the complete structure to a one-cusp filled
-    character: a straight segment to the nonzero offset `detour` in the
-    normalized u-coordinate, then a linear morph of the combination p*u + q*v
-    onto the filling value 2 pi i.  A test oracle for path independence; the
-    endpoint agrees with solve_filling's when the detour stays in the same
-    tracking basin."""
-    if len(problem.system.cusps) != 1:
-        raise TrackingError("detour route helper supports one cusp")
-    p, q = slope
-    # leave the branch point at the complete structure by slot seeding, then
-    # track the pinned meridian log in steps of 0.002 in u
-    first = min(1e-2 / abs(detour), 0.2)
-    step = min(0.002 / abs(detour), 0.05)
-    start = step_off_complete(problem, complete, [detour * first], tol=CORRECT_TOL)
-    approach = track(problem, start, pin_log(lambda tau: [tau * detour]),
-                     tau0=first, first_step=step, max_step=step)
-    start = approach.endpoint()
-    # the family's left-hand side p*u + q*v (normalized) at the detour point
-    c0 = ConstraintFamily(p, q, lambda tau: [0j]).residual(start, 0.0)
-    family = ConstraintFamily(p, q, lambda tau: [c + tau * (TWO_PI_I - c) for c in c0])
-    path = track(problem, start, family, first_step=0.002, max_step=0.002,
-                 description=f"detour filling route ({p},{q})")
-    route = concatenate_paths(approach, path)
-    return TrackedPath(points=[complete] + route.points, taus=[0.0] + route.taus,
-                       description=path.description, steps_rejected=route.steps_rejected)
 
 
 @dataclass
@@ -666,21 +609,22 @@ def restriction_rank_ok(system: GaugedSystem, coords) -> bool:
 DEDUP_TOL = 1e-6
 
 
-def fiber_over(system: GaugedSystem, z: np.ndarray,
+def fiber_over(problem: DeformationProblem, z: np.ndarray,
                seeds: Sequence[CharacterPoint], budget: int = 64,
                seed: int = 0, monodromy_loops: int = 4) -> FiberReport:
     """All gauge-slice solutions with boundary traces z found within budget,
-    deduplicated as characters and classified into sign-twist orbits.
+    deduplicated as characters and classified into sign-twist orbits; the
+    monodromy loops track on `problem` itself.
 
     The count stability protocol records the running number of distinct
     characters; a count still moving in the last quarter of the budget marks
     the report inconclusive."""
     z = np.asarray(z, dtype=complex)
     rng = np.random.default_rng(seed)
-    gauge, trace = system.gauge_rows, system.trace_rows
+    gauge, trace = problem.gauge_rows, problem.trace_rows
 
     def F(X, live):
-        vals, J = system.compiled.values_and_jacobian(X)
+        vals, J = problem.compiled.values_and_jacobian(X)
         return (np.concatenate([vals[:, gauge], vals[:, trace] - z], axis=1),
                 np.concatenate([J[:, gauge], J[:, trace]], axis=1))
     seed_coords = [np.asarray(s.coords, dtype=complex) for s in seeds]
@@ -694,18 +638,18 @@ def fiber_over(system: GaugedSystem, z: np.ndarray,
         """Keep x unless its character is known; vals is the compiled row
         vector at x when it has been evaluated."""
         if vals is None:
-            vals = system.compiled.values(x)
-        key = vals[system.key_rows]
+            vals = problem.compiled.values(x)
+        key = vals[problem.key_rows]
         for k in keys:
             if _char_distance(key, k) < DEDUP_TOL:
                 return False
-        points.append(make_character_point(system, x, label="fiber", vals=vals))
+        points.append(make_character_point(problem, x, label="fiber", vals=vals))
         keys.append(key)
         return True
 
     # all starts are drawn before any is solved (no draw depends on a Newton
     # outcome), in attempt order, and registered in attempt order
-    n = len(system.vars)
+    n = len(problem.vars)
     starts = np.empty((budget, n), dtype=complex)
     for attempt in range(1, budget + 1):
         if seed_coords and attempt <= len(seed_coords):
@@ -719,7 +663,7 @@ def fiber_over(system: GaugedSystem, z: np.ndarray,
         starts[attempt - 1] = x0
     xs, converged, _ = gauss_newton_lockstep(F, starts, 1e-10, 40, 1e12)
     # the compiled rows at every converged start, from one stacked evaluation
-    found = zip(xs[converged], system.compiled.values_and_jacobian(xs[converged])[0])
+    found = zip(xs[converged], problem.compiled.values_and_jacobian(xs[converged])[0])
     for hit in converged:
         if hit:
             register(*next(found))
@@ -728,7 +672,6 @@ def fiber_over(system: GaugedSystem, z: np.ndarray,
     # monodromy loops around the meridian-log coordinates, filtered by z-return
     dropped = {"near_U": 0, "tracking_failed": 0}
     if points:
-        problem = DeformationProblem(system)
         for _ in range(monodromy_loops):
             try:
                 if not _monodromy_loop(problem, points, z, rng, register):
@@ -746,13 +689,13 @@ def fiber_over(system: GaugedSystem, z: np.ndarray,
     if on_V(zip(z[0::3], z[1::3]), LOCUS_TOL["near"]):
         excluded = True
         reason = "z lies on the image of U (some cusp trace pair at +-2); degree claims do not apply"
-    branch_ok = [restriction_rank_ok(system, p.coords) for p in points]
+    branch_ok = [restriction_rank_ok(problem, p.coords) for p in points]
     if points and not all(branch_ok):
         excluded = True
         reason = (reason + "; " if reason else "") + \
             "restriction map rank-deficient at a fiber point (branch locus)"
 
-    twists = enumerate_twists(system.spec)
+    twists = enumerate_twists(problem.spec)
     twist_pairs = []
     parent = list(range(len(points)))
 
@@ -767,7 +710,7 @@ def fiber_over(system: GaugedSystem, z: np.ndarray,
             for tw in twists:
                 if tw.is_trivial():
                     continue
-                twisted = _twist_key(system, keys[i], tw)
+                twisted = _twist_key(problem, keys[i], tw)
                 if _char_distance(twisted, keys[j]) < DEDUP_TOL:
                     twist_pairs.append((i, j, tw.epsilon))
                     parent[find(i)] = find(j)

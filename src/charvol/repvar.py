@@ -538,27 +538,18 @@ def irreducibility_defect(system: GaugedSystem, coords) -> float:
     return worst
 
 
-def thurston_rank(system: GaugedSystem, pt: CharacterPoint, threshold=1e-6) -> int:
-    """Rank of the log-eigenvalue coordinate differentials (du_1,...,du_h)
-    restricted to the tangent space of the gauge slice."""
-    vals, J = system.compiled.values_and_jacobian(pt.coords)
-    ml, Jml = vals[system.ml_rows], J[system.ml_rows]
-    M = (Jml[0::2] / ml[0::2, None]) @ system.tangent_basis(J)
-    sv = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(sv > threshold))
-
-
-def find_complete(spec: ManifoldSpec, system: Optional[GaugedSystem] = None,
-                  start_matrices=None, multistart: int = 40) -> CharacterPoint:
-    """Newton-refine the boundary-parabolic locus and select the discrete
-    faithful character matching the shipped seed's orientation.
+def find_complete(system: GaugedSystem, start_matrices=None,
+                  multistart: int = 40) -> CharacterPoint:
+    """Newton-refine the boundary-parabolic locus of the system's spec and
+    select the discrete faithful character matching the shipped seed's
+    orientation.
 
     Parabolicity is imposed per lift sign: for each sign vector the meridian
     eigenvalue slots are pinned to +-1 (the square trace condition I^2 = 4
     vanishes doubly along the deformation direction, so the slot equations
     are the transversal formulation; all 2^h sign choices are solved).
     """
-    system = system or GaugedSystem(spec)
+    spec = system.spec
     rng = np.random.default_rng(0)
     h = spec.cusp_count
 

@@ -131,15 +131,21 @@ def handedness_sign(spec: ManifoldSpec) -> int:
     return 1 if spec.basis_handedness == "left" else -1
 
 
+def anchor(spec: ManifoldSpec, start: CharacterPoint) -> float:
+    """The volume at the complete structure `start` that paths from it are
+    anchored at: the reference volume, negated when `start` is the conjugate
+    (orientation -1)."""
+    return (start.orientation or 1) * spec.reference_volume.value
+
+
 def anchored_volume(spec: ManifoldSpec, path: TrackedPath) -> VolumeLabel:
-    """reference volume (orientation-signed) plus the path integral from the
-    complete structure."""
+    """The anchor of the path's first point, the complete structure, plus
+    the path integral from it."""
     start = path.points[0]
-    sign = start.orientation if start.orientation != 0 else 1
     integ = integrate_eta(path, handedness_sign(spec))
-    return VolumeLabel(value=sign * spec.reference_volume.value + integ.value,
+    return VolumeLabel(value=anchor(spec, start) + integ.value,
                        anchor=f"complete structure of {spec.name} "
-                              f"({'+' if sign > 0 else '-'}reference)",
+                              f"({'-' if start.orientation < 0 else '+'}reference)",
                        path_id=path.description or f"path[{len(path.points)}]",
                        quadrature_error=integ.error_estimate,
                        eta_integral=integ.value)
@@ -196,15 +202,6 @@ def _zeta_2n(n: int) -> float:
             - s * (s + 1) * (s + 2) * K ** (-s - 3) / 720
         _ZETA_CACHE[n] = total
     return _ZETA_CACHE[n]
-
-
-def lobachevsky_series(theta: float, terms: int = 200000) -> float:
-    """Direct Fourier partial sum (1/2) sum_{n<=N} sin(2 n theta)/n^2: the
-    slow independent oracle used by tests."""
-    total = 0.0
-    for n in range(terms, 0, -1):
-        total += math.sin(2 * n * theta) / (n * n)
-    return total / 2
 
 
 def reference_volume_from_formula(spec: ManifoldSpec) -> Optional[float]:

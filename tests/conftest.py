@@ -4,7 +4,7 @@ from charvol.continuation import (QUADRATURE_STEP, DeformationProblem, FillingCo
                                   solve_filling)
 from charvol.eigenvar import build_extended
 from charvol.fixtures import load_fixture
-from charvol.repvar import GaugedSystem, find_complete
+from charvol.repvar import find_complete
 
 
 @pytest.fixture(scope="session")
@@ -28,33 +28,35 @@ def nonhyp_spec():
 
 
 @pytest.fixture(scope="session")
-def fig8_system(fig8_spec):
-    return GaugedSystem(fig8_spec)
+def fig8_problem(fig8_spec):
+    return DeformationProblem(fig8_spec)
 
 
 @pytest.fixture(scope="session")
-def wlink_system(wlink_spec):
-    return GaugedSystem(wlink_spec)
+def wlink_problem(wlink_spec):
+    return DeformationProblem(wlink_spec)
 
 
 @pytest.fixture(scope="session")
-def fig8_complete(fig8_spec, fig8_system):
-    return find_complete(fig8_spec, fig8_system)
+def fig8_system(fig8_problem):
+    """fig8's gauged system: the deformation problem, one object per slice."""
+    return fig8_problem
 
 
 @pytest.fixture(scope="session")
-def wlink_complete(wlink_spec, wlink_system):
-    return find_complete(wlink_spec, wlink_system)
+def wlink_system(wlink_problem):
+    """wlink's gauged system: the deformation problem, one object per slice."""
+    return wlink_problem
 
 
 @pytest.fixture(scope="session")
-def fig8_problem(fig8_system):
-    return DeformationProblem(fig8_system)
+def fig8_complete(fig8_problem):
+    return find_complete(fig8_problem)
 
 
 @pytest.fixture(scope="session")
-def wlink_problem(wlink_system):
-    return DeformationProblem(wlink_system)
+def wlink_complete(wlink_problem):
+    return find_complete(wlink_problem)
 
 
 @pytest.fixture(scope="session")

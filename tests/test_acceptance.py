@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from charvol.cli import main, report_bytes_without_timings, run_exactness_loops
-from charvol.continuation import (fiber_over, jacobian_check, pin_log,
-                                  step_off_complete, track)
+from charvol.continuation import fiber_over, pin_log, step_off_complete, track
 from charvol.eigenvar import (eliminate, extended_point, gamma_act, sample_point,
                               _scaled_residual)
 from charvol.manifold import h1_z2
 from charvol.poly import CompiledSystem
 from charvol.volume import (anchored_volume, eta_at, handedness_sign, integrate_eta,
                             lobachevsky)
+from oracles import jacobian_check
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -29,12 +29,10 @@ def report(name, ok, detail):
 
 @pytest.mark.parametrize("fixture", ["fig8", "wlink"])
 def test_criterion_1_loop_exactness(fixture, request):
-    spec = request.getfixturevalue(f"{fixture}_spec")
     problem = request.getfixturevalue(f"{fixture}_problem")
     complete = request.getfixturevalue(f"{fixture}_complete")
     t0 = time.time()
-    integrals, failures, _, _ = run_exactness_loops(spec, problem, complete,
-                                                    count=10, seed=2026)
+    integrals, failures, _, _ = run_exactness_loops(problem, complete, count=10, seed=2026)
     elapsed = time.time() - t0
     worst = max(map(abs, integrals), default=float("inf"))
     ok = len(integrals) >= 10 and not failures and worst < 1e-6 and elapsed < 60

@@ -206,15 +206,14 @@ def _cheap_loops(monkeypatch, outcomes):
 LADDER = [1 / 64, 0.004, 0.004 / 3, 0.004 / 9, 0.004 / 27]
 
 
-def test_unresolved_exactness_loop_is_dropped(fig8_spec, fig8_problem, fig8_complete,
-                                              monkeypatch):
+def test_unresolved_exactness_loop_is_dropped(fig8_problem, fig8_complete, monkeypatch):
     """A loop whose quadrature estimate stays above LOOP_TOL/20 after the last
     refinement is not counted; the next loop is drawn instead."""
     import charvol.cli as cli
     # the first loop never resolves; the next two do at the first level
     steps = _cheap_loops(monkeypatch, [1.0] * 5 + [0.0] * 2)
     integrals, failures, dropped, levels = cli.run_exactness_loops(
-        fig8_spec, fig8_problem, fig8_complete, count=2, seed=0)
+        fig8_problem, fig8_complete, count=2, seed=0)
     assert integrals == [1e-12, 1e-12] and failures == []
     assert dropped == {"near_U": 0, "unresolved": 1, "tracking_failed": 0}
     assert levels == {64: 2, 250: 0, 750: 0, 2250: 0, 6750: 0}
@@ -222,14 +221,14 @@ def test_unresolved_exactness_loop_is_dropped(fig8_spec, fig8_problem, fig8_comp
 
 
 def test_exactness_loop_that_fails_to_track_goes_to_the_next_level(
-        fig8_spec, fig8_problem, fig8_complete, monkeypatch):
+        fig8_problem, fig8_complete, monkeypatch):
     """A tracking failure at 64 samples per winding hands the loop to the
     0.004 step, which keeps it; nothing is dropped."""
     import charvol.cli as cli
     from charvol.continuation import TrackingError
     steps = _cheap_loops(monkeypatch, [TrackingError, 0.0])
     integrals, failures, dropped, levels = cli.run_exactness_loops(
-        fig8_spec, fig8_problem, fig8_complete, count=1, seed=0)
+        fig8_problem, fig8_complete, count=1, seed=0)
     assert integrals == [1e-12] and failures == []
     assert dropped == {"near_U": 0, "unresolved": 0, "tracking_failed": 0}
     assert levels == {64: 0, 250: 1, 750: 0, 2250: 0, 6750: 0}
@@ -237,14 +236,14 @@ def test_exactness_loop_that_fails_to_track_goes_to_the_next_level(
 
 
 def test_exactness_loop_failing_to_track_at_the_last_level_is_dropped(
-        fig8_spec, fig8_problem, fig8_complete, monkeypatch):
+        fig8_problem, fig8_complete, monkeypatch):
     """An unresolved estimate at the first four levels and a tracking
     failure at the last drop the loop as tracking_failed."""
     import charvol.cli as cli
     from charvol.continuation import TrackingError
     steps = _cheap_loops(monkeypatch, [1.0] * 4 + [TrackingError, 0.0])
     integrals, failures, dropped, levels = cli.run_exactness_loops(
-        fig8_spec, fig8_problem, fig8_complete, count=1, seed=0)
+        fig8_problem, fig8_complete, count=1, seed=0)
     assert integrals == [1e-12] and failures == []
     assert dropped == {"near_U": 0, "unresolved": 0, "tracking_failed": 1}
     assert levels == {64: 1, 250: 0, 750: 0, 2250: 0, 6750: 0}

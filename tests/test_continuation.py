@@ -6,14 +6,14 @@ import pytest
 from charvol.continuation import (FOURTH_DIFFERENCE_TOL, QUADRATURE_STEP, ConstraintFamily,
                                   ContinuationError, DivergenceError, FillingCoefficients,
                                   FillingError, SingularJacobianError,
-                                  TrackingError, fiber_over, jacobian_check,
-                                  newton_correct, pin_log,
+                                  TrackingError, fiber_over, newton_correct, pin_log,
                                   sample_dense_set, solve_filling,
                                   step_off_complete, track)
 from charvol.locus import eigenvalues, on_U, on_V, traces
 from charvol.poly import CompiledSystem
 from charvol.repvar import SignTwist, apply_twist, gauss_newton, gauss_newton_lockstep
 from charvol.volume import anchored_volume
+from oracles import jacobian_check
 
 TWO_PI_I = 2j * np.pi
 
@@ -164,15 +164,15 @@ def test_predict_from_samples_is_exact_on_cubic_paths(fig8_problem, fig8_complet
             assert np.max(np.abs(x - path(taus[n - 1] + 0.00125))) < 1e-12
 
 
-def test_predict_keeps_an_exactness_loop_to_one_newton_step(fig8_spec, fig8_problem,
-                                                           fig8_complete, monkeypatch):
+def test_predict_keeps_an_exactness_loop_to_one_newton_step(fig8_problem, fig8_complete,
+                                                           monkeypatch):
     """On a fig8 exactness loop at step 0.004, the extrapolating predictor
     leaves Newton about one step per sample (the tangent predictor needed
     two, with three least-squares solves per sample)."""
     import charvol.continuation as cont
     from charvol.cli import _generic_base_point
     from charvol.continuation import random_log_loop_targets
-    base = _generic_base_point(fig8_spec, fig8_problem, fig8_complete)
+    base = _generic_base_point(fig8_problem, fig8_complete)
     family = random_log_loop_targets(base, np.random.default_rng(1000), radius=(0.08, 0.3))
     steps, solves = [], []
     kernel, lstsq = cont.gauss_newton, np.linalg.lstsq
@@ -308,8 +308,7 @@ def test_track_min_step_error_names_the_branch_check(fig8_problem, fig8_complete
         track(fig8_problem, base, far, first_step=1.0, max_step=1.0, min_step=0.2)
 
 
-def test_track_never_steps_past_max_step(wlink_spec, wlink_problem, wlink_complete,
-                                         monkeypatch):
+def test_track_never_steps_past_max_step(wlink_problem, wlink_complete, monkeypatch):
     """After a rejection the step regrows by 1.5 per accepted step up to
     max_step and no further: rejecting the third step of the first
     default_rng(1000) exactness loop at 1/64 leaves every tau increment at
@@ -317,7 +316,7 @@ def test_track_never_steps_past_max_step(wlink_spec, wlink_problem, wlink_comple
     import charvol.continuation as continuation
     from charvol.cli import _generic_base_point
     from charvol.continuation import random_log_loop_targets
-    base = _generic_base_point(wlink_spec, wlink_problem, wlink_complete)
+    base = _generic_base_point(wlink_problem, wlink_complete)
     family = random_log_loop_targets(base, np.random.default_rng(1000), radius=(0.08, 0.3))
     branch_jump = continuation._branch_jump
     calls = []
@@ -415,7 +414,7 @@ def test_stacked_rows_equal_single_rows(name, fig8_problem, fig8_fillings,
     cancel, so it agrees to 1e-14 relative to the largest of them."""
     problem, (ktext, _, path) = {"fig8": (fig8_problem, fig8_fillings[0]),
                                  "wlink": (wlink_problem, wlink_fillings[2])}[name]
-    family = _filling_family(FillingCoefficients.parse(ktext, len(problem.system.cusps)))
+    family = _filling_family(FillingCoefficients.parse(ktext, len(problem.cusps)))
     rng = np.random.default_rng(5)
     picks = [2, 3, 200, 600, 990]
     refs = [path.points[k - 1] for k in picks]
@@ -447,23 +446,22 @@ def test_rows_equal_the_concatenated_rows_bytewise(name, request):
     random loop family (float p, q)."""
     from charvol.cli import _generic_base_point
     from charvol.continuation import random_log_loop_targets
-    spec, problem, complete = (request.getfixturevalue(f"{name}_{k}")
-                               for k in ("spec", "problem", "complete"))
-    system = problem.system
-    base = _generic_base_point(spec, problem, complete)
+    problem, complete = (request.getfixturevalue(f"{name}_{k}")
+                         for k in ("problem", "complete"))
+    base = _generic_base_point(problem, complete)
     slopes = "1,5" if name == "fig8" else "1,5;inf"
-    families = [_filling_family(FillingCoefficients.parse(slopes, len(system.cusps))),
+    families = [_filling_family(FillingCoefficients.parse(slopes, len(problem.cusps))),
                 random_log_loop_targets(base, np.random.default_rng(3), radius=(0.08, 0.3))]
     rng = np.random.default_rng(11)
-    n = len(system.vars)
+    n = len(problem.vars)
     for family in families:
         for tau in (0.0, 0.3, 0.7):
             F = problem._rows(base, family, tau)
             for _ in range(4):
                 x = base.coords + 0.05 * (rng.normal(size=n) + 1j * rng.normal(size=n))
                 vals, J = F(x)
-                cv, cJ = system.compiled.values_and_jacobian(x)
-                ml, Jml = cv[system.ml_rows], cJ[system.ml_rows]
+                cv, cJ = problem.compiled.values_and_jacobian(x)
+                ml, Jml = cv[problem.ml_rows], cJ[problem.ml_rows]
                 rows, grads = [], []
                 for i, (p, q, t, c) in enumerate(zip(family.p, family.q, family.target(tau),
                                                      base.cusps)):
@@ -471,8 +469,8 @@ def test_rows_equal_the_concatenated_rows_bytewise(name, request):
                     u, v = c.continued_logs(m, l)
                     rows.append(p * (u - c.base_u) + q * (v - c.base_v) - t)
                     grads.append(p * Jml[2 * i] / m + q * Jml[2 * i + 1] / l)
-                want_vals = np.concatenate([cv[system.gauge_rows], rows])
-                want_J = np.vstack([cJ[system.gauge_rows], *grads])
+                want_vals = np.concatenate([cv[problem.gauge_rows], rows])
+                want_J = np.vstack([cJ[problem.gauge_rows], *grads])
                 assert vals.dtype == want_vals.dtype and J.shape == want_J.shape
                 assert vals.tobytes() == want_vals.tobytes()
                 assert J.tobytes() == want_J.tobytes()
@@ -552,8 +550,7 @@ def test_sample_dense_set_fig8(fig8_spec, fig8_problem, fig8_complete):
 
 def test_sample_dense_set_empty():
     class P:  # no calls expected
-        class system:
-            cusps = [None]
+        cusps = [None]
     assert sample_dense_set(P, None, []) == []
 
 
@@ -615,10 +612,17 @@ def test_fiber_count_stable_under_budget_doubling(fig8_system, fig8_fillings):
 
 
 def test_fiber_at_complete_is_excluded(fig8_system, fig8_complete):
+    """The fiber over the complete structure's real traces holds it and its
+    complex conjugate, which conjugation merges into one orbit: the only
+    orbit merge that fig8 and wlink reach, since k = 0 leaves them no
+    nontrivial sign twist."""
     report = fiber_over(fig8_system, fig8_complete.trace_vector(),
                         [fig8_complete], budget=20, seed=0, monodromy_loops=0)
     assert report.excluded
     assert "U" in report.excluded_reason or "branch" in report.excluded_reason
+    assert (report.sl2_count, report.psl2_count) == (2, 1)
+    assert report.orbits == [[0, 1]]
+    assert report.twist_pairs == []
 
 
 def test_fiber_wlink_degree_one_and_bound(wlink_spec, wlink_system, wlink_fillings):

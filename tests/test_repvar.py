@@ -9,8 +9,9 @@ from charvol.matrices import random_sl2, regauge, numeric_word_matrix, sl2_inver
 from charvol.repvar import (GaugedSystem, NoCompleteStructureError, RepVarError,
                             apply_twist, enumerate_twists, find_complete,
                             gauss_newton_lockstep, irreducibility_defect,
-                            make_character_point, thurston_rank)
+                            make_character_point)
 from charvol.locus import on_V, traces
+from oracles import thurston_rank
 
 
 def test_build_gauged_system_fig8(fig8_system):
@@ -96,12 +97,11 @@ def test_wlink_complete(wlink_complete):
 
 def test_complete_conjugate_seed_flagged(fig8_spec, fig8_system):
     conj = tuple(np.conj(M) for M in fig8_spec.seed_representation)
-    pt = find_complete(fig8_spec, fig8_system, start_matrices=conj)
+    pt = find_complete(fig8_system, start_matrices=conj)
     assert pt.orientation == -1
 
 
-def test_complete_thurston_rank(fig8_spec, fig8_system, fig8_complete,
-                                wlink_spec, wlink_system, wlink_complete):
+def test_complete_thurston_rank(fig8_system, fig8_complete, wlink_system, wlink_complete):
     assert thurston_rank(fig8_system, fig8_complete) == 1
     assert thurston_rank(wlink_system, wlink_complete) == 2
 
@@ -110,7 +110,7 @@ def test_complete_thurston_rank(fig8_spec, fig8_system, fig8_complete,
 def test_controls_have_no_complete_structure(name):
     spec = load_fixture(name)
     with pytest.raises(NoCompleteStructureError):
-        find_complete(spec, GaugedSystem(spec), multistart=20)
+        find_complete(GaugedSystem(spec), multistart=20)
 
 
 def test_failed_newton_diagnostics_report_residual():
@@ -118,7 +118,7 @@ def test_failed_newton_diagnostics_report_residual():
     with pytest.raises(NoCompleteStructureError,
                        match=r"\(40 attempts\); eps=\[1\]: 20 attempts, 0 converged but reducible, "
                              r"20 diverged \(best residual 1\.00e\+00\); eps=\[-1\]: 20 attempts"):
-        find_complete(load_fixture("nonhyp"), multistart=20)
+        find_complete(GaugedSystem(load_fixture("nonhyp")), multistart=20)
 
 
 def test_newton_reconverges_from_perturbation(fig8_system, fig8_complete):

@@ -8,8 +8,9 @@ from charvol.continuation import (FillingCoefficients, TrackedPath, random_log_l
                                   solve_filling, step_off_complete)
 from charvol.repvar import CharacterPoint, PeripheralState
 from charvol.volume import (VolumeError, anchored_volume, eta_at, integrate_eta,
-                            lobachevsky, lobachevsky_series, loop_integral,
-                            reference_volume_from_formula, running_integral)
+                            lobachevsky, loop_integral, reference_volume_from_formula,
+                            running_integral)
+from oracles import fig8_gluing_volume, lobachevsky_series, make_filling_route_via_detour
 
 FIG8_VOLUME = 2.029883212819307
 
@@ -47,6 +48,31 @@ def test_reference_formula_fixtures(fig8_spec, wlink_spec):
                fig8_spec.reference_volume.value) < 1e-12
     assert abs(reference_volume_from_formula(wlink_spec) -
                wlink_spec.reference_volume.value) < 1e-12
+
+
+# -- gluing-equation oracle ------------------------------------------------------
+
+@pytest.mark.parametrize("slope,t,volume", [((5, 1), 0.0, 2.029883212819),
+                                            ((5, 1), 1.0, 0.9813688288922),
+                                            ((1, 5), 1.0, 1.918602377553)],
+                         ids=["complete", "5,1", "1,5"])
+def test_fig8_gluing_oracle_volumes(slope, t, volume):
+    """The gluing-equation oracle reads fig8's volume at t = 0, Meyerhoff's
+    m004(5,1) for (5,1), and the (1,5) filling."""
+    assert abs(fig8_gluing_volume(*slope, t=t) - volume) < 1e-12
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the filling target and the volume form each miss a factor of 2: fig8 (1,5) "
+    "reads 1.819077010 against the oracle's 1.918602378 (ROADMAP item 1)"))
+def test_fig8_filled_volume_meets_the_gluing_oracle(fig8_spec, fig8_fillings):
+    """`solve_filling` and `anchored_volume` on fig8 (1,5) at the quadrature
+    step agree with the gluing-equation oracle within certify's
+    QUADRATURE_TOL."""
+    from charvol.cli import QUADRATURE_TOL
+    path = {ktext: path for ktext, _, path in fig8_fillings}["1,5"]
+    error = abs(anchored_volume(fig8_spec, path).value - fig8_gluing_volume(1, 5))
+    assert error < QUADRATURE_TOL
 
 
 # -- eta ------------------------------------------------------------------------
@@ -267,7 +293,6 @@ def test_path_independence_two_routes(fig8_spec, fig8_problem, fig8_complete,
                                       fig8_fillings, fig8_system):
     """Two different tracked paths from the complete structure to the same
     filled character assign equal anchored volumes."""
-    from charvol.continuation import make_filling_route_via_detour
     ktext, pt, path_a = fig8_fillings[0]
     va = anchored_volume(fig8_spec, path_a).value
     for detour in (0.15 + 0.1j, 0.2 - 0.1j, 0.35 + 0.2j):
@@ -302,7 +327,7 @@ def test_exactness_loop_levels_sample_the_ellipse_uniformly(fixture, request):
     spec = request.getfixturevalue(f"{fixture}_spec")
     problem = request.getfixturevalue(f"{fixture}_problem")
     complete = request.getfixturevalue(f"{fixture}_complete")
-    base = _generic_base_point(spec, problem, complete)
+    base = _generic_base_point(problem, complete)
     draw = np.random.default_rng(1000)      # the draws random_log_loop_targets makes
     a = draw.uniform(0.08, 0.3, size=spec.cusp_count)
     b = draw.uniform(0.08, 0.3, size=spec.cusp_count)
@@ -326,18 +351,16 @@ def test_loop_exactness_sees_a_non_exact_term(fixture, eps, request, monkeypatch
     every kept loop must fail; with eps = 0 none may."""
     import charvol.volume as volume
     from charvol.cli import _generic_base_point, run_exactness_loops
-    spec = request.getfixturevalue(f"{fixture}_spec")
     problem = request.getfixturevalue(f"{fixture}_problem")
     complete = request.getfixturevalue(f"{fixture}_complete")
-    u0 = [c.u for c in _generic_base_point(spec, problem, complete).cusps]
+    u0 = [c.u for c in _generic_base_point(problem, complete).cusps]
     increments = volume._segment_increments
 
     def perturbed(points, sign):
         return increments(points, sign) + eps * np.array(
             [sum(_area_sum([a, b], u0)) for a, b in zip(points, points[1:])])
     monkeypatch.setattr(volume, "_segment_increments", perturbed)
-    integrals, failures, _, _ = run_exactness_loops(spec, problem, complete,
-                                                    count=3, seed=1000)
+    integrals, failures, _, _ = run_exactness_loops(problem, complete, count=3, seed=1000)
     assert len(integrals) == 3
     failed = [f["loop"] for f in failures]
     assert failed == ([0, 1, 2] if eps else [])
@@ -358,7 +381,7 @@ def test_a_loop_resolved_at_1_64_meets_the_loop_tolerance(wlink_spec, wlink_prob
     from charvol.cli import LOOP_TOL, _generic_base_point
     from charvol.continuation import track_closed_loop
     from charvol.volume import handedness_sign
-    base = _generic_base_point(wlink_spec, wlink_problem, wlink_complete)
+    base = _generic_base_point(wlink_problem, wlink_complete)
     rng = np.random.default_rng(201005)
     for _ in range(9):
         family = random_log_loop_targets(base, rng, radius=(0.08, 0.3))

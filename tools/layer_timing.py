@@ -2,9 +2,11 @@
 
     python tools/layer_timing.py PARENT CHANGE [--rounds N]
 
-PARENT and CHANGE are checkouts (each with a `src/charvol`).  On fig8 and
-wlink, at the base point of the exactness loops (`cli._generic_base_point`)
-and the first loop that `default_rng(1)` draws, it times:
+PARENT and CHANGE are checkouts (each with a `src/charvol`), from before
+or after `DeformationProblem` became the gauged system of its spec.  On
+fig8 and wlink, at the base point of the exactness loops
+(`cli._generic_base_point`) and the first loop that `default_rng(1)` draws,
+it times:
 
 - `values_and_jacobian`: one single-point call of the gauged system's
   compiled block;
@@ -48,9 +50,15 @@ def _layers(name: str) -> dict:
     from charvol.repvar import GaugedSystem, find_complete
 
     spec = load_fixture(name)
-    system = GaugedSystem(spec)
-    problem = DeformationProblem(system)
-    base = _generic_base_point(spec, problem, find_complete(spec, system))
+    if issubclass(DeformationProblem, GaugedSystem):
+        # the problem is the gauged system of its spec
+        problem = system = DeformationProblem(spec)
+        base = _generic_base_point(problem, find_complete(problem))
+    else:
+        # a tree whose problem wraps a separately built system
+        system = GaugedSystem(spec)
+        problem = DeformationProblem(system)
+        base = _generic_base_point(spec, problem, find_complete(spec, system))
     family = random_log_loop_targets(base, np.random.default_rng(1), radius=(0.08, 0.3))
     step = 1 / 64
     x = problem.predict([base], [0.0], step)

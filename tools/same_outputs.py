@@ -39,7 +39,9 @@ COMMANDS = [
     "fill --spec fig8 --kappa inf",
     "track --spec fig8 --seed 3 --csv",
     "loops --spec fig8 --loops 3 --seed 5",
+    "loops --spec wlink --loops 3 --seed 5",
     "fiber --spec fig8 --kappa 1,5",
+    "fiber --spec wlink --kappa '1,5;1,7'",
     "certify --spec fig8 --seed 0",
     "certify --spec fig8 --seed 7919",
     "certify --spec wlink --seed 0",
