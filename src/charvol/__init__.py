@@ -8,8 +8,8 @@ from .manifold import ManifoldSpec, SpecError, Z2CohomologyData, h1_z2, load_spe
 from .repvar import (CharacterPoint, GaugedSystem, SignTwist, apply_twist,
                      enumerate_twists, find_complete)
 from .locus import on_U, on_V
-from .eigenvar import (EigenvaluePoint, EliminantSet, ExtendedSystem,
-                       build_extended, eliminate, gamma_act, sample_point)
+from .eigenvar import (EliminantSet, ExtendedSystem, build_extended, eliminate,
+                       gamma_act, sample_point)
 from .continuation import (DeformationProblem, FillingCoefficients, FiberReport,
                            TrackedPath, fiber_over, sample_dense_set, solve_filling, track)
 from .volume import (EtaValue, VolumeLabel, anchored_volume, eta_at, integrate_eta,
@@ -19,8 +19,7 @@ __all__ = [
     "ManifoldSpec", "SpecError", "Z2CohomologyData", "h1_z2", "load_spec",
     "parse_spec", "CharacterPoint", "GaugedSystem", "SignTwist", "apply_twist",
     "enumerate_twists", "find_complete", "on_V",
-    "EigenvaluePoint", "EliminantSet", "ExtendedSystem", "build_extended",
-    "eliminate", "gamma_act", "on_U", "sample_point", "DeformationProblem",
+    "EliminantSet", "ExtendedSystem", "build_extended", "eliminate", "gamma_act", "on_U", "sample_point", "DeformationProblem",
     "FillingCoefficients", "FiberReport", "TrackedPath", "fiber_over",
     "sample_dense_set", "solve_filling", "track", "EtaValue", "VolumeLabel",
     "anchored_volume", "eta_at", "integrate_eta", "lobachevsky", "loop_integral",

@@ -76,55 +76,38 @@ def build_extended(gauged: GaugedSystem) -> ExtendedSystem:
 # eigenvalue points
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EigenvaluePoint:
-    """(m_1, l_1, ..., m_h, l_h) in (C \\ 0)^2h."""
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if np.any(self.values == 0):
-            raise EigenvarError("eigenvalue coordinates must be nonzero")
-
-    def cusp(self, i: int) -> tuple[complex, complex]:
-        return complex(self.values[2 * i]), complex(self.values[2 * i + 1])
-
-    @property
-    def cusp_count(self) -> int:
-        return len(self.values) // 2
-
-
-# the largest scaled residual at which a sample lies on a factor or a slot
-# branch, and at which an eliminant is validated; also the largest trace
-# defect of a sample's slot eigenvalues
+# the largest scaled residual at which a sample lies on a factor, and at
+# which an eliminant is validated; also the largest trace defect of a
+# sample's slot eigenvalues, and the largest |w - 1/w| of a slot w at +-1
 SAMPLE_TOL = 1e-8
 
 
-def sample_point(pt: CharacterPoint) -> EigenvaluePoint:
+def sample_point(pt: CharacterPoint) -> np.ndarray:
     """Peripheral eigenvalue data of a character point: its slot
-    eigenvalues (m, l) per cusp, checked against its three traces."""
+    eigenvalues (m_1, l_1, ..., m_h, l_h), checked against its three traces
+    per cusp."""
     for i, c in enumerate(pt.cusps, 1):
         defects = c.trace_defects()
         if max(defects) >= SAMPLE_TOL:
             raise EigenvarError(
                 f"cusp {i}: slot eigenvalues inconsistent with traces "
                 f"(defects {[f'{v:.2e}' for v in defects]})")
-    return EigenvaluePoint(values=[z for c in pt.cusps for z in (c.m, c.l)])
+    return np.array([z for c in pt.cusps for z in (c.m, c.l)], dtype=complex)
 
 
-def gamma_act(x: EigenvaluePoint, subset: Sequence[int]) -> EigenvaluePoint:
+def gamma_act(x: np.ndarray, subset: Sequence[int]) -> np.ndarray:
     """Invert (m_i, l_i) for the cusps in subset (0-based indices)."""
-    vals = np.array(x.values, dtype=complex)
+    vals = np.array(x, dtype=complex)
     for i in subset:
         vals[2 * i] = 1 / vals[2 * i]
         vals[2 * i + 1] = 1 / vals[2 * i + 1]
-    return EigenvaluePoint(values=vals)
+    return vals
 
 
 def extended_point(pt: CharacterPoint) -> np.ndarray:
     """A character point with its checked slot eigenvalues adjoined: a point
     of the extended variety in `ExtendedSystem.vars` order."""
-    return np.concatenate([pt.coords, sample_point(pt).values])
+    return np.concatenate([pt.coords, sample_point(pt)])
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +149,11 @@ def _strip(p: Polynomial, log: list[str], units) -> Polynomial:
     return stripped
 
 
-def _slot_substitutions(ext: ExtendedSystem, samples, tol) -> dict[str, Polynomial]:
+def _slot_substitutions(ext: ExtendedSystem) -> dict[str, Polynomial]:
     """The gauge's eigenvalue slots as substitutions g -> w^k: each slot
     polynomial (m, then l, in cusp order) that is a unit power g^k
     (k = +-1) of one gauge variable g reads w = g^k, so g = w^k.  The first
-    slot of each gauge variable is kept.  Raises when a sample is off a
-    slot, or when every sample lies on both of its branches g = w^+-1
-    (w = +-1 throughout)."""
+    slot of each gauge variable is kept."""
     subs: dict[str, Polynomial] = {}
     for i, cf in enumerate(ext.gauged.cusps, start=1):
         for w, slot in ((f"m{i}", cf.m_poly), (f"l{i}", cf.l_poly)):
@@ -180,17 +161,7 @@ def _slot_substitutions(ext: ExtendedSystem, samples, tol) -> dict[str, Polynomi
             if power is None or abs(power[1]) != 1 or power[0] in subs:
                 continue
             g, k = power
-            ig, iw = ext.vars.index(g), ext.vars.index(w)
-            branches = [b for b in (k, -k)
-                        if all(abs(x[ig] - x[iw] ** b) < tol * max(1.0, abs(x[ig]))
-                               for x in samples or ())]
-            if samples and len(branches) == 2:
-                raise EigenvarError(
-                    f"every sample has {w} = +-1, where both branches of the slot {g} "
-                    "meet: the samples do not determine X0 (fill every cusp)")
             subs[g] = Polynomial.variable(w, ext.vars, ext.laurent, k)
-            if k not in branches:
-                raise EigenvarError(f"a sample is off the slot {g} -> {subs[g].as_text()}")
     return subs
 
 
@@ -227,11 +198,11 @@ def eliminate(ext: ExtendedSystem,
     of each of them, so exactly the factors containing X0 survive.  Without
     samples (None) every factor is kept and the result is not validated; an
     empty sample list is an error, since it says nothing about X0.  Raises
-    when the samples do not fix a slot's branch, when more than six
-    variables survive the substitutions, when no factor of a polynomial
-    vanishes at every sample (samples off the variety, or on two of its
-    components), and when the chain contains a nonzero constant (the
-    variety is empty)."""
+    when every sample has a slot eigenvalue at +-1, where both branches of
+    the slot meet, when more than six variables survive the substitutions,
+    when no factor of a polynomial vanishes at every sample (samples off the
+    variety or off a slot, or on two of its components), and when the chain
+    contains a nonzero constant (the variety is empty)."""
     if samples is not None and len(samples) == 0:
         raise EigenvarError("no samples on X0: the eliminant cannot be localized "
                             "or validated")
@@ -249,7 +220,15 @@ def eliminate(ext: ExtendedSystem,
             raise EigenvarError("empty variety: the chain contains a nonzero constant")
         return kept
 
-    subs = _slot_substitutions(ext, samples, SAMPLE_TOL)
+    subs = _slot_substitutions(ext)
+    for g, val in subs.items():
+        # at w = +-1 both branches g = w^+-1 hold, so the samples fix neither
+        w, _ = val.unit_power()
+        iw = V.index(w)
+        if samples and all(abs(x[iw] - 1 / x[iw]) < SAMPLE_TOL for x in samples):
+            raise EigenvarError(
+                f"every sample has {w} = +-1, where both branches of the slot {g} "
+                "meet: the samples do not determine X0 (fill every cusp)")
     tree = [f"substitute {g} -> {val.as_text()}" for g, val in subs.items()]
     work = []
     # the trace equation a slot solves substitutes to zero

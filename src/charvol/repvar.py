@@ -19,7 +19,7 @@ import numpy as np
 
 from .locus import TOLERANCES
 from .manifold import ManifoldSpec, relator_matrix, gf2_nullspace
-from .matrices import GaugeError, gauge_coord_names, gauge_matrices, regauge
+from .matrices import gauge_coord_names, gauge_matrices, regauge
 from .poly import (CompiledSystem, Polynomial, SymMatrix2,
                    trace_poly, word_matrix)
 from .words import Word, invert_word, sign_character
@@ -528,7 +528,7 @@ def gauss_newton_lockstep(F, starts, tol: float, maxiter: int,
 # ---------------------------------------------------------------------------
 
 def irreducibility_defect(system: GaugedSystem, coords) -> float:
-    """min over generator pairs of |tr[gi, gj] - 2|; 0 iff globally reducible."""
+    """max over generator pairs of |tr[gi, gj] - 2|; 0 iff globally reducible."""
     mats = system.matrices(coords)
     worst = 0.0
     for i in range(len(mats)):
@@ -553,22 +553,15 @@ def find_complete(system: GaugedSystem, start_matrices=None,
     rng = np.random.default_rng(0)
     h = spec.cusp_count
 
-    starts = []
+    seed = None if spec.seed_representation is None else regauge(spec.seed_representation)
     if start_matrices is not None:
-        starts.append(regauge(start_matrices))
-    elif spec.seed_representation is not None:
-        starts.append(regauge(spec.seed_representation))
+        starts = [regauge(start_matrices)]
+    elif seed is not None:
+        starts = [seed]
     else:
         nv = len(system.vars)
-        for _ in range(multistart):
-            starts.append(rng.normal(size=nv) + 1j * rng.normal(size=nv))
-
-    seed_key = None
-    if spec.seed_representation is not None:
-        try:
-            seed_key = system.char_key(regauge(spec.seed_representation))
-        except GaugeError:
-            seed_key = None
+        starts = [rng.normal(size=nv) + 1j * rng.normal(size=nv) for _ in range(multistart)]
+    seed_key = None if seed is None else system.char_key(seed)
 
     # the lift sign eps pins each cusp's slot variable (s or p) to eps
     # whatever the power sign: a row x[slot] - eps with a unit gradient

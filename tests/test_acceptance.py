@@ -200,8 +200,8 @@ def test_criterion_7_eliminant(fig8_extended, fig8_forty_samples):
     es = eliminate(fig8_extended, samples=[extended_point(pt) for pt in tracked])
     p = es.polynomials[0]
     points = [sample_point(pt) for pt in tracked + deformed]
-    residuals = [_scaled_residual(p, x.values) for x in points]
-    gamma_residuals = [_scaled_residual(p, gamma_act(x, [0]).values) for x in points]
+    residuals = [_scaled_residual(p, x) for x in points]
+    gamma_residuals = [_scaled_residual(p, gamma_act(x, [0])) for x in points]
     ok = (len(points) == 40 and es.validated and
           max(residuals) < 1e-8 and max(gamma_residuals) < 1e-8)
     report("criterion 7 eliminant validity", ok,

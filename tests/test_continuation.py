@@ -8,10 +8,11 @@ from charvol.continuation import (FOURTH_DIFFERENCE_TOL, QUADRATURE_STEP, Constr
                                   FillingError, SingularJacobianError,
                                   TrackingError, fiber_over, newton_correct, pin_log,
                                   sample_dense_set, solve_filling,
-                                  step_off_complete, track)
+                                  step_off_complete, track, _twist_key)
 from charvol.locus import eigenvalues, on_U, on_V, traces
 from charvol.poly import CompiledSystem
-from charvol.repvar import SignTwist, apply_twist, gauss_newton, gauss_newton_lockstep
+from charvol.repvar import (SignTwist, apply_twist, enumerate_twists, gauss_newton,
+                            gauss_newton_lockstep)
 from charvol.volume import anchored_volume
 from oracles import jacobian_check
 
@@ -213,8 +214,7 @@ def test_jacobian_check_fig8(fig8_system, fig8_complete):
 def test_jacobian_check_extended_laurent(fig8_extended, fig8_fillings):
     from charvol.eigenvar import sample_point
     _, pt, _ = fig8_fillings[0]
-    x = sample_point(pt)
-    point = np.concatenate([pt.coords, x.values])
+    point = np.concatenate([pt.coords, sample_point(pt)])
     cs = CompiledSystem(fig8_extended.polynomials, fig8_extended.vars)
     rep = jacobian_check(cs, point)
     assert rep["max_relative_error"] < 1e-5
@@ -623,6 +623,21 @@ def test_fiber_at_complete_is_excluded(fig8_system, fig8_complete):
     assert (report.sl2_count, report.psl2_count) == (2, 1)
     assert report.orbits == [[0, 1]]
     assert report.twist_pairs == []
+
+
+@pytest.mark.parametrize("name", ["fig8", "wlink"])
+def test_twist_key_is_the_key_of_the_twisted_point(name, request):
+    """`_twist_key`, which no shipped fiber reaches (k = 0 on fig8 and
+    wlink), signs a point's key as `apply_twist` signs its coordinates:
+    for every twist, the twisted key is the key of the twisted point."""
+    problem = request.getfixturevalue(f"{name}_problem")
+    _, pt, _ = request.getfixturevalue(f"{name}_fillings")[0]
+    twists = enumerate_twists(problem.spec)
+    assert len(twists) == {"fig8": 2, "wlink": 4}[name]
+    key = problem.char_key(pt.coords)
+    for tw in twists:
+        twisted = apply_twist(pt, tw, problem)
+        assert np.array_equal(_twist_key(problem, key, tw), problem.char_key(twisted.coords))
 
 
 def test_fiber_wlink_degree_one_and_bound(wlink_spec, wlink_system, wlink_fillings):

@@ -2,11 +2,9 @@
 
     python tools/layer_timing.py PARENT CHANGE [--rounds N]
 
-PARENT and CHANGE are checkouts (each with a `src/charvol`), from before
-or after `DeformationProblem` became the gauged system of its spec.  On
-fig8 and wlink, at the base point of the exactness loops
-(`cli._generic_base_point`) and the first loop that `default_rng(1)` draws,
-it times:
+PARENT and CHANGE are checkouts (each with a `src/charvol`).  On fig8 and
+wlink, at the base point of the exactness loops (`cli._generic_base_point`)
+and the first loop that `default_rng(1)` draws, it times:
 
 - `values_and_jacobian`: one single-point call of the gauged system's
   compiled block;
@@ -47,18 +45,10 @@ def _layers(name: str) -> dict:
     from charvol.cli import _generic_base_point
     from charvol.continuation import DeformationProblem, random_log_loop_targets, track
     from charvol.fixtures import load_fixture
-    from charvol.repvar import GaugedSystem, find_complete
+    from charvol.repvar import find_complete
 
-    spec = load_fixture(name)
-    if issubclass(DeformationProblem, GaugedSystem):
-        # the problem is the gauged system of its spec
-        problem = system = DeformationProblem(spec)
-        base = _generic_base_point(problem, find_complete(problem))
-    else:
-        # a tree whose problem wraps a separately built system
-        system = GaugedSystem(spec)
-        problem = DeformationProblem(system)
-        base = _generic_base_point(spec, problem, find_complete(spec, system))
+    problem = DeformationProblem(load_fixture(name))
+    base = _generic_base_point(problem, find_complete(problem))
     family = random_log_loop_targets(base, np.random.default_rng(1), radius=(0.08, 0.3))
     step = 1 / 64
     x = problem.predict([base], [0.0], step)
@@ -66,7 +56,7 @@ def _layers(name: str) -> dict:
 
     def one_winding():
         return track(problem, base, family, first_step=step, max_step=step)
-    return {"values_and_jacobian": (lambda: system.compiled.values_and_jacobian(x), 1),
+    return {"values_and_jacobian": (lambda: problem.compiled.values_and_jacobian(x), 1),
             "rows_F": (lambda: F(x), 1),
             "correct": (lambda: problem.correct(x, base, family, step), 1),
             "track_step": (one_winding, len(one_winding()) - 1)}
