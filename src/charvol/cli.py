@@ -104,36 +104,37 @@ def cmd_h1z2(args, spec):
 def cmd_apoly(args, spec):
     kappas = _kappas(spec, args.kappas)
     problem = DeformationProblem(spec)
-    ext = build_extended(problem)
-    samples, slopes, filling_errors = None, [], {}
     try:
         comp = find_complete(problem)
-        fillings = sample_dense_set(problem, comp, kappas)
-        filled = [f for f in fillings if f.point is not None]
-        filling_errors = {f.kappa.label(): f.error for f in fillings if f.point is None}
-        slopes = [f.kappa.label() for f in filled]
-        samples = [extended_point(f.point) for f in filled]
-        for f in filled:
-            for k in (len(f.path) // 3, 2 * len(f.path) // 3):
-                samples.append(extended_point(f.path.points[k]))
-    except (NoCompleteStructureError, ContinuationError):
-        samples, slopes = None, []
+    except NoCompleteStructureError as e:
+        return _apoly_failed(e, {"filled_slopes": [], "samples": 0}, {})
+    fillings = sample_dense_set(problem, comp, kappas)
+    filled = [f for f in fillings if f.point is not None]
+    filling_errors = {f.kappa.label(): f.error for f in fillings if f.point is None}
+    samples = [extended_point(f.point) for f in filled]
+    for f in filled:
+        for k in (len(f.path) // 3, 2 * len(f.path) // 3):
+            samples.append(extended_point(f.path.points[k]))
     # every report says which slopes were filled and how many samples were used
-    sampled = {"filled_slopes": slopes, "samples": len(samples or ())}
+    sampled = {"filled_slopes": [f.kappa.label() for f in filled], "samples": len(samples)}
     try:
-        es = eliminate(ext, samples=samples)
+        es = eliminate(build_extended(problem), samples)
     except EliminationBudgetError as e:
         body = {"status": "budget_exceeded", "message": str(e),
                 "hint": "use the fiber/certify commands for numerical sampling", **sampled}
         return 0, body, "apoly: variable budget exceeded", {}
     except EigenvarError as e:
-        print(f"error: {e}", file=sys.stderr)
-        body = {"status": "failed", "message": str(e), **sampled,
-                "filling_errors": filling_errors}
-        return 1, body, "apoly: FAILED", {}
+        return _apoly_failed(e, sampled, filling_errors)
     for p in es.polynomials:
         print("eliminant:", p.as_text())
     return 0, {"status": "ok", "eliminants": es.to_json(), **sampled}, "apoly:", {}
+
+
+def _apoly_failed(error, sampled, filling_errors):
+    print(f"error: {error}", file=sys.stderr)
+    body = {"status": "failed", "message": str(error), **sampled,
+            "filling_errors": filling_errors}
+    return 1, body, "apoly: FAILED", {}
 
 
 def cmd_fill(args, spec):

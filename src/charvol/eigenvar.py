@@ -1,21 +1,22 @@
 """The extended variety and the eigenvalue variety.
 
 Adjoining peripheral eigenvalue unit variables (m_i, l_i) to the gauged
-system with the three trace generators per cusp
+system with two trace rows per cusp
 
-    I_M - (m + 1/m),  I_L - (l + 1/l),  I_ML - (ml + 1/(ml))
+    I_M - (m + 1/m),  I_L - (l + 1/l)
 
 gives the extended system.  Projecting its zero locus to the (m_i, l_i)
 coordinates sweeps the eigenvalue variety; for few enough variables a
 resultant chain localized at the Dehn surgery component X0 gives explicit
 eliminants cutting out X0's image (its A-polynomial factor when there is
-one cusp).
+one cusp).  Localization at X0, not a row I_ML - (ml + 1/(ml)), pairs each
+l with its m.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,12 +59,7 @@ class ExtendedSystem:
             minv, linv = var(f"m{i}", -1), var(f"l{i}", -1)
             IM = cf.trace_m.embed(V, lau)
             IL = cf.trace_l.embed(V, lau)
-            IML = cf.trace_ml.embed(V, lau)
-            self.trace_equations += [
-                IM - m - minv,
-                IL - l - linv,
-                IML - m * l - minv * linv,
-            ]
+            self.trace_equations += [IM - m - minv, IL - l - linv]
         self.polynomials = [p.embed(V, lau) for p in gauged.polynomials] + \
             self.trace_equations
 
@@ -167,23 +163,22 @@ def _slot_substitutions(ext: ExtendedSystem) -> dict[str, Polynomial]:
 
 def _localize(p: Polynomial, samples, tol, removed_log: list[str]) -> Polynomial:
     """The product of p's irreducible factors that vanish at every sample,
-    each primitive with a positive lex-leading coefficient; every factor is
-    kept without samples (a constant stays 1).  The dropped factors are
-    appended to removed_log."""
+    each primitive with a positive lex-leading coefficient.  The dropped
+    factors are appended to removed_log.  Raises when no factor vanishes at
+    every sample, as for a nonzero constant, which has no factor."""
     kept = Polynomial.constant(1, p.vars)
     for factor, _ in factor_list(p):
-        if all(_scaled_residual(factor, x) < tol for x in samples or ()):
+        if all(_scaled_residual(factor, x) < tol for x in samples):
             kept = kept * factor
         else:
             removed_log.append(factor.as_text())
-    if samples and not kept.support_vars():
+    if not kept.support_vars():
         raise EigenvarError(f"no factor of a {p.total_terms()}-term polynomial "
                             "vanishes at every sample")
     return kept
 
 
-def eliminate(ext: ExtendedSystem,
-              samples: Optional[Sequence[np.ndarray]] = None) -> EliminantSet:
+def eliminate(ext: ExtendedSystem, samples: Sequence[np.ndarray]) -> EliminantSet:
     """Resultant-chain elimination of the gauge variables from the extended
     system, localized at the component X0 that the samples lie on.
 
@@ -195,15 +190,15 @@ def eliminate(ext: ExtendedSystem,
     lowest-degree user (the pivot) with every other user.  Every polynomial
     the chain produces is replaced by the product of its irreducible factors
     that vanish at every sample: X0 is irreducible and lies in the zero set
-    of each of them, so exactly the factors containing X0 survive.  Without
-    samples (None) every factor is kept and the result is not validated; an
-    empty sample list is an error, since it says nothing about X0.  Raises
-    when every sample has a slot eigenvalue at +-1, where both branches of
-    the slot meet, when more than six variables survive the substitutions,
-    when no factor of a polynomial vanishes at every sample (samples off the
-    variety or off a slot, or on two of its components), and when the chain
-    contains a nonzero constant (the variety is empty)."""
-    if samples is not None and len(samples) == 0:
+    of each of them, so exactly the factors containing X0 survive.  The
+    eliminants are validated at the samples.  Raises for an empty sample
+    list, which says nothing about X0; when every sample has a slot
+    eigenvalue at +-1, where both branches of the slot meet; when more than
+    six variables survive the substitutions, before any polynomial is
+    factored; and when no factor of a polynomial vanishes at every sample
+    (samples off the variety or off a slot, or on two of its components,
+    or a nonzero constant in the chain)."""
+    if len(samples) == 0:
         raise EigenvarError("no samples on X0: the eliminant cannot be localized "
                             "or validated")
     V = ext.vars
@@ -213,36 +208,33 @@ def eliminate(ext: ExtendedSystem,
     removed_log: list[str] = []
 
     def localize(p: Polynomial) -> Polynomial:
-        kept = _localize(_strip(p, cleared_log, ext.laurent), samples, SAMPLE_TOL,
+        return _localize(_strip(p, cleared_log, ext.laurent), samples, SAMPLE_TOL,
                          removed_log)
-        # a nonzero constant (or a unit monomial, stripped to one) vanishes nowhere
-        if not kept.support_vars():
-            raise EigenvarError("empty variety: the chain contains a nonzero constant")
-        return kept
 
     subs = _slot_substitutions(ext)
     for g, val in subs.items():
         # at w = +-1 both branches g = w^+-1 hold, so the samples fix neither
         w, _ = val.unit_power()
         iw = V.index(w)
-        if samples and all(abs(x[iw] - 1 / x[iw]) < SAMPLE_TOL for x in samples):
+        if all(abs(x[iw] - 1 / x[iw]) < SAMPLE_TOL for x in samples):
             raise EigenvarError(
                 f"every sample has {w} = +-1, where both branches of the slot {g} "
                 "meet: the samples do not determine X0 (fill every cusp)")
     tree = [f"substitute {g} -> {val.as_text()}" for g, val in subs.items()]
-    work = []
+    substituted = []
     # the trace equation a slot solves substitutes to zero
     for p in ext.polynomials:
         for g, val in subs.items():
             p = p.subs_var(g, val)
         if not p.is_zero():
-            work.append(localize(p))
+            substituted.append(p)
 
-    live_vars = set().union(*[p.support_vars() for p in work])
+    live_vars = set().union(*[p.support_vars() for p in substituted])
     if len(live_vars) > 6:
         raise EliminationBudgetError(
             f"{len(live_vars)} variables remain after substitution "
             "(budget 6); use numerical fiber sampling instead")
+    work = [localize(p) for p in substituted]
 
     to_eliminate = [v for v in gauge_vars if v in live_vars]
     for var in sorted(to_eliminate, key=lambda v: max(p.degree(v) for p in work)):
@@ -259,10 +251,8 @@ def eliminate(ext: ExtendedSystem,
                 stage.append(localize(r))
         if not stage and not passthrough:
             raise DimensionAnomalyError(
-                f"all resultants vanished while eliminating {var}: " +
-                ("the projection is degenerate" if samples is not None else
-                 "nothing was localized at X0, so the pivot shares its factor "
-                 "with every other user; the chain needs samples on X0"))
+                f"all resultants vanished while eliminating {var}: "
+                "the projection is degenerate")
         tree.append(f"eliminate {var} against pivot with {len(stage)} resultants")
         work = passthrough + stage
 
@@ -275,8 +265,7 @@ def eliminate(ext: ExtendedSystem,
                       "; ".join(tree), list(dict.fromkeys(cleared_log)),
                       list(dict.fromkeys(removed_log)))
     # the peripheral coordinates close `ext.vars`
-    return _validate(es, None if samples is None else
-                     [x[len(gauge_vars):] for x in samples], SAMPLE_TOL)
+    return _validate(es, [x[len(gauge_vars):] for x in samples], SAMPLE_TOL)
 
 
 def _scaled_residual(p: Polynomial, x) -> float:
@@ -286,12 +275,7 @@ def _scaled_residual(p: Polynomial, x) -> float:
 
 
 def _validate(es: EliminantSet, samples, tol) -> EliminantSet:
-    if samples is None:
-        return es
-    residuals = []
-    for p in es.polynomials:
-        worst = max((_scaled_residual(p, x) for x in samples), default=0.0)
-        residuals.append(worst)
-    es.sample_residuals = residuals
-    es.validated = all(r < tol for r in residuals)
+    es.sample_residuals = [max(_scaled_residual(p, x) for x in samples)
+                           for p in es.polynomials]
+    es.validated = all(r < tol for r in es.sample_residuals)
     return es

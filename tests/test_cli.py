@@ -149,12 +149,14 @@ def test_apoly_two_cusp_kappa_with_unfilled_cusp(tmp_path, fillings, capsys):
 
 
 def test_apoly_empty_variety_fails_with_report(tmp_path, capsys):
-    """nonhyp's extended system contains the constant 1: no eliminant."""
+    """nonhyp has no complete structure, so nothing on X0 to eliminate at:
+    `apoly` fails with `find_complete`'s message."""
     code = run(["apoly", "--spec", "nonhyp", "--out", str(tmp_path)])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: empty variety")
+    message = "nonhyp: no irreducible boundary-parabolic solution found (80 attempts)"
+    assert capsys.readouterr().err.startswith(f"error: {message}")
     report = json.loads((tmp_path / "nonhyp_apoly.json").read_text())["report"]
-    assert report["status"] == "failed" and "empty variety" in report["message"]
+    assert report["status"] == "failed" and report["message"].startswith(message)
     assert "eliminants" not in report
     assert report["filled_slopes"] == [] and report["samples"] == 0
 
@@ -251,13 +253,18 @@ def test_exactness_loop_failing_to_track_at_the_last_level_is_dropped(
 
 
 def test_apoly_command_abelian(tmp_path):
+    """Every boundary-parabolic solution of abelian is reducible: with no
+    complete structure there is no X0, and `apoly` fails rather than print
+    an eliminant of the gauge slice."""
     code = run(["apoly", "--spec", "abelian", "--out", str(tmp_path)])
-    assert code == 0
-    doc = json.loads((tmp_path / "abelian_apoly.json").read_text())
-    texts = doc["report"]["eliminants"]["text"]
-    assert texts == ["-1 + 1*l1^2"]
-    # no complete structure, so nothing is filled or sampled
-    assert doc["report"]["filled_slopes"] == [] and doc["report"]["samples"] == 0
+    assert code == 1
+    report = json.loads((tmp_path / "abelian_apoly.json").read_text())["report"]
+    assert report["status"] == "failed"
+    assert report["message"].startswith(
+        "abelian: no irreducible boundary-parabolic solution found (80 attempts)")
+    assert "eliminants" not in report
+    # nothing is filled or sampled
+    assert report["filled_slopes"] == [] and report["samples"] == 0
 
 
 def test_fiber_command(tmp_path):

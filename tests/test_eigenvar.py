@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 import charvol
-from charvol.eigenvar import (DimensionAnomalyError, EigenvarError,
-                              EliminationBudgetError, _localize, _scaled_residual,
-                              build_extended, eliminate, extended_point, gamma_act,
-                              sample_point)
+from charvol.eigenvar import (EigenvarError, EliminationBudgetError, _localize,
+                              _scaled_residual, _slot_substitutions, build_extended,
+                              eliminate, extended_point, gamma_act, sample_point)
 from charvol.continuation import step_off_complete
 from charvol.fixtures import fixture_text
 from charvol.locus import on_U
@@ -21,10 +20,10 @@ from charvol.repvar import GaugedSystem
 
 
 def test_build_extended_counts(fig8_extended, wlink_system):
-    assert len(fig8_extended.trace_equations) == 3
+    assert len(fig8_extended.trace_equations) == 2
     assert len(fig8_extended.peripheral_vars) == 2
     extw = build_extended(wlink_system)
-    assert len(extw.trace_equations) == 6
+    assert len(extw.trace_equations) == 4
     assert len(extw.peripheral_vars) == 4
 
 
@@ -150,8 +149,8 @@ def test_fig8_elimination_log_records_shortcuts(fig8_eliminant):
     """The chain takes no shortcut: the log holds only the substitution and
     the elimination stages."""
     assert fig8_eliminant.description == (
-        "substitute s -> 1*m1; eliminate t against pivot with 5 resultants; "
-        "eliminate p against pivot with 2 resultants")
+        "substitute s -> 1*m1; eliminate t against pivot with 4 resultants; "
+        "eliminate p against pivot with 1 resultants")
     for note in ("gcd skipped", "kept 3 of", "gcd of", "codimension"):
         assert note not in fig8_eliminant.description
     assert fig8_eliminant.removed_factors.count("-1*m1 + 1*p") == 1
@@ -193,29 +192,14 @@ def test_fig8_eliminant_no_unit_monomial_factor(fig8_eliminant):
     assert len(fig8_eliminant.cleared_monomials) > 0  # clearing was recorded
 
 
-def test_abelian_eliminant_binomial(abelian_spec):
-    """No complete structure, so no samples: every factor is kept and the
-    result is not validated.  The binomial vanishes on the reducible
-    characters (m arbitrary, l = +-1)."""
-    ext = build_extended(GaugedSystem(abelian_spec))
-    es = eliminate(ext)
-    assert not es.validated and es.sample_residuals == []
-    assert [p.as_text() for p in es.polynomials] == ["-1 + 1*l1^2"]
-    rng = np.random.default_rng(3)
-    for _ in range(8):
-        s = rng.normal() + 1j * rng.normal()
-        for l in (1.0, -1.0):
-            assert _scaled_residual(es.polynomials[0], [s, l]) == 0
-
-
 def test_unlocalized_substitutions_take_the_gauge_slot_branch():
     """With meridian [2] and longitude [1] both slots have power -1: m1 = 1/p
-    and l1 = 1/s.  Without samples the chain substitutes those branches."""
+    and l1 = 1/s, so the substitutions take those branches."""
     doc = json.loads(fixture_text("abelian"))
     doc["cusps"] = [{"meridian": [2], "longitude": [1]}]
-    es = eliminate(build_extended(GaugedSystem(parse_spec(json.dumps(doc)))))
-    assert es.description.startswith("substitute p -> 1*m1^-1; substitute s -> 1*l1^-1;")
-    assert [p.as_text() for p in es.polynomials] == ["-1 + 1*m1^2"]
+    subs = _slot_substitutions(build_extended(GaugedSystem(parse_spec(json.dumps(doc)))))
+    assert {g: val.as_text() for g, val in subs.items()} == {
+        "p": "1*m1^-1", "s": "1*l1^-1"}
 
 
 def test_eliminate_raises_for_a_sample_off_the_slot(fig8_extended, fig8_samples):
@@ -229,30 +213,21 @@ def test_eliminate_raises_for_a_sample_off_the_slot(fig8_extended, fig8_samples)
 
 def test_eliminate_raises_on_a_nonzero_constant(nonhyp_spec):
     """nonhyp's relator makes the two gauge generators equal, which their
-    unit off-diagonal entry forbids: the system contains the constant 1."""
+    unit off-diagonal entry forbids: the system contains the constant 1,
+    which has no factor through any sample."""
     ext = build_extended(GaugedSystem(nonhyp_spec))
     assert any(not p.support_vars() and not p.is_zero() for p in ext.polynomials)
-    with pytest.raises(EigenvarError, match="empty variety"):
-        eliminate(ext)
+    sample = np.full(len(ext.vars), 1.3 + 0.2j)
+    with pytest.raises(EigenvarError, match="no factor of a 1-term polynomial vanishes"):
+        eliminate(ext, [sample])
 
 
 def test_eliminate_raises_for_an_empty_sample_list(abelian_spec, fig8_extended):
-    """An empty sample list says nothing about X0; None means "do not localize"."""
+    """An empty sample list says nothing about X0."""
     abelian = build_extended(GaugedSystem(abelian_spec))
     for ext in (abelian, fig8_extended):
         with pytest.raises(EigenvarError, match="no samples on X0"):
             eliminate(ext, samples=[])
-    es = eliminate(abelian, samples=None)
-    assert [p.as_text() for p in es.polynomials] == ["-1 + 1*l1^2"]
-    assert not es.validated
-
-
-def test_eliminate_without_samples_on_fig8_says_the_chain_needs_samples(fig8_extended):
-    """Unlocalized, fig8's pivot shares its factor through X0 with every
-    other user of p; the error says so rather than blaming the projection."""
-    with pytest.raises(DimensionAnomalyError, match="nothing was localized at X0.*"
-                                                    "the chain needs samples"):
-        eliminate(fig8_extended, samples=None)
 
 
 # -- localizing at the samples ------------------------------------------------
@@ -284,14 +259,6 @@ def test_localize_drops_factor_vanishing_at_some_samples_only():
     assert q == _m * _m - _l
 
 
-def test_localize_keeps_every_factor_without_samples():
-    p = (_m + _ONE) * (_l - _m * _m) * (_l - _m * _m)
-    removed = []
-    q = _localize(p, None, 1e-8, removed)
-    assert removed == []
-    assert q == (_m + _ONE) * (_m * _m - _l)
-
-
 def test_localize_raises_for_samples_off_the_variety():
     p = (_m + _ONE) * (_l - _m * _m)
     with pytest.raises(EigenvarError):
@@ -316,6 +283,16 @@ def test_wlink_elimination(wlink_eliminant):
     assert "substitute p -> 1*m2^-1" in es.description
     assert [sorted(p.support_vars()) for p in es.polynomials] == [
         ["l1", "m1", "m2"], ["l2", "m1", "m2"]]
+    assert [p.as_text() for p in es.polynomials] == [
+        ('-1*m2^2 + 1*l1 + 1*l1*m2^4 + -1*l1^2*m2^2 + -1*m1^2*l1 + '
+         '-2*m1^2*l1*m2^2 + -1*m1^2*l1*m2^4 + 1*m1^2*l1^2 + '
+         '2*m1^2*l1^2*m2^2 + 1*m1^2*l1^2*m2^4 + 1*m1^4*l1*m2^2 + '
+         '-1*m1^4*l1^2 + -1*m1^4*l1^2*m2^4 + 1*m1^4*l1^3*m2^2'),
+        ('-1*l2 + 1*m2^2*l2 + -1*m2^2*l2^2 + 1*m2^4*l2^2 + 1*m1^2 + '
+         '1*m1^2*l2^2 + 2*m1^2*m2^2*l2 + -2*m1^2*m2^2*l2^2 + '
+         '-1*m1^2*m2^4*l2 + -1*m1^2*m2^4*l2^3 + -1*m1^4*l2 + '
+         '1*m1^4*m2^2*l2 + -1*m1^4*m2^2*l2^2 + 1*m1^4*m2^4*l2^2'),
+    ]
     for p in es.polynomials:
         m2 = Polynomial.variable("m2", p.vars)
         with pytest.raises(ValueError):
@@ -351,19 +328,26 @@ def test_setup_does_not_import_sympy():
     assert out.stdout.strip() == "False False"
 
 
-def test_eliminate_budget_error():
+def test_eliminate_budget_error(monkeypatch):
+    """Seven variables survive the substitutions: the budget refuses the
+    system before any polynomial is factored, whatever the sample."""
+    def no_factoring(p):
+        raise AssertionError("a polynomial was factored before the budget check")
+    monkeypatch.setattr("charvol.eigenvar.factor_list", no_factoring)
     doc = json.loads(fixture_text("abelian"))
     doc.update(name="threegen", generators=3,
                relators=[[1, 2, -1, -2], [3, 1, -3, -1], [3, 2, -3, -2]],
                cusps=[{"meridian": [1], "longitude": [2]}])
     spec = parse_spec(json.dumps(doc))
     ext = build_extended(GaugedSystem(spec))
-    with pytest.raises(EliminationBudgetError):
-        eliminate(ext)
+    sample = np.full(len(ext.vars), 1.3 + 0.2j)
+    with pytest.raises(EliminationBudgetError, match="^7 variables remain"):
+        eliminate(ext, [sample])
 
 
 def test_eliminate_already_peripheral(fig8_extended):
-    """Peripheral-only systems are returned unchanged (modulo normalization)."""
+    """Peripheral-only systems are returned unchanged (modulo normalization),
+    localized and validated at one sample on m*l = 1."""
     from charvol.poly import Polynomial
 
     class Stub:
@@ -379,6 +363,9 @@ def test_eliminate_already_peripheral(fig8_extended):
     stub.laurent = lau
     stub.gauged = ext.gauged
     stub.polynomials = [m * l - Polynomial.constant(1, V, lau)]
-    es = eliminate(stub)
+    sample = np.zeros(len(V), dtype=complex)
+    sample[V.index("m1")], sample[V.index("l1")] = 2.0, 0.5
+    es = eliminate(stub, [sample])
     assert len(es.polynomials) == 1
     assert es.polynomials[0].degree("m1") == 1
+    assert es.validated

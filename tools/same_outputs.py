@@ -34,6 +34,8 @@ COMMANDS = [
     "apoly --spec abelian",
     "apoly --spec nonhyp",
     "apoly --spec wlink --kappa '1,5;inf'",
+    "apoly --spec fig8 --kappa 2,5",
+    "apoly --spec wlink --kappa '1,5;1,5'",
     "fill --spec fig8 --kappa 1,5 --csv",
     "fill --spec fig8 --kappa 5,1",
     "fill --spec fig8 --kappa inf",
