@@ -115,34 +115,32 @@ class DeformationProblem(GaugedSystem):
             return out, Jout
         return F
 
-    def _stacked_rows(self, refs: Sequence[CharacterPoint], family: ConstraintFamily,
-                      taus):
+    def _stacked_rows(self, refs: Sequence[CharacterPoint], before: np.ndarray,
+                      family: ConstraintFamily, taus):
         """The stacked twin of `_rows`, for `gauss_newton_lockstep`: sample k
-        imposes the family at taus[k] and lifts its logs from refs[k].
-        F(X, live) evaluates the samples `live` at the stack X, and keeps
-        each sample's last compiled row vector in the rows of `F.vals`."""
+        imposes the family at taus[k] and lifts its logs from
+        refs[before[k]].  F(X, live) evaluates the samples `live` at the
+        stack X from `gauge_and_slots`, the only compiled rows it reads."""
         h = len(self.cusps)
         p = np.fromiter(itertools.islice(family.p, h), complex, h)
         q = np.fromiter(itertools.islice(family.q, h), complex, h)
-        ref = {a: np.array([[getattr(c, a) for c in r.cusps] for r in refs])
+        ref = {a: np.array([[getattr(c, a) for c in r.cusps] for r in refs])[before]
                for a in ("u", "v", "m", "l", "base_u", "base_v")}
         # the family's rows at each sample's lift reference; F adds the log
         # increments from the reference
         offset = (p * (ref["u"] - ref["base_u"]) + q * (ref["v"] - ref["base_v"])
                   - np.array([family.target(t) for t in taus], dtype=complex))
-        g, ml = self.gauge_rows, self.ml_rows
+        ng = self.gauge_rows.stop - self.gauge_rows.start
 
         def F(X, live):
-            vals, J = self.compiled.values_and_jacobian(X)
-            F.vals[live] = vals
-            m, l = vals[:, ml][:, 0::2], vals[:, ml][:, 1::2]
-            Jm, Jl = J[:, ml][:, 0::2], J[:, ml][:, 1::2]
+            vals, J = self.gauge_and_slots.values_and_jacobian(X)
+            m, l = vals[:, ng::2], vals[:, ng + 1::2]
+            Jm, Jl = J[:, ng::2], J[:, ng + 1::2]
             rows = offset[live] + p * np.log(m / ref["m"][live]) + \
                 q * np.log(l / ref["l"][live])
             grads = p[:, None] * Jm / m[:, :, None] + q[:, None] * Jl / l[:, :, None]
-            return (np.concatenate([vals[:, g], rows], axis=1),
-                    np.concatenate([J[:, g], grads], axis=1))
-        F.vals = np.empty((len(refs), self.compiled.npolys), dtype=complex)
+            return (np.concatenate([vals[:, :ng], rows], axis=1),
+                    np.concatenate([J[:, :ng], grads], axis=1))
         return F
 
     def correct(self, x0, prev: CharacterPoint, family: ConstraintFamily, tau,
@@ -480,8 +478,9 @@ def _grid_samples(problem: DeformationProblem, family: ConstraintFamily,
     in one `gauss_newton_lockstep` call with `track`'s corrector budget,
     started from the skeleton's cubic interpolant, with its logs
     lifted from the skeleton sample before it.  The samples are then lifted
-    in order and checked as `track` checks its own: the branch check and,
-    before the end, the V check.
+    in order, from the compiled row vectors of one stacked `values` call,
+    and checked as `track` checks its own: the branch check and, before the
+    end, the V check.
 
     Raises TrackingError on a sample that does not converge, on a largest
     fourth difference of the coordinates of FOURTH_DIFFERENCE_TOL or more
@@ -492,7 +491,7 @@ def _grid_samples(problem: DeformationProblem, family: ConstraintFamily,
     grid = np.linspace(taus[0], taus[-1], round((taus[-1] - taus[0]) / step) + 1)
     at = grid[1:]
     before = np.clip(np.searchsorted(taus, at, side="right") - 1, 0, len(taus) - 2)
-    F = problem._stacked_rows([skeleton.points[k] for k in before], family, at)
+    F = problem._stacked_rows(skeleton.points, before, family, at)
     xs, converged, iterations = gauss_newton_lockstep(
         F, _cubic_interpolant(taus, coords, at), CORRECT_TOL, CORRECT_MAXITER)
     if not converged.all():
@@ -502,7 +501,7 @@ def _grid_samples(problem: DeformationProblem, family: ConstraintFamily,
     d4 = _fourth_difference(np.vstack([coords[:1], xs]), grid)
     pt = skeleton.points[0]
     points = [pt]
-    for k, (tau, x, vals) in enumerate(zip(at, xs, F.vals)):
+    for k, (tau, x, vals) in enumerate(zip(at, xs, problem.compiled.values(xs))):
         new_pt = make_character_point(problem, x, prev=pt, vals=vals)
         cause = _branch_jump(pt, new_pt)
         if cause:
@@ -621,12 +620,12 @@ def fiber_over(problem: DeformationProblem, z: np.ndarray,
     the report inconclusive."""
     z = np.asarray(z, dtype=complex)
     rng = np.random.default_rng(seed)
-    gauge, trace = problem.gauge_rows, problem.trace_rows
+    ng = problem.gauge_rows.stop - problem.gauge_rows.start
 
     def F(X, live):
-        vals, J = problem.compiled.values_and_jacobian(X)
-        return (np.concatenate([vals[:, gauge], vals[:, trace] - z], axis=1),
-                np.concatenate([J[:, gauge], J[:, trace]], axis=1))
+        vals, J = problem.gauge_and_traces.values_and_jacobian(X)
+        vals[:, ng:] -= z
+        return vals, J
     seed_coords = [np.asarray(s.coords, dtype=complex) for s in seeds]
     scale = max((float(np.max(np.abs(c))) for c in seed_coords), default=1.0)
 
@@ -663,7 +662,7 @@ def fiber_over(problem: DeformationProblem, z: np.ndarray,
         starts[attempt - 1] = x0
     xs, converged, _ = gauss_newton_lockstep(F, starts, 1e-10, 40, 1e12)
     # the compiled rows at every converged start, from one stacked evaluation
-    found = zip(xs[converged], problem.compiled.values_and_jacobian(xs[converged])[0])
+    found = zip(xs[converged], problem.compiled.values(xs[converged]))
     for hit in converged:
         if hit:
             register(*next(found))

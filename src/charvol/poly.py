@@ -505,23 +505,37 @@ class CompiledSystem:
 
     One block holds the polynomials followed by their partial derivatives,
     so values and Jacobian come from a single evaluation; the per-call
-    overhead, not the term count, dominates its cost.  Each method takes a
-    point (nvars,) or a stack of points (N, nvars), evaluated in one call
-    and row by row bit-identical to single points, and returns values
-    (..., npolys) and Jacobians (..., npolys, nvars)."""
+    overhead, not the term count, dominates its cost.  A second block holds
+    the polynomials alone, for `values`.  Each method takes a point (nvars,)
+    or a stack of points (N, nvars), evaluated in one call and row by row
+    bit-identical to single points, and returns values (..., npolys) and
+    Jacobians (..., npolys, nvars).  `derivs`, the partial derivatives of
+    each polynomial in variable order, saves differentiating them again."""
 
-    def __init__(self, polys: list[Polynomial], vars: tuple[str, ...]):
+    def __init__(self, polys: list[Polynomial], vars: tuple[str, ...],
+                 derivs: Optional[list[Polynomial]] = None):
         self.vars = tuple(vars)
         self.npolys = len(polys)
         self.nvars = len(vars)
         for p in polys:
             if p.vars != self.vars:
                 raise VariableMismatchError("compiled polynomials must share variables")
-        derivs = [p.differentiate(v) for p in polys for v in vars]
-        self._block = _CompiledBlock(list(polys) + derivs, self.vars)
+        if derivs is None:
+            derivs = [p.differentiate(v) for p in polys for v in vars]
+        self._polys, self._derivs = list(polys), derivs
+        self._block = _CompiledBlock(self._polys + derivs, self.vars)
+        self._values = _CompiledBlock(self._polys, self.vars)
+
+    def rows(self, index: list[int]) -> "CompiledSystem":
+        """The compiled system of the polynomials `index`, in that order,
+        with the derivatives this system already has.  Each row is the same
+        terms multiplied in the same order, so it keeps its bytes."""
+        n = self.nvars
+        return CompiledSystem([self._polys[i] for i in index], self.vars,
+                              [d for i in index for d in self._derivs[i * n:(i + 1) * n]])
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        return self._block(np.asarray(x, dtype=complex))[..., :self.npolys]
+        return self._values(np.asarray(x, dtype=complex))
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         out = self._block(np.asarray(x, dtype=complex))

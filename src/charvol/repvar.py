@@ -13,6 +13,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -136,6 +137,20 @@ class GaugedSystem:
         self.gauge_rows, self.trace_rows, self.ml_rows, self.key_rows = (
             slice(a, b) for a, b in zip(ends, ends[1:]))
         self.compiled = CompiledSystem([p for r in rows for p in r], V)
+
+    # the rows a stacked solve reads, gauge rows first, compiled on first
+    # use (commands without a stacked solve never build them)
+    @cached_property
+    def gauge_and_slots(self) -> CompiledSystem:
+        """The gauge rows and the eigenvalue slots: the path rows' inputs."""
+        return self.compiled.rows([*range(self.gauge_rows.stop),
+                                   *range(self.ml_rows.start, self.ml_rows.stop)])
+
+    @cached_property
+    def gauge_and_traces(self) -> CompiledSystem:
+        """The gauge rows and the boundary traces: the fiber equations' inputs."""
+        return self.compiled.rows([*range(self.gauge_rows.stop),
+                                   *range(self.trace_rows.start, self.trace_rows.stop)])
 
     @staticmethod
     def _meridian_slot(w: Word):
@@ -455,25 +470,40 @@ def gauss_newton(F, start, tol: float, maxiter: int, max_step: Optional[float] =
                           x, res)
 
 
+def least_squares_steps(J: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The Gauss-Newton steps dx minimizing |J dx + vals| for a (k, m, n)
+    stack of Jacobians with m >= n and (k, m) values: a stacked Householder
+    QR, Q^H vals, and a back-substitution vectorised over the stack.  A
+    member whose R has a zero on its diagonal gets a non-finite step; the
+    others are unaffected."""
+    Q, R = np.linalg.qr(J)
+    b = -(vals[:, None, :] @ Q.conj())[:, 0, :]
+    dx = np.empty_like(b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in reversed(range(J.shape[2])):
+            dx[:, i] = (b[:, i] - (R[:, i, i + 1:] * dx[:, i + 1:]).sum(axis=1)) / R[:, i, i]
+    return dx
+
+
 def gauss_newton_lockstep(F, starts, tol: float, maxiter: int,
                           condition_limit: Optional[float] = None):
     """`gauss_newton` (with no step cap) on a stack of independent starts,
     all stepped together: F(X, live) maps a (k, n) stack of points to (k, m)
-    values and (k, m, n) Jacobians, where live holds the indices into
-    `starts` of the k points, so that F can give each start its own
-    equations.
+    values and (k, m, n) Jacobians with m >= n, where live holds the
+    indices into `starts` of the k points, so that F can give each start
+    its own equations.
 
     Each start follows gauss_newton's rules.  It converges at once when its
     starting residual is below tol, and fails when its starting Jacobian
     condition exceeds condition_limit (when one is given), on a non-finite
     residual, Jacobian or step, after three 4x growths of the residual
-    2-norm in a row, or after maxiter steps.  Steps are minimum-norm least
-    squares with lstsq's cutoff eps * max(m, n) * sigma_max, from a stacked
-    pseudo-inverse.  A start that converges or fails leaves the stack at
-    once, so no non-finite member reaches the stacked SVD (which would raise
-    for all of them).  Sequential callers keep `gauss_newton`: a stack of
-    one costs more than one point (on fig8, about 35 against 23 us for the
-    compiled evaluation, and 52 against 27 us with the filling rows).
+    2-norm in a row, or after maxiter steps.  Steps are least squares from a
+    stacked QR (`least_squares_steps`), with no rank cutoff: a start whose
+    R has a zero diagonal entry gets a non-finite step and fails alone.  A
+    start that converges or fails leaves the stack at once.  Sequential
+    callers keep `gauss_newton`: a stack of one costs more than one point
+    (as `track`'s corrector on fig8 exactness loops, 0.25 s against
+    0.097 s for 640 samples).
 
     Returns (x, converged, iterations): each start's last iterate, whether
     it converged, and the number of steps applied to it."""
@@ -505,9 +535,7 @@ def gauss_newton_lockstep(F, starts, tol: float, maxiter: int,
     for it in range(1, maxiter + 1):
         if not len(live):
             break
-        m, n = J.shape[1:]
-        pinv = np.linalg.pinv(J, rcond=np.finfo(float).eps * max(m, n))
-        dx = -(pinv @ vals[:, :, None])[:, :, 0]
+        dx = least_squares_steps(J, vals)
         keep = np.isfinite(dx).all(axis=1)
         live, dx, prev_norm, bad = live[keep], dx[keep], prev_norm[keep], bad[keep]
         x[live] += dx

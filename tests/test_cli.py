@@ -471,9 +471,9 @@ def test_same_outputs_tool_on_one_command_line():
 
 
 def test_layer_timing_tool_on_one_round():
-    """tools/layer_timing.py times each layer of one sequential Newton
-    evaluation on two trees in fresh processes; one round of this tree
-    against itself prints every layer on both specs."""
+    """tools/layer_timing.py times each sequential and stacked layer of
+    the Newton kernel on two trees in fresh processes; one round of this
+    tree against itself prints every layer on both specs."""
     import re
     import subprocess
     import sys
@@ -487,7 +487,8 @@ def test_layer_timing_tool_on_one_round():
     assert lines[0].startswith("1 rounds")
     rows = [line.split()[:2] for line in lines[1:]]
     assert rows == [[spec, layer] for spec in ("fig8", "wlink")
-                    for layer in ("values_and_jacobian", "rows_F", "correct", "track_step")]
+                    for layer in ("values_and_jacobian", "rows_F", "correct", "track_step",
+                                  "multistart", "grid")]
     for line in lines[1:]:
         parent, change = map(float, re.findall(r" (?:parent|change) +([\d.]+) \[", line))
         assert parent > 0 and change > 0

@@ -9,7 +9,7 @@ from charvol.matrices import random_sl2, regauge, numeric_word_matrix, sl2_inver
 from charvol.repvar import (GaugedSystem, NoCompleteStructureError, RepVarError,
                             apply_twist, enumerate_twists, find_complete,
                             gauss_newton_lockstep, irreducibility_defect,
-                            make_character_point)
+                            least_squares_steps, make_character_point)
 from charvol.locus import on_V, traces
 from oracles import thurston_rank
 
@@ -330,3 +330,67 @@ def test_lockstep_start_at_s_zero_fails_alone(fig8_system, fig8_fillings):
     assert list(converged) == [True, False, True]
     assert iterations[1] == 0 and iterations[0] > 0 and iterations[2] == 0
     assert np.max(np.abs(xs[0] - pt.coords)) < 1e-8
+
+
+@pytest.mark.parametrize("name", ["fig8", "wlink"])
+def test_row_systems_have_the_bytes_of_the_full_rows(name, request):
+    """`gauge_and_slots`, `gauge_and_traces` and `compiled.values` give the
+    bytes of the same rows of the full `values_and_jacobian`, at single
+    points and on a stack, also where s = 0 or p = 0 makes rows non-finite."""
+    system = request.getfixturevalue(f"{name}_system")
+    rng = np.random.default_rng(7)
+    n = len(system.vars)
+    X = rng.normal(size=(6, n)) + 1j * rng.normal(size=(6, n))
+    X[1, 0] = 0
+    X[2, 1] = 0
+    rows = lambda *rs: [i for r in rs for i in range(r.start, r.stop)]
+    subsystems = [(system.gauge_and_slots, rows(system.gauge_rows, system.ml_rows)),
+                  (system.gauge_and_traces, rows(system.gauge_rows, system.trace_rows))]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        full_vals, full_J = system.compiled.values_and_jacobian(X)
+        assert not np.isfinite(full_vals[1]).all() and not np.isfinite(full_vals[2]).all()
+        assert system.compiled.values(X).tobytes() == np.ascontiguousarray(full_vals).tobytes()
+        for sub, index in subsystems:
+            vals, J = sub.values_and_jacobian(X)
+            assert vals.shape == (len(X), len(index))
+            assert vals.tobytes() == np.ascontiguousarray(full_vals[:, index]).tobytes()
+            assert J.tobytes() == full_J[:, index].tobytes()
+        for x in X:
+            full_vals, full_J = system.compiled.values_and_jacobian(x)
+            assert system.compiled.values(x).tobytes() == full_vals.tobytes()
+            for sub, index in subsystems:
+                vals, J = sub.values_and_jacobian(x)
+                assert vals.tobytes() == full_vals[index].tobytes()
+                assert J.tobytes() == full_J[index].tobytes()
+
+
+@pytest.mark.parametrize("shape", [(40, 7, 3), (40, 3, 3), (25, 13, 7)])
+def test_least_squares_steps_match_lstsq(shape):
+    """On full-rank stacks the QR steps are the least-squares steps of
+    `np.linalg.lstsq`, row by row, to 1e-13 relative to the step."""
+    rng = np.random.default_rng(3)
+    J = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    vals = rng.normal(size=shape[:2]) + 1j * rng.normal(size=shape[:2])
+    dx = least_squares_steps(J, vals)
+    for A, v, d in zip(J, vals, dx):
+        want = np.linalg.lstsq(A, -v, rcond=None)[0]
+        assert np.max(np.abs(d - want)) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_lockstep_member_with_singular_r_fails_alone():
+    """A start whose Jacobian has a zero column has an exact zero on the
+    diagonal of R: its step is not finite and it fails at once, while the
+    rest of the stack converges and the call does not raise."""
+    rng = np.random.default_rng(4)
+    A = rng.normal(size=(3, 5, 3)) + 1j * rng.normal(size=(3, 5, 3))
+    A[1, :, 2] = 0
+    root = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    b = (A @ root[:, :, None])[:, :, 0]
+
+    def F(X, live):
+        return (A[live] @ X[:, :, None])[:, :, 0] - b[live], A[live]
+    assert np.linalg.qr(A[1])[1][2, 2] == 0
+    xs, converged, iterations = gauss_newton_lockstep(F, np.zeros((3, 3)), 1e-10, 40)
+    assert list(converged) == [True, False, True]
+    assert list(iterations) == [1, 0, 1]
+    assert np.max(np.abs(xs[[0, 2]] - root[[0, 2]])) < 1e-12

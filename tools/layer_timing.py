@@ -1,10 +1,11 @@
-"""Time the layers of one sequential Newton evaluation in two source trees.
+"""Time the layers of the Newton kernel in two source trees.
 
     python tools/layer_timing.py PARENT CHANGE [--rounds N]
 
 PARENT and CHANGE are checkouts (each with a `src/charvol`).  On fig8 and
 wlink, at the base point of the exactness loops (`cli._generic_base_point`)
-and the first loop that `default_rng(1)` draws, it times:
+and the first loop that `default_rng(1)` draws, it times the sequential
+layers:
 
 - `values_and_jacobian`: one single-point call of the gauged system's
   compiled block;
@@ -12,7 +13,15 @@ and the first loop that `default_rng(1)` draws, it times:
 - `correct`: one `DeformationProblem.correct` from the predicted point of
   the first 1/64 step;
 - `track_step`: one accepted step of `track` along that loop at 1/64 (a
-  whole winding, divided by its accepted steps).
+  whole winding, divided by its accepted steps);
+
+and, on the filling of `KAPPAS` (fig8 1,5 and wlink 1,5;1,7), the stacked
+layers, each called with the arguments its caller passed:
+
+- `multistart`: the `gauss_newton_lockstep` solve of `fiber_over` at the
+  filled point's traces (128 starts, seed 1, `monodromy_loops=0`);
+- `grid`: the `_grid_samples` call of `solve_filling` at
+  `QUADRATURE_STEP`.
 
 Each round runs both trees, each in a fresh process with
 `PYTHONPATH=<tree>/src` (the parent first in even rounds, the change first
@@ -36,19 +45,41 @@ from pathlib import Path
 REPEATS = 15
 RUN_SECONDS = 0.01
 SPECS = ("fig8", "wlink")
-LAYERS = ("values_and_jacobian", "rows_F", "correct", "track_step")
+LAYERS = ("values_and_jacobian", "rows_F", "correct", "track_step", "multistart", "grid")
+KAPPAS = {"fig8": "1,5", "wlink": "1,5;1,7"}
+
+
+def _captured(module, name: str, call) -> tuple:
+    """The arguments of the first call of `module.name` that call() makes,
+    and call()'s result."""
+    fn, seen = getattr(module, name), []
+    setattr(module, name, lambda *args: seen.append(args) or fn(*args))
+    try:
+        result = call()
+    finally:
+        setattr(module, name, fn)
+    return seen[0], result
 
 
 def _layers(name: str) -> dict:
     """The timed calls on one spec: layer -> (function, calls it stands for)."""
     import numpy as np
+    import charvol.continuation as cont
     from charvol.cli import _generic_base_point
-    from charvol.continuation import DeformationProblem, random_log_loop_targets, track
+    from charvol.continuation import (QUADRATURE_STEP, DeformationProblem, FillingCoefficients,
+                                      fiber_over, random_log_loop_targets, solve_filling,
+                                      track)
     from charvol.fixtures import load_fixture
     from charvol.repvar import find_complete
 
     problem = DeformationProblem(load_fixture(name))
-    base = _generic_base_point(problem, find_complete(problem))
+    complete = find_complete(problem)
+    kappa = FillingCoefficients.parse(KAPPAS[name], len(problem.cusps))
+    grid, (filled, _) = _captured(cont, "_grid_samples", lambda: solve_filling(
+        problem, complete, kappa, QUADRATURE_STEP))
+    multistart, _ = _captured(cont, "gauss_newton_lockstep", lambda: fiber_over(
+        problem, filled.trace_vector(), [filled], budget=128, seed=1, monodromy_loops=0))
+    base = _generic_base_point(problem, complete)
     family = random_log_loop_targets(base, np.random.default_rng(1), radius=(0.08, 0.3))
     step = 1 / 64
     x = problem.predict([base], [0.0], step)
@@ -59,7 +90,9 @@ def _layers(name: str) -> dict:
     return {"values_and_jacobian": (lambda: problem.compiled.values_and_jacobian(x), 1),
             "rows_F": (lambda: F(x), 1),
             "correct": (lambda: problem.correct(x, base, family, step), 1),
-            "track_step": (one_winding, len(one_winding()) - 1)}
+            "track_step": (one_winding, len(one_winding()) - 1),
+            "multistart": (lambda: cont.gauss_newton_lockstep(*multistart), 1),
+            "grid": (lambda: cont._grid_samples(*grid), 1)}
 
 
 def measure() -> dict:
