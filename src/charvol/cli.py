@@ -86,7 +86,7 @@ def _solved(spec):
 def cmd_complete(args, spec):
     try:
         pt = find_complete(GaugedSystem(spec))
-    except (NoCompleteStructureError, SpecError) as e:
+    except NoCompleteStructureError as e:
         return 1, {"status": "failed", "error": str(e)}, f"complete: FAILED ({e})", {}
     body = {"status": "ok", "point": pt.to_json(),
             "eta_max": eta_at(pt, handedness_sign(spec)).max_abs()}
@@ -498,10 +498,10 @@ def main(argv=None) -> int:
                             {"total_s": time.perf_counter() - t0, **timings})
         print(f"{summary} -> {path}")
         return code
-    except (SpecError, FileNotFoundError, ValueError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (ContinuationError, NoCompleteStructureError) as e:
+    except ContinuationError as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return 1
 

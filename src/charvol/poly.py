@@ -507,10 +507,11 @@ class CompiledSystem:
     so values and Jacobian come from a single evaluation; the per-call
     overhead, not the term count, dominates its cost.  A second block holds
     the polynomials alone, for `values`.  Each method takes a point (nvars,)
-    or a stack of points (N, nvars), evaluated in one call and row by row
-    bit-identical to single points, and returns values (..., npolys) and
-    Jacobians (..., npolys, nvars).  `derivs`, the partial derivatives of
-    each polynomial in variable order, saves differentiating them again."""
+    or a stack of points (N, nvars), evaluated in one call by the statements
+    of a single point, so each stacked row has that point's bytes, and
+    returns values (..., npolys) and Jacobians (..., npolys, nvars).
+    `derivs`, the partial derivatives of each polynomial in variable order,
+    saves differentiating them again."""
 
     def __init__(self, polys: list[Polynomial], vars: tuple[str, ...],
                  derivs: Optional[list[Polynomial]] = None):
@@ -552,14 +553,16 @@ class _CompiledBlock:
 
     A polynomial without terms is compiled as the one term 0 * x^0, which
     evaluates to 0 at every point, so every polynomial's sum starts at its
-    own term.  A single point takes its factors from one power table over
-    every (variable, exponent) pair the terms use, through one flat index
-    per variable and term, built once per block.  A stack of points (N,
-    nvars) takes them from per-variable exponent ranges into a (terms, N)
-    buffer.  Both multiply each term's coefficient by its factors in
-    variable order and sum each polynomial's terms in term order, with the
-    same power per factor, so every row of a stacked result has the bytes of
-    a single-point call."""
+    own term.  A point (nvars,) and a stack of points (N, nvars) run the
+    same statements: one power table over every (variable, exponent) pair
+    the terms use, one flat index per variable and term into it, each
+    term's coefficient multiplied by its factors in variable order, and one
+    sum of each polynomial's terms in term order.  Only the shapes of the
+    exponent and coefficient columns depend on the input's rank, so every
+    row of a stacked result has the bytes of a single-point call by
+    construction.  The terms are multiplied in place in their first
+    gathered factor, since a product into a fresh array made large stacks
+    slower."""
 
     def __init__(self, polys: list[Polynomial], vars):
         zero_term = ((0,) * len(vars), 0)
@@ -570,42 +573,27 @@ class _CompiledBlock:
                 exps.append(e)
                 coeffs.append(complex(c))
         self.npolys = len(polys)
-        self.coeffs = np.array(coeffs, dtype=complex)
         self.starts = np.array(starts, dtype=np.int64)
-        self.buf = np.empty(len(coeffs), dtype=complex)
-        self.ranges, self.columns = [], []
         if coeffs:  # a block without polynomials evaluates to an empty row
             E = np.array(exps, dtype=np.int64)
             emin, emax = E.min(axis=0), E.max(axis=0)
-            for v in range(len(vars)):
-                self.ranges.append(np.arange(emin[v], emax[v] + 1))
-                self.columns.append(np.ascontiguousarray(E[:, v] - emin[v]))
             sizes = emax - emin + 1
             self.table_vars = np.repeat(np.arange(len(vars)), sizes)
-            self.table_exps = np.concatenate(self.ranges)
-            self.factors = [offset + col for offset, col
-                            in zip(np.cumsum(sizes) - sizes, self.columns)]
+            table_exps = np.concatenate([np.arange(lo, hi + 1) for lo, hi in zip(emin, emax)])
+            self.first, *self.rest = [offset + E[:, v] - emin[v]
+                                      for v, offset in enumerate(np.cumsum(sizes) - sizes)]
+            C = np.array(coeffs, dtype=complex)
+            # by input rank: exponent and coefficient columns
+            self.by_rank = {1: (table_exps, C), 2: (table_exps[:, None], C[:, None])}
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        if not len(self.coeffs):
-            return np.zeros(x.shape[:-1] + (self.npolys,), dtype=complex)
-        if x.ndim == 2:
-            return self._stacked(x)
-        vals = self.buf
+        if not self.npolys:
+            return np.zeros(x.shape[:-1] + (0,), dtype=complex)
+        exps, coeffs = self.by_rank[x.ndim]
         with np.errstate(divide="ignore", invalid="ignore"):
-            table = x[self.table_vars] ** self.table_exps
-            first, *rest = self.factors
-            np.multiply(self.coeffs, table[first], out=vals)
-            for idx in rest:
+            table = x.T[self.table_vars] ** exps
+            vals = table[self.first]
+            vals *= coeffs
+            for idx in self.rest:
                 vals *= table[idx]
-        return np.add.reduceat(vals, self.starts)
-
-    def _stacked(self, x: np.ndarray) -> np.ndarray:
-        # terms-major: each factor multiplies contiguous (terms, N) rows, and
-        # each polynomial's terms are summed down the rows
-        vals = np.empty((len(self.coeffs), len(x)), dtype=complex)
-        vals[:] = self.coeffs[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for xv, exps, col in zip(x.T, self.ranges, self.columns):
-                vals *= (xv ** exps[:, None])[col]
         return np.add.reduceat(vals, self.starts, axis=0).T

@@ -371,6 +371,31 @@ def test_usage_errors_exit_1(argv, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("case", ["spec-is-a-directory", "out-is-a-file"])
+def test_os_errors_exit_1_with_one_error_line(case, tmp_path, capsys):
+    """A spec path that is a directory, or an --out that is a file, is an
+    `error:` line and exit code 1, with no traceback and no report."""
+    if case == "spec-is-a-directory":
+        (tmp_path / "spec").mkdir()
+        argv = ["complete", "--spec", str(tmp_path / "spec"), "--out", str(tmp_path / "out")]
+    else:
+        (tmp_path / "out").write_text("")
+        argv = ["h1z2", "--spec", "fig8", "--out", str(tmp_path / "out")]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").is_dir()
+
+
+def test_missing_complete_structure_is_an_error_line(tmp_path, capsys):
+    """NoCompleteStructureError is a ValueError, so `fill` on nonhyp prints
+    it under `error:`, not `solver failure:`, and writes no report."""
+    assert run(["fill", "--spec", "nonhyp", "--kappa", "1,5", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: nonhyp: no irreducible")
+    assert not list(tmp_path.iterdir())
+
+
 def test_settable_values_per_command():
     """Counted from the parser, besides --spec: 23 values over the eight
     commands, none of them a threshold (those are module constants)."""

@@ -395,3 +395,28 @@ def test_compiled_stack_equals_single_points_bytewise(name):
             assert v.tobytes() == v1.tobytes() and j.tobytes() == j1.tobytes()
             assert cs.values(x).tobytes() == v1.tobytes()
             assert cs.jacobian(x).tobytes() == j1.tobytes()
+        v1, j1 = cs.values_and_jacobian(X[:1])  # a stack of one
+        assert v1.shape == (1, cs.npolys) and j1.shape == (1, cs.npolys, cs.nvars)
+        assert v1.tobytes() == vals[:1].tobytes() and j1.tobytes() == J[:1].tobytes()
+        assert cs.values(X[:1]).tobytes() == v1.tobytes()
+        assert cs.jacobian(X[:1]).tobytes() == j1.tobytes()
+
+
+def test_compiled_shapes_of_empty_system_and_zero_polynomial():
+    """No polynomials give empty rows of the input's rank; a polynomial
+    without terms gives zero value and Jacobian rows, at a point and on a
+    stack alike."""
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    empty = CompiledSystem([], V)
+    for x, lead in ((X[0], ()), (X, (4,))):
+        vals, J = empty.values_and_jacobian(x)
+        assert vals.shape == lead + (0,) and J.shape == lead + (0, 3)
+        assert empty.values(x).shape == lead + (0,) and empty.jacobian(x).shape == lead + (0, 3)
+    zero = Polynomial(V, {})
+    cs = CompiledSystem([var("x") * var("y"), zero], V)
+    for x, lead in ((X[0], ()), (X, (4,))):
+        vals, J = cs.values_and_jacobian(x)
+        assert vals.shape == lead + (2,) and J.shape == lead + (2, 3)
+        assert not vals[..., 1].any() and not J[..., 1, :].any()
+        assert cs.values(x).tobytes() == vals.tobytes()

@@ -25,11 +25,14 @@ layers, each called with the arguments its caller passed:
 
 Each round runs both trees, each in a fresh process with
 `PYTHONPATH=<tree>/src` (the parent first in even rounds, the change first
-in odd ones).  A process reports, per layer, the fastest of `REPEATS` timed
-runs of about `RUN_SECONDS` each (`measure`; the process is this script
-with the single argument `measure`).  The tool prints, per layer and tree,
-the median and quartiles over the rounds in microseconds, and the ratio of
-the medians.  `--rounds` defaults to 10.
+in odd ones).  Before the first round, one untimed process of the parent
+tree runs and its output is discarded: the first process on a quiet machine
+runs slow, and without it a single round can read every layer of the first
+tree as much slower than the second.  A process reports, per layer, the
+fastest of `REPEATS` timed runs of about `RUN_SECONDS` each (`measure`;
+the process is this script with the single argument `measure`).  The tool
+prints, per layer and tree, the median and quartiles over the rounds in
+microseconds, and the ratio of the medians.  `--rounds` defaults to 10.
 """
 
 from __future__ import annotations
@@ -139,6 +142,7 @@ def main(argv: list[str]) -> int:
         return 2
     trees = {"parent": Path(argv[0]), "change": Path(argv[1])}
     runs = {side: [] for side in trees}
+    run_tree(trees["parent"])  # warm-up, discarded
     for r in range(rounds):
         for side in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
             runs[side].append(run_tree(trees[side]))
