@@ -32,7 +32,7 @@ from . import fixtures
 from .continuation import (QUADRATURE_STEP, ContinuationError, DeformationProblem,
                            FillingCoefficients, closure_gap, fiber_over, sample_dense_set,
                            solve_filling, step_off_complete, track, track_closed_loop,
-                           random_log_loop_targets)
+                           track_closed_loops, random_log_loop_targets)
 from .eigenvar import (EigenvarError, EliminationBudgetError, build_extended, eliminate,
                        extended_point)
 from .locus import near_U
@@ -199,9 +199,19 @@ def run_exactness_loops(problem, comp, count, seed):
     estimate is not below LOOP_TOL/20, hands the loop to the next level; a loop
     that passes near U is dropped at once, and one that fails at the last
     level is dropped under that level's cause.  Another loop is drawn for
-    each drop.  Returns (integrals, failures, dropped, levels), dropped
-    counting the loops dropped for each reason and levels the loops kept at
-    each samples-per-winding count."""
+    each drop.
+
+    Loops are drawn in rounds, at most 6 * count + 20 in all: the first
+    round draws `count` loops and each later one as many as the rounds
+    before dropped.  The 1/64 level of a round's draws is tracked in one
+    stack (`track_closed_loops`); the draws are then settled in draw order,
+    and a draw that the 1/64 level leaves unresolved, or that fails to track
+    there, walks the finer levels with `track_closed_loop`.  The draws,
+    their outcomes and their order are those of tracking each loop by itself.
+
+    Returns (integrals, failures, dropped, levels), dropped counting the
+    loops dropped for each reason and levels the loops kept at each
+    samples-per-winding count."""
     steps = (1 / 64, 0.004, 0.004 / 3, 0.004 / 9, 0.004 / 27)
     spec = problem.spec
     rng = np.random.default_rng(seed)
@@ -211,31 +221,37 @@ def run_exactness_loops(problem, comp, count, seed):
     failures = []
     dropped = {"near_U": 0, "unresolved": 0, "tracking_failed": 0}
     levels = {round(1 / step): 0 for step in steps}
-    attempts = 0
-    while len(results) < count and attempts < 6 * count + 20:
-        attempts += 1
-        family = random_log_loop_targets(base, rng, radius=(0.08, 0.3))
-        for step in steps:
-            try:
-                loop = track_closed_loop(
-                    problem, base, family, first_step=step, max_step=step,
-                    description=f"exactness loop {len(results)} on {spec.name}")
-                if near_U(loop.points):
-                    dropped["near_U"] += 1
+    attempts, cap = 0, 6 * count + 20
+    while len(results) < count and attempts < cap:
+        families = [random_log_loop_targets(base, rng, radius=(0.08, 0.3))
+                    for _ in range(min(count - len(results), cap - attempts))]
+        attempts += len(families)
+        first = track_closed_loops(problem, base, families, steps[0], steps[0])
+        for family, loop in zip(families, first):
+            for step in steps:
+                try:
+                    if step != steps[0]:
+                        loop = track_closed_loop(
+                            problem, base, family, first_step=step, max_step=step,
+                            description=f"exactness loop {len(results)} on {spec.name}")
+                    elif isinstance(loop, ContinuationError):
+                        raise loop
+                    if near_U(loop.points):
+                        dropped["near_U"] += 1
+                        break
+                    integ = loop_integral(loop, sign)
+                except (ContinuationError, VolumeError):
+                    cause = "tracking_failed"
+                    continue
+                if integ.error_estimate < LOOP_TOL / 20:
+                    results.append(integ.value)
+                    levels[round(1 / step)] += 1
+                    if abs(integ.value) >= LOOP_TOL:
+                        failures.append({"loop": len(results) - 1, "value": integ.value})
                     break
-                integ = loop_integral(loop, sign)
-            except (ContinuationError, VolumeError):
-                cause = "tracking_failed"
-                continue
-            if integ.error_estimate < LOOP_TOL / 20:
-                results.append(integ.value)
-                levels[round(1 / step)] += 1
-                if abs(integ.value) >= LOOP_TOL:
-                    failures.append({"loop": len(results) - 1, "value": integ.value})
-                break
-            cause = "unresolved"
-        else:
-            dropped[cause] += 1
+                cause = "unresolved"
+            else:
+                dropped[cause] += 1
     if len(results) < count:
         failures.append({"error": f"only {len(results)} of {count} loops tracked"})
     return results, failures, dropped, levels

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .locus import TOLERANCES as LOCUS_TOL, moved, near_U, on_V, traces
+from .locus import TOLERANCES as LOCUS_TOL, cusp_arrays, moved, near_U, on_V, traces
 # the Newton kernel and its errors live in repvar and are re-exported here
 from .repvar import (CharacterPoint, ContinuationError, DivergenceError, GaugedSystem,
                      NewtonResult, SignTwist, SingularJacobianError, TWO_PI_I,
@@ -69,6 +69,11 @@ class ConstraintFamily:
         self.q = q if np.ndim(q) else itertools.repeat(q)
         self.target = target
 
+    def coefficients(self, h: int) -> tuple[np.ndarray, np.ndarray]:
+        """(p, q) as complex arrays over h cusps."""
+        return (np.fromiter(itertools.islice(self.p, h), complex, h),
+                np.fromiter(itertools.islice(self.q, h), complex, h))
+
     def residual(self, pt: CharacterPoint, tau: float) -> np.ndarray:
         """Per-cusp value of the family at a point's own logs."""
         return np.array([p * (c.u - c.base_u) + q * (c.v - c.base_v) - t for p, q, t, c
@@ -116,29 +121,29 @@ class DeformationProblem(GaugedSystem):
         return F
 
     def _stacked_rows(self, refs: Sequence[CharacterPoint], before: np.ndarray,
-                      family: ConstraintFamily, taus):
+                      p: np.ndarray, q: np.ndarray, targets: np.ndarray):
         """The stacked twin of `_rows`, for `gauss_newton_lockstep`: sample k
-        imposes the family at taus[k] and lifts its logs from
-        refs[before[k]].  F(X, live) evaluates the samples `live` at the
-        stack X from `gauge_and_slots`, the only compiled rows it reads."""
-        h = len(self.cusps)
-        p = np.fromiter(itertools.islice(family.p, h), complex, h)
-        q = np.fromiter(itertools.islice(family.q, h), complex, h)
-        ref = {a: np.array([[getattr(c, a) for c in r.cusps] for r in refs])[before]
-               for a in ("u", "v", "m", "l", "base_u", "base_v")}
-        # the family's rows at each sample's lift reference; F adds the log
+        imposes p_i (u_i - u_i^0) + q_i (v_i - v_i^0) = targets[k, i] on
+        every cusp i and lifts its logs from refs[before[k]].  targets is a
+        (k, h) array; p and q are (k, h) arrays of per-sample coefficients,
+        or one (h,) row shared by every sample.  F(X, live) evaluates the
+        samples `live` at the stack X from `gauge_and_slots`, the only
+        compiled rows it reads."""
+        p, q = (np.broadcast_to(c, targets.shape) for c in (p, q))
+        u, v, ref_m, ref_l, base_u, base_v = (a[before] for a in cusp_arrays(
+            refs, "u", "v", "m", "l", "base_u", "base_v"))
+        # the rows at each sample's lift reference; F adds the log
         # increments from the reference
-        offset = (p * (ref["u"] - ref["base_u"]) + q * (ref["v"] - ref["base_v"])
-                  - np.array([family.target(t) for t in taus], dtype=complex))
+        offset = p * (u - base_u) + q * (v - base_v) - targets
         ng = self.gauge_rows.stop - self.gauge_rows.start
 
         def F(X, live):
             vals, J = self.gauge_and_slots.values_and_jacobian(X)
             m, l = vals[:, ng::2], vals[:, ng + 1::2]
             Jm, Jl = J[:, ng::2], J[:, ng + 1::2]
-            rows = offset[live] + p * np.log(m / ref["m"][live]) + \
-                q * np.log(l / ref["l"][live])
-            grads = p[:, None] * Jm / m[:, :, None] + q[:, None] * Jl / l[:, :, None]
+            pl, ql = p[live], q[live]
+            rows = offset[live] + pl * np.log(m / ref_m[live]) + ql * np.log(l / ref_l[live])
+            grads = pl[:, :, None] * Jm / m[:, :, None] + ql[:, :, None] * Jl / l[:, :, None]
             return (np.concatenate([vals[:, :ng], rows], axis=1),
                     np.concatenate([J[:, :ng], grads], axis=1))
         return F
@@ -232,6 +237,63 @@ def _check_off_V(pt: CharacterPoint, tau: float) -> None:
         raise TrackingError(f"path crossed V at tau={tau:.6f}")
 
 
+class _Walk:
+    """One path under `track`'s adaptive steps: its accepted samples, its
+    tau and step, and the step rule that every tracker applies to each
+    corrected step (`settle`)."""
+
+    def __init__(self, start: CharacterPoint, tau0: float, first_step: float,
+                 max_step: float, min_step: float = 1e-7, allow_V_interior: bool = False):
+        self.points, self.taus = [start], [tau0]
+        self.tau, self.dtau = tau0, min(first_step, 1.0 - tau0)
+        self.rejected = 0
+        self.max_step, self.min_step = max_step, min_step
+        self.allow_V_interior = allow_V_interior
+
+    def running(self) -> bool:
+        return 1.0 - self.tau > 1e-14
+
+    def next_step(self) -> float:
+        """The length of the next step, which ends at tau = 1 at the latest;
+        raises TrackingError once the path holds more than 20000 samples."""
+        if len(self.points) > 20000:
+            raise TrackingError("sample budget exceeded")
+        step = self.dtau
+        if self.tau + step > 1.0:
+            step = 1.0 - self.tau
+        return step
+
+    def settle(self, step: float, new_pt: Optional[CharacterPoint], converged: bool,
+               residual: float) -> None:
+        """Accept or reject the corrected step of length `step`.  A step whose
+        Newton correction failed (with max-abs `residual`) or whose log
+        increments reach pi/2 (`_branch_jump`) is rejected and halves the
+        step; TrackingError once the step falls below min_step.  An accepted
+        sample before tau = 1 must pass the V check, unless the path may
+        cross V, and each accepted step grows the step by 1.5 up to
+        max_step."""
+        cause = _branch_jump(self.points[-1], new_pt) if converged else \
+            f"Newton (residual {residual:.2e})"
+        if cause:
+            self.rejected += 1
+            self.dtau *= 0.5
+            if self.dtau < self.min_step:
+                raise TrackingError(f"minimum step reached at tau={self.tau:.6f}; "
+                                    f"the last step was rejected by {cause}")
+            return
+        tau = self.tau + step
+        if abs(tau - 1.0) > 1e-14 and not self.allow_V_interior:
+            _check_off_V(new_pt, tau)
+        self.tau = tau
+        self.points.append(new_pt)
+        self.taus.append(tau)
+        self.dtau = min(1.5 * self.dtau, self.max_step)
+
+    def path(self, description: str = "") -> TrackedPath:
+        return TrackedPath(points=self.points, taus=self.taus, description=description,
+                           steps_rejected=self.rejected)
+
+
 def track(problem: DeformationProblem, start: CharacterPoint,
           family: ConstraintFamily, tau0: float = 0.0,
           first_step: float = 0.02, max_step: float = 0.05, min_step: float = 1e-7,
@@ -242,39 +304,16 @@ def track(problem: DeformationProblem, start: CharacterPoint,
     accepted sample satisfies `correct`'s residual tolerance; branch
     continuity is enforced by rejecting steps whose log increments reach
     pi/2 in imaginary part.  A rejection halves the step, and each accepted
-    step grows it by 1.5 up to max_step: no step is longer than max_step."""
-    pt = start
-    points = [start]
-    taus = [tau0]
-    rejected = 0
-    dtau = min(first_step, 1.0 - tau0)
-    tau = tau0
-    while 1.0 - tau > 1e-14:
-        if len(points) > 20000:
-            raise TrackingError("sample budget exceeded")
-        step = dtau
-        if tau + step > 1.0:
-            step = 1.0 - tau
-        xpred = problem.predict(points, taus, step)
-        new_pt, res, converged = problem.correct(xpred, pt, family, tau + step)
-        cause = _branch_jump(pt, new_pt) if converged else \
-            f"Newton (residual {res:.2e})"
-        if cause:
-            rejected += 1
-            dtau *= 0.5
-            if dtau < min_step:
-                raise TrackingError(f"minimum step reached at tau={tau:.6f}; "
-                                    f"the last step was rejected by {cause}")
-            continue
-        if abs(tau + step - 1.0) > 1e-14 and not allow_V_interior:
-            _check_off_V(new_pt, tau + step)
-        pt = new_pt
-        tau += step
-        points.append(pt)
-        taus.append(tau)
-        dtau = min(1.5 * dtau, max_step)
-    return TrackedPath(points=points, taus=taus, description=description,
-                       steps_rejected=rejected)
+    step grows it by 1.5 up to max_step: no step is longer than max_step
+    (`_Walk.settle`)."""
+    walk = _Walk(start, tau0, first_step, max_step, min_step, allow_V_interior)
+    while walk.running():
+        step = walk.next_step()
+        xpred = problem.predict(walk.points, walk.taus, step)
+        new_pt, res, converged = problem.correct(xpred, walk.points[-1], family,
+                                                 walk.tau + step)
+        walk.settle(step, new_pt, converged, res)
+    return walk.path(description)
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +410,15 @@ FOURTH_DIFFERENCE_TOL = 1e-6
 
 
 def solve_filling(problem: DeformationProblem, complete: CharacterPoint,
-                  kappa: FillingCoefficients,
-                  step: Optional[float] = None) -> tuple[CharacterPoint, TrackedPath]:
+                  kappa: FillingCoefficients, step: Optional[float] = None,
+                  shapes: Optional[np.ndarray] = None) -> tuple[CharacterPoint, TrackedPath]:
     """Continue from the complete structure to the solution of the log-form
     filling equations p_i u_i + q_i v_i = 2 pi i at filled cusps, keeping
     unfilled cusps parabolic.  The path is tracked at `track`'s adaptive
     steps.  With a `step` (a caller that integrates a volume along the path
     passes QUADRATURE_STEP), that track is the skeleton of the path that
-    `_grid_samples` returns, on the uniform grid of `step`."""
+    `_grid_samples` returns, on the uniform grid of `step`.  `shapes` is
+    `cusp_shape_matrix(problem, complete)` when the caller has it."""
     h = len(problem.cusps)
     if len(kappa.slopes) != h:
         raise FillingError(f"kappa has {len(kappa.slopes)} entries for {h} cusps")
@@ -395,7 +435,8 @@ def solve_filling(problem: DeformationProblem, complete: CharacterPoint,
                                            for s in kappa.slopes])
     tau_start = 0.01
 
-    shapes = cusp_shape_matrix(problem, complete)
+    if shapes is None:
+        shapes = cusp_shape_matrix(problem, complete)
     # asymptotic first point: p_i u_i + q_i sum_j tau_ij u_j = 2 pi i tau_start
     A = np.zeros((len(filled), len(filled)), dtype=complex)
     rhs = np.array(family.target(tau_start))[filled]
@@ -491,7 +532,9 @@ def _grid_samples(problem: DeformationProblem, family: ConstraintFamily,
     grid = np.linspace(taus[0], taus[-1], round((taus[-1] - taus[0]) / step) + 1)
     at = grid[1:]
     before = np.clip(np.searchsorted(taus, at, side="right") - 1, 0, len(taus) - 2)
-    F = problem._stacked_rows(skeleton.points, before, family, at)
+    targets = np.array([family.target(t) for t in at], dtype=complex)
+    F = problem._stacked_rows(skeleton.points, before,
+                              *family.coefficients(len(problem.cusps)), targets)
     xs, converged, iterations = gauss_newton_lockstep(
         F, _cubic_interpolant(taus, coords, at), CORRECT_TOL, CORRECT_MAXITER)
     if not converged.all():
@@ -530,11 +573,14 @@ def sample_dense_set(problem: DeformationProblem, complete: CharacterPoint,
     """Filled characters chi_kappa for the given slopes, each path tracked as
     `solve_filling` tracks it at `step`: a finite sample of the
     Zariski-dense filled set.  A filling that fails is recorded with its
-    error."""
-    out = []
+    error.  The cusp-shape matrix is computed once, at the first slope that
+    fills a cusp, for every slope."""
+    out, shapes = [], None
     for kappa in kappas:
         try:
-            pt, path = solve_filling(problem, complete, kappa, step)
+            if shapes is None and any(s is not None for s in kappa.slopes):
+                shapes = cusp_shape_matrix(problem, complete)
+            pt, path = solve_filling(problem, complete, kappa, step, shapes)
             out.append(FilledCharacter(kappa, pt, path))
         except ContinuationError as e:
             out.append(FilledCharacter(kappa, None, None, error=str(e)))
@@ -772,6 +818,19 @@ def closure_gap(a: CharacterPoint, b: CharacterPoint) -> float:
     return max(max(abs(ca.m - cb.m), abs(ca.l - cb.l)) for ca, cb in zip(a.cusps, b.cusps))
 
 
+def _closed(base: CharacterPoint, total: TrackedPath, winding: int) -> bool:
+    """The closure rule of a loop from base after its winding number
+    `winding` (0, 1 or 2), whose windings so far are `total`: True when the
+    eigenvalue coordinates have closed up, False when another winding is
+    due, and TrackingError after the third."""
+    gap = closure_gap(base, total.endpoint())
+    if gap < CLOSURE_TOL:
+        return True
+    if winding < 2:
+        return False
+    raise TrackingError(f"loop failed to close after 2 windings (gap {gap:.2e})")
+
+
 def track_closed_loop(problem: DeformationProblem, base: CharacterPoint,
                       family: ConstraintFamily, **opts) -> TrackedPath:
     """Track the family's loop until the eigenvalue coordinates close up.
@@ -779,16 +838,102 @@ def track_closed_loop(problem: DeformationProblem, base: CharacterPoint,
     A loop in the meridian logs may permute the finitely many sheets of the
     eigenvalue variety over it; winding the same loop again, at most twice
     more, closes any order-two monodromy.  Raises when the path refuses to
-    close."""
-    total = track(problem, base, family, **opts)
+    close.  `track_closed_loops` applies the same rules to a stack of
+    loops."""
+    total = None
     for winding in range(3):
-        end = total.endpoint()
-        gap = closure_gap(base, end)
-        if gap < CLOSURE_TOL:
+        path = track(problem, base if total is None else total.endpoint(), family, **opts)
+        total = path if total is None else concatenate_paths(total, path)
+        if _closed(base, total, winding):
             return total
-        if winding < 2:
-            total = concatenate_paths(total, track(problem, end, family, **opts))
-    raise TrackingError(f"loop failed to close after 2 windings (gap {gap:.2e})")
+
+
+# the fewest live members that `track_closed_loops` corrects in one stack;
+# a smaller stack costs more than correcting its members one at a time
+STACK_MIN = 3
+
+
+def _correct_together(problem: DeformationProblem, X: np.ndarray,
+                      refs: Sequence[CharacterPoint], p: np.ndarray, q: np.ndarray,
+                      targets: np.ndarray) -> list[tuple]:
+    """`DeformationProblem.correct` of each start X[k] onto its own rows
+    (p[k], q[k], targets[k]; `_stacked_rows`), lifted from refs[k], in one
+    `gauss_newton_lockstep` call with the same tolerance and budget.  Per
+    start: (point or None, residual, converged), the points built from one
+    stacked `compiled.values` call and a failed start's residual read at its
+    last iterate (inf when not finite, as `gauss_newton` reports it)."""
+    F = problem._stacked_rows(refs, np.arange(len(refs)), p, q, targets)
+    xs, converged, _ = gauss_newton_lockstep(F, X, CORRECT_TOL, CORRECT_MAXITER)
+    vals = iter(problem.compiled.values(xs[converged]))
+    residuals = np.zeros(len(refs))
+    failed = np.flatnonzero(~converged)
+    if len(failed):
+        res = np.abs(F(xs[failed], failed)[0]).max(axis=1, initial=0.0)
+        residuals[failed] = np.where(np.isfinite(res), res, np.inf)
+    return [(make_character_point(problem, x, prev=ref, vals=next(vals)) if ok else None, r, ok)
+            for x, ref, r, ok in zip(xs, refs, residuals, converged)]
+
+
+def track_closed_loops(problem: DeformationProblem, base: CharacterPoint,
+                       families: Sequence[ConstraintFamily], first_step: float,
+                       max_step: float) -> list:
+    """`track_closed_loop(problem, base, family, first_step=first_step,
+    max_step=max_step)` for each of the families, with the steps of the
+    members taken in rounds: each round predicts every live member's next
+    sample and corrects them together (`_correct_together`: one
+    `gauss_newton_lockstep` call and one stacked `compiled.values` call).
+    Once fewer than STACK_MIN members are live, a round corrects each with
+    `DeformationProblem.correct`.
+
+    Each member keeps every rule of `track` and `track_closed_loop`: its own
+    tau and step, its prediction from its own samples, the corrector
+    tolerance CORRECT_TOL and budget CORRECT_MAXITER, `_Walk.settle`'s step
+    rule and `_closed`'s windings.  Returns one result per family, in
+    order: the closed TrackedPath, or the TrackingError that ended that
+    member alone."""
+    h = len(problem.cusps)
+    coefficients = [family.coefficients(h) for family in families]
+    p, q = (np.array([c[k] for c in coefficients]).reshape(len(families), h) for k in (0, 1))
+    walks = [_Walk(base, 0.0, first_step, max_step) for _ in families]
+    totals: list = [None] * len(families)
+    windings = [0] * len(families)
+    results: list = [None] * len(families)
+    live = list(range(len(families)))
+    while live:
+        steps = {}
+        for i in live:
+            try:
+                steps[i] = walks[i].next_step()
+            except TrackingError as e:
+                results[i] = e
+        live = list(steps)
+        refs = [walks[i].points[-1] for i in live]
+        X = [problem.predict(walks[i].points, walks[i].taus, steps[i]) for i in live]
+        taus = [walks[i].tau + steps[i] for i in live]
+        if len(live) >= STACK_MIN:
+            corrected = _correct_together(
+                problem, np.array(X), refs, p[live], q[live],
+                np.array([families[i].target(t) for i, t in zip(live, taus)], dtype=complex))
+        else:
+            corrected = [problem.correct(x, ref, families[i], t)
+                         for x, ref, i, t in zip(X, refs, live, taus)]
+        for i, (new_pt, res, converged) in zip(live, corrected):
+            walk = walks[i]
+            try:
+                walk.settle(steps[i], new_pt, converged, res)
+                if walk.running():
+                    continue
+                path = walk.path()
+                totals[i] = path if totals[i] is None else concatenate_paths(totals[i], path)
+                if _closed(base, totals[i], windings[i]):
+                    results[i] = totals[i]
+                else:
+                    windings[i] += 1
+                    walks[i] = _Walk(totals[i].endpoint(), 0.0, first_step, max_step)
+            except TrackingError as e:
+                results[i] = e
+        live = [i for i in live if results[i] is None]
+    return results
 
 
 def _monodromy_loop(problem, points, z, rng, register):

@@ -8,12 +8,17 @@ Both predicates take one pair per cusp and an optional per-cusp `moving`
 mask; a cusp the mask marks False is ignored.  A cusp is moving when its
 normalized logs have left the complete structure's lift: cusps pinned there
 (unfilled cusps, say) stay parabolic, contribute nothing to the volume form
-and obstruct neither tracking nor integration.
+and obstruct neither tracking nor integration.  A path is decided in one
+vectorised pass over its (N, h) arrays (`on_U_rows`, `near_U`,
+`moving_along`), with the comparison of the per-point predicates.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 TOLERANCES = {
     "on": 1e-6,      # a tracked sample lies on the locus
@@ -23,12 +28,24 @@ TOLERANCES = {
 }
 
 
+def _near(x, square, tol):
+    """|x^2 - square| < tol, for a number or elementwise for an array."""
+    return abs(x * x - square) < tol
+
+
 def _some_cusp(pairs, square, tol, moving) -> bool:
     for i, (a, b) in enumerate(pairs):
-        if (moving is None or moving[i]) and \
-                abs(a ** 2 - square) < tol and abs(b ** 2 - square) < tol:
+        if (moving is None or moving[i]) and _near(a, square, tol) and _near(b, square, tol):
             return True
     return False
+
+
+def _some_cusp_rows(a, b, square, tol, moving) -> np.ndarray:
+    """`_some_cusp` of each row of the (N, h) arrays a and b."""
+    hit = _near(a, square, tol) & _near(b, square, tol)
+    if moving is not None:
+        hit &= np.asarray(moving, dtype=bool)
+    return hit.any(axis=1)
 
 
 def on_U(eigenvalues: Iterable, tol: float = TOLERANCES["on"],
@@ -45,9 +62,25 @@ def on_V(traces: Iterable, tol: float = TOLERANCES["on"],
     return _some_cusp(traces, 4, tol, moving)
 
 
+def on_U_rows(m: np.ndarray, l: np.ndarray, tol: float = TOLERANCES["on"],
+              moving: Optional[Sequence[bool]] = None) -> np.ndarray:
+    """`on_U` of each sample of a path, from its (N, h) eigenvalue arrays m
+    and l: a boolean per sample."""
+    return _some_cusp_rows(m, l, 1, tol, moving)
+
+
 def near_U(points) -> bool:
     """Does some sample come within TOLERANCES["near"] of U, at any cusp?"""
-    return any(on_U(eigenvalues(pt), TOLERANCES["near"]) for pt in points)
+    m, l = cusp_arrays(points, "m", "l")
+    return bool(on_U_rows(m, l, TOLERANCES["near"]).any())
+
+
+def cusp_arrays(points, *names: str) -> list[np.ndarray]:
+    """Per attribute name (two or more, of a cusp state), the (N, h) array
+    of that attribute at every cusp of the N points."""
+    get = attrgetter(*names)
+    table = np.array([[get(c) for c in pt.cusps] for pt in points], dtype=complex)
+    return [table[:, :, k] for k in range(len(names))]
 
 
 def eigenvalues(pt) -> list:
@@ -67,6 +100,7 @@ def moved(c, tol: float = TOLERANCES["moved"]) -> bool:
 
 def moving_along(points) -> list[bool]:
     """Per cusp: does it leave the complete structure's lift anywhere along
-    the given points?"""
-    return [any(moved(pt.cusps[i]) for pt in points)
-            for i in range(len(points[0].cusps))]
+    the given points?  `moved` of every sample, in one pass."""
+    u, v, base_u, base_v = cusp_arrays(points, "u", "v", "base_u", "base_v")
+    away = np.maximum(abs(u - base_u), abs(v - base_v)) > TOLERANCES["moved"]
+    return away.any(axis=0).tolist()

@@ -175,7 +175,7 @@ class GaugedSystem:
     def gauge_residual(self, vals) -> float:
         """Max-abs gauge relation value in a full row vector of `compiled`."""
         g = vals[self.gauge_rows]
-        return float(np.max(np.abs(g))) if len(g) else 0.0
+        return float(np.abs(g).max()) if len(g) else 0.0
 
     def residual(self, coords) -> float:
         return self.gauge_residual(self.compiled.values(coords))
@@ -500,10 +500,12 @@ def gauss_newton_lockstep(F, starts, tol: float, maxiter: int,
     2-norm in a row, or after maxiter steps.  Steps are least squares from a
     stacked QR (`least_squares_steps`), with no rank cutoff: a start whose
     R has a zero diagonal entry gets a non-finite step and fails alone.  A
-    start that converges or fails leaves the stack at once.  Sequential
-    callers keep `gauss_newton`: a stack of one costs more than one point
-    (as `track`'s corrector on fig8 exactness loops, 0.25 s against
-    0.097 s for 640 samples).
+    start that converges or fails leaves the stack at once.  Its callers
+    are the fiber multistart, the quadrature grid and the rounds of
+    exactness loops (`continuation.track_closed_loops`, while three or more
+    loops are live).  Sequential callers keep `gauss_newton`: a stack of
+    one costs more than one point (as `track`'s corrector on fig8
+    exactness loops, 0.25 s against 0.097 s for 640 samples).
 
     Returns (x, converged, iterations): each start's last iterate, whether
     it converged, and the number of steps applied to it."""

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .continuation import CLOSURE_TOL, TrackedPath, closure_gap
-from .locus import eigenvalues, moving_along, on_U
+from .locus import cusp_arrays, moving_along, on_U_rows
 from .manifold import ManifoldSpec
 from .repvar import CharacterPoint
 
@@ -85,14 +85,23 @@ def integrate_eta(path: TrackedPath, handedness_sign: int = 1) -> IntegralResult
     form and do not obstruct integration; moving cusps must stay off U."""
     if len(path.points) < 1:
         raise VolumeError("empty path")
-    moving = moving_along(path.points)
-    for pt in path.points[1:-1]:
-        if on_U(eigenvalues(pt), moving=moving):
-            raise VolumeError("interior path sample lies on U")
-    pts = path.points
-    value = float(_trapezoid(pts, handedness_sign)[-1])
+    return _integral(path.points, handedness_sign, _samples_on_U(path.points))
+
+
+def _samples_on_U(points: Sequence[CharacterPoint]) -> np.ndarray:
+    """Per sample: does it lie on U at a cusp that moves along the points?
+    One vectorised pass over the path's eigenvalue arrays."""
+    m, l = cusp_arrays(points, "m", "l")
+    return on_U_rows(m, l, moving=moving_along(points))
+
+
+def _integral(pts: Sequence[CharacterPoint], sign: int, on_u: np.ndarray) -> IntegralResult:
+    """`integrate_eta` of the points, given which of them lie on U."""
+    if on_u[1:-1].any():
+        raise VolumeError("interior path sample lies on U")
+    value = float(_trapezoid(pts, sign)[-1])
     # every second sample, and the last
-    coarse = _trapezoid(pts[::2] if len(pts) % 2 else pts[::2] + pts[-1:], handedness_sign)
+    coarse = _trapezoid(pts[::2] if len(pts) % 2 else pts[::2] + pts[-1:], sign)
     err = float(abs(value - coarse[-1]) / 3.0)
     return IntegralResult(value=value, error_estimate=err)
 
@@ -106,12 +115,12 @@ def loop_integral(loop: TrackedPath, handedness_sign: int = 1) -> IntegralResult
     gap = closure_gap(a, b)
     if not gap < CLOSURE_TOL:
         raise VolumeError(f"loop endpoints differ in eigenvalue coordinates by {gap:.2e}")
-    # integrate_eta rejects interior samples on U; the loop's base point
-    # is checked here
-    moving = moving_along(loop.points)
-    if any(on_U(eigenvalues(pt), moving=moving) for pt in (a, b)):
+    # the interior samples are checked as integrate_eta checks them, and the
+    # loop's base point here
+    on_u = _samples_on_U(loop.points)
+    if on_u[0] or on_u[-1]:
         raise VolumeError("loop touches U")
-    return integrate_eta(loop, handedness_sign)
+    return _integral(loop.points, handedness_sign, on_u)
 
 
 @dataclass

@@ -182,27 +182,49 @@ def test_apoly_fails_when_every_filling_fails(tmp_path, monkeypatch, capsys):
 
 def _cheap_loops(monkeypatch, outcomes):
     """Replace loop tracking and integration in `cli` by a scripted run:
-    each tracked level takes the next outcome, a TrackingError to raise or
-    the Richardson estimate to report with the value 1e-12.  Returns the
-    list that collects the step of every tracked level."""
+    draw d takes the outcomes outcomes[d] in turn, one per tracked level, a
+    TrackingError to raise or the Richardson estimate to report with the
+    value 1e-12.  The round tracker takes the first level of each of its
+    draws, `track_closed_loop` each finer level.  Returns the record of the
+    run: the step of every tracked level per draw (`steps`) and the draws
+    of each round (`rounds`)."""
     import charvol.cli as cli
     from types import SimpleNamespace
     from charvol.continuation import TrackedPath, TrackingError
-    steps = []
-    outcomes = iter(outcomes)
-    estimate = {}
+    seen, outcomes = [], [iter(o) for o in outcomes]
+    record = SimpleNamespace(steps={}, rounds=[])
+
+    def draw(family):
+        """The draw index of a family, in the order the tracker first sees them."""
+        for d, f in enumerate(seen):
+            if f is family:
+                return d
+        seen.append(family)
+        return len(seen) - 1
+
+    def level(base, family, step):
+        d = draw(family)
+        record.steps.setdefault(d, []).append(step)
+        outcome = next(outcomes[d])
+        if outcome is TrackingError:
+            return TrackingError("scripted failure")
+        return TrackedPath(points=[base], taus=[0.0], stats={"estimate": outcome})
 
     def cheap_loop(problem, base, family, first_step, **opts):
-        steps.append(first_step)
-        outcome = next(outcomes)
-        if outcome is TrackingError:
-            raise TrackingError("scripted failure")
-        estimate["last"] = outcome
-        return TrackedPath(points=[base], taus=[0.0])
+        loop = level(base, family, first_step)
+        if isinstance(loop, TrackingError):
+            raise loop
+        return loop
+
+    def cheap_round(problem, base, families, first_step, max_step):
+        loops = [level(base, family, first_step) for family in families]
+        record.rounds.append([draw(family) for family in families])
+        return loops
     monkeypatch.setattr(cli, "track_closed_loop", cheap_loop)
+    monkeypatch.setattr(cli, "track_closed_loops", cheap_round)
     monkeypatch.setattr(cli, "loop_integral", lambda loop, sign: SimpleNamespace(
-        value=1e-12, error_estimate=estimate["last"]))
-    return steps
+        value=1e-12, error_estimate=loop.stats["estimate"]))
+    return record
 
 
 LADDER = [1 / 64, 0.004, 0.004 / 3, 0.004 / 9, 0.004 / 27]
@@ -210,16 +232,18 @@ LADDER = [1 / 64, 0.004, 0.004 / 3, 0.004 / 9, 0.004 / 27]
 
 def test_unresolved_exactness_loop_is_dropped(fig8_problem, fig8_complete, monkeypatch):
     """A loop whose quadrature estimate stays above LOOP_TOL/20 after the last
-    refinement is not counted; the next loop is drawn instead."""
+    refinement is not counted; the next loop is drawn instead, in a second
+    round."""
     import charvol.cli as cli
     # the first loop never resolves; the next two do at the first level
-    steps = _cheap_loops(monkeypatch, [1.0] * 5 + [0.0] * 2)
+    record = _cheap_loops(monkeypatch, [[1.0] * 5, [0.0], [0.0]])
     integrals, failures, dropped, levels = cli.run_exactness_loops(
         fig8_problem, fig8_complete, count=2, seed=0)
     assert integrals == [1e-12, 1e-12] and failures == []
     assert dropped == {"near_U": 0, "unresolved": 1, "tracking_failed": 0}
     assert levels == {64: 2, 250: 0, 750: 0, 2250: 0, 6750: 0}
-    assert steps == pytest.approx(LADDER + [1 / 64, 1 / 64])
+    assert record.rounds == [[0, 1], [2]]
+    assert record.steps == {0: pytest.approx(LADDER), 1: [1 / 64], 2: [1 / 64]}
 
 
 def test_exactness_loop_that_fails_to_track_goes_to_the_next_level(
@@ -228,13 +252,14 @@ def test_exactness_loop_that_fails_to_track_goes_to_the_next_level(
     0.004 step, which keeps it; nothing is dropped."""
     import charvol.cli as cli
     from charvol.continuation import TrackingError
-    steps = _cheap_loops(monkeypatch, [TrackingError, 0.0])
+    record = _cheap_loops(monkeypatch, [[TrackingError, 0.0]])
     integrals, failures, dropped, levels = cli.run_exactness_loops(
         fig8_problem, fig8_complete, count=1, seed=0)
     assert integrals == [1e-12] and failures == []
     assert dropped == {"near_U": 0, "unresolved": 0, "tracking_failed": 0}
     assert levels == {64: 0, 250: 1, 750: 0, 2250: 0, 6750: 0}
-    assert steps == pytest.approx(LADDER[:2])
+    assert record.rounds == [[0]]
+    assert record.steps == {0: pytest.approx(LADDER[:2])}
 
 
 def test_exactness_loop_failing_to_track_at_the_last_level_is_dropped(
@@ -243,13 +268,37 @@ def test_exactness_loop_failing_to_track_at_the_last_level_is_dropped(
     failure at the last drop the loop as tracking_failed."""
     import charvol.cli as cli
     from charvol.continuation import TrackingError
-    steps = _cheap_loops(monkeypatch, [1.0] * 4 + [TrackingError, 0.0])
+    record = _cheap_loops(monkeypatch, [[1.0] * 4 + [TrackingError], [0.0]])
     integrals, failures, dropped, levels = cli.run_exactness_loops(
         fig8_problem, fig8_complete, count=1, seed=0)
     assert integrals == [1e-12] and failures == []
     assert dropped == {"near_U": 0, "unresolved": 0, "tracking_failed": 1}
     assert levels == {64: 1, 250: 0, 750: 0, 2250: 0, 6750: 0}
-    assert steps == pytest.approx(LADDER + [1 / 64])
+    assert record.rounds == [[0], [1]]
+    assert record.steps == {0: pytest.approx(LADDER), 1: [1 / 64]}
+
+
+@pytest.mark.parametrize("name, seed, dropped, levels, failed", [
+    ("fig8", 1, {"near_U": 0, "unresolved": 0, "tracking_failed": 0}, [8, 1, 0, 0, 1], []),
+    ("wlink", 7919, {"near_U": 0, "unresolved": 1, "tracking_failed": 0}, [8, 1, 1, 0, 0], []),
+    ("wlink", 201005, {"near_U": 0, "unresolved": 0, "tracking_failed": 0}, [9, 1, 0, 0, 0],
+     [8]),
+])
+def test_exactness_loop_outcomes_are_pinned(name, seed, dropped, levels, failed, request):
+    """Ten loops at three seeds, each settled in draw order from its round's
+    stacked 1/64 level and the sequential finer levels: fig8 seed 1 keeps
+    one loop only at 6750 samples per winding, wlink seed 7919 drops one
+    unresolved loop and wlink seed 201005 fails loop 8 (an exact loop read
+    at 64 samples; ROADMAP item 4)."""
+    import charvol.cli as cli
+    problem, complete = (request.getfixturevalue(f"{name}_{k}")
+                         for k in ("problem", "complete"))
+    integrals, failures, got_dropped, got_levels = cli.run_exactness_loops(
+        problem, complete, 10, seed)
+    assert len(integrals) == 10
+    assert got_dropped == dropped and list(got_levels.values()) == levels
+    assert [f["loop"] for f in failures] == failed
+    assert all(abs(v) < cli.LOOP_TOL for k, v in enumerate(integrals) if k not in failed)
 
 
 def test_apoly_command_abelian(tmp_path):
@@ -513,7 +562,7 @@ def test_layer_timing_tool_on_one_round():
     rows = [line.split()[:2] for line in lines[1:]]
     assert rows == [[spec, layer] for spec in ("fig8", "wlink")
                     for layer in ("values_and_jacobian", "rows_F", "correct", "track_step",
-                                  "multistart", "grid")]
+                                  "multistart", "grid", "loops_64")]
     for line in lines[1:]:
         parent, change = map(float, re.findall(r" (?:parent|change) +([\d.]+) \[", line))
         assert parent > 0 and change > 0

@@ -396,6 +396,94 @@ def test_filling_parse_errors():
         FillingCoefficients.parse("1,5", 2)
 
 
+def _loop_draws(problem, complete, count):
+    """The exactness loops' base point and the first `count` loops that
+    default_rng(1) draws from it."""
+    from charvol.cli import _generic_base_point
+    from charvol.continuation import random_log_loop_targets
+    base = _generic_base_point(problem, complete)
+    rng = np.random.default_rng(1)
+    return base, [random_log_loop_targets(base, rng, radius=(0.08, 0.3)) for _ in range(count)]
+
+
+def _solo_loop(problem, base, family, step):
+    """`track_closed_loop` at `step`, or the TrackingError it raises."""
+    from charvol.continuation import track_closed_loop
+    try:
+        return track_closed_loop(problem, base, family, first_step=step, max_step=step)
+    except TrackingError as e:
+        return e
+
+
+def _assert_same_loop(stacked, solo):
+    """Equal taus, sample counts and rejections, coordinates within 1e-12."""
+    assert stacked.taus == solo.taus
+    assert len(stacked) == len(solo) and stacked.steps_rejected == solo.steps_rejected
+    for a, b in zip(stacked.points, solo.points):
+        assert np.max(np.abs(a.coords - b.coords)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["fig8", "wlink"])
+@pytest.mark.parametrize("step", [1 / 64, 1 / 8])
+def test_stacked_loops_equal_their_solo_tracks(name, step, request):
+    """Each member of a `track_closed_loops` stack gets the path that
+    `track_closed_loop` tracks for it alone, or the same error.  The six
+    draws include loops that close only after a second winding and, at the
+    step 1/8, loops with rejected steps, and draws that fail to close.  A
+    stack that shrinks below STACK_MIN members goes on with `correct`."""
+    from charvol.continuation import track_closed_loops
+    problem, complete = (request.getfixturevalue(f"{name}_{k}")
+                         for k in ("problem", "complete"))
+    base, families = _loop_draws(problem, complete, 6)
+    stacked = track_closed_loops(problem, base, families, step, step)
+    solos = [_solo_loop(problem, base, family, step) for family in families]
+    assert len(stacked) == len(solos)
+    for a, b in zip(stacked, solos):
+        if isinstance(b, TrackingError):
+            assert isinstance(a, TrackingError) and str(a) == str(b)
+        else:
+            _assert_same_loop(a, b)
+    closed = [b for b in solos if not isinstance(b, TrackingError)]
+    assert any(b.taus[-1] == pytest.approx(2.0) for b in closed)   # two windings
+    assert any(b.steps_rejected for b in closed) == (step == 1 / 8)
+    failed = {("fig8", 1 / 64): [2], ("fig8", 1 / 8): [2],
+              ("wlink", 1 / 64): [], ("wlink", 1 / 8): [0]}[name, step]
+    assert [k for k, a in enumerate(stacked) if isinstance(a, TrackingError)] == failed
+    # fewer than STACK_MIN members step with `correct`: the solo bytes
+    for a, b in zip(track_closed_loops(problem, base, families[3:5], step, step), solos[3:5]):
+        assert [p.coords.tobytes() for p in a.points] == [p.coords.tobytes() for p in b.points]
+
+
+def test_a_failing_member_leaves_the_stack_alone(fig8_problem, fig8_complete, monkeypatch):
+    """A member that reaches the minimum step, or whose sample lands on V,
+    fails with its own TrackingError; the other members keep their solo
+    tracks."""
+    import charvol.continuation as continuation
+    from charvol.continuation import track_closed_loops
+    base, (first, second) = _loop_draws(fig8_problem, fig8_complete, 2)
+    u0 = base.cusps[0].u - base.cusps[0].base_u
+    # the corrector cannot follow a jump of 0.88 in u per step
+    far = pin_log(lambda tau: [u0 + tau * (40 + 40j)])
+    stacked = track_closed_loops(fig8_problem, base, [first, far, second], 1 / 64, 1 / 64)
+    assert isinstance(stacked[1], TrackingError)
+    assert str(stacked[1]).startswith("minimum step reached at tau=0.09")
+    assert isinstance(_solo_loop(fig8_problem, base, far, 1 / 64), TrackingError)
+    solos = [_solo_loop(fig8_problem, base, family, 1 / 64) for family in (first, second)]
+    for a, b in zip(stacked[::2], solos):
+        _assert_same_loop(a, b)
+    # V seen wherever the meridian trace is the base point's: only the
+    # member that stays at the base point reaches it
+    trace_m = base.cusps[0].trace_m
+    monkeypatch.setattr(continuation, "on_V", lambda pairs, tol=1e-6, moving=None:
+                        any(abs(a - trace_m) < 1e-9 for a, _ in pairs))
+    still = pin_log(lambda tau: [u0])
+    stacked = track_closed_loops(fig8_problem, base, [first, still, second], 1 / 64, 1 / 64)
+    assert str(stacked[1]) == str(_solo_loop(fig8_problem, base, still, 1 / 64)) == \
+        "path crossed V at tau=0.015625"
+    for a, b in zip(stacked[::2], solos):
+        _assert_same_loop(a, b)
+
+
 def _filling_family(kappa: FillingCoefficients) -> ConstraintFamily:
     """The constraint family that solve_filling imposes for kappa."""
     return ConstraintFamily([1 if s is None else s[0] for s in kappa.slopes],
@@ -413,7 +501,8 @@ def test_stacked_rows_equal_single_rows(name, fig8_problem, fig8_fillings,
     (wlink's "1,5;inf" pins its unfilled cusp).  The gauge rows have the
     same bytes.  A family row sums the logs u, u0, v, v0 (times p or q)
     and -t, which cancel, so it agrees to 1e-14 relative to the largest of
-    them."""
+    them.  Per-sample (k, h) coefficients equal to the shared (h,) row give
+    the same bytes."""
     problem, (ktext, _, path) = {"fig8": (fig8_problem, fig8_fillings[0]),
                                  "wlink": (wlink_problem, wlink_fillings[2])}[name]
     family = _filling_family(FillingCoefficients.parse(ktext, len(problem.cusps)))
@@ -424,9 +513,15 @@ def test_stacked_rows_equal_single_rows(name, fig8_problem, fig8_fillings,
     taus = [path.taus[k] for k in picks]
     X = np.array([path.points[k].coords for k in picks])
     X = X + 1e-3 * (rng.normal(size=X.shape) + 1j * rng.normal(size=X.shape))
-    F = problem._stacked_rows(path.points, before, family, taus)
+    p, q = family.coefficients(len(problem.cusps))
+    targets = np.array([family.target(t) for t in taus], dtype=complex)
+    F = problem._stacked_rows(path.points, before, p, q, targets)
+    per_sample = problem._stacked_rows(path.points, before, np.tile(p, (len(picks), 1)),
+                                       np.tile(q, (len(picks), 1)), targets)
     for live in (np.arange(len(picks)), np.array([1, 4])):
         vals, J = F(X[live], live)
+        for a, b in zip((vals, J), per_sample(X[live], live)):
+            assert a.tobytes() == b.tobytes()
         for k, v, j in zip(live, vals, J):
             F1 = problem._rows(refs[k], family, taus[k])
             v1, j1 = F1(X[k])

@@ -1,10 +1,11 @@
 import cmath
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from charvol.locus import (TOLERANCES, eigenvalues, moved, moving_along, on_U,
-                           on_V, traces)
+from charvol.locus import (TOLERANCES, _some_cusp_rows, eigenvalues, moved, moving_along,
+                           near_U, on_U, on_U_rows, on_V, traces)
 
 ON, NEAR = TOLERANCES["on"], TOLERANCES["near"]
 
@@ -34,7 +35,15 @@ ON, NEAR = TOLERANCES["on"], TOLERANCES["near"]
     (on_U, [(2.0, -2.0)], NEAR, None, False),
 ])
 def test_locus_table(predicate, pairs, tol, moving, expected):
+    """Each row of the table decides alike per point and, as one sample of
+    a path, in the vectorised form that paths use."""
     assert predicate(pairs, tol, moving) is expected
+    a, b = (np.array([[pair[k] for pair in pairs]], dtype=complex) for k in (0, 1))
+    if predicate is on_U:
+        assert on_U_rows(a, b, tol, moving).tolist() == [expected]
+    square = 1 if predicate is on_U else 4
+    rows = _some_cusp_rows(np.repeat(a, 3, axis=0), np.repeat(b, 3, axis=0), square, tol, moving)
+    assert rows.tolist() == [expected] * 3
 
 
 def _cusp(du, dv=0j):
@@ -59,7 +68,8 @@ def test_moving_mask():
 def test_locus_on_tracked_points(fig8_complete, fig8_fillings):
     """The complete structure lies on U and V; a filled character lies off
     both, even at the coarse tolerance; along a filling path the complete
-    structure counts as on U because its cusp moves."""
+    structure counts as on U because its cusp moves, and it is the path's
+    only sample near U."""
     _, filled, path = fig8_fillings[0]
     assert on_U(eigenvalues(fig8_complete)) and on_V(traces(fig8_complete))
     assert not on_U(eigenvalues(filled), NEAR)
@@ -68,3 +78,5 @@ def test_locus_on_tracked_points(fig8_complete, fig8_fillings):
     assert moving == [True]
     assert on_U(eigenvalues(path.points[0]), ON, moving)
     assert not on_U(eigenvalues(path.points[0]), ON, [False])
+    # a whole path in one pass: only its first sample comes near U
+    assert near_U(path.points) and not near_U(path.points[1:])

@@ -21,7 +21,13 @@ layers, each called with the arguments its caller passed:
 - `multistart`: the `gauss_newton_lockstep` solve of `fiber_over` at the
   filled point's traces (128 starts, seed 1, `monodromy_loops=0`);
 - `grid`: the `_grid_samples` call of `solve_filling` at
-  `QUADRATURE_STEP`.
+  `QUADRATURE_STEP`;
+
+and one layer of the exactness loops:
+
+- `loops_64`: `cli.run_exactness_loops(problem, complete, 10, 1003)`, whose
+  ten draws all resolve at 64 samples per winding on both specs, so it
+  times the first level of one round of loops.
 
 Each round runs both trees, each in a fresh process with
 `PYTHONPATH=<tree>/src` (the parent first in even rounds, the change first
@@ -30,7 +36,9 @@ tree runs and its output is discarded: the first process on a quiet machine
 runs slow, and without it a single round can read every layer of the first
 tree as much slower than the second.  A process reports, per layer, the
 fastest of `REPEATS` timed runs of about `RUN_SECONDS` each (`measure`;
-the process is this script with the single argument `measure`).  The tool
+the process is this script with the single argument `measure`); a layer
+that takes longer than a run, such as `loops_64`, runs once per repeat,
+and `FEW_REPEATS` of them.  The tool
 prints, per layer and tree, the median and quartiles over the rounds in
 microseconds, and the ratio of the medians.  `--rounds` defaults to 10.
 """
@@ -46,9 +54,11 @@ import timeit
 from pathlib import Path
 
 REPEATS = 15
+FEW_REPEATS = 3
 RUN_SECONDS = 0.01
 SPECS = ("fig8", "wlink")
-LAYERS = ("values_and_jacobian", "rows_F", "correct", "track_step", "multistart", "grid")
+LAYERS = ("values_and_jacobian", "rows_F", "correct", "track_step", "multistart", "grid",
+          "loops_64")
 KAPPAS = {"fig8": "1,5", "wlink": "1,5;1,7"}
 
 
@@ -68,7 +78,7 @@ def _layers(name: str) -> dict:
     """The timed calls on one spec: layer -> (function, calls it stands for)."""
     import numpy as np
     import charvol.continuation as cont
-    from charvol.cli import _generic_base_point
+    from charvol.cli import _generic_base_point, run_exactness_loops
     from charvol.continuation import (QUADRATURE_STEP, DeformationProblem, FillingCoefficients,
                                       fiber_over, random_log_loop_targets, solve_filling,
                                       track)
@@ -95,23 +105,29 @@ def _layers(name: str) -> dict:
             "correct": (lambda: problem.correct(x, base, family, step), 1),
             "track_step": (one_winding, len(one_winding()) - 1),
             "multistart": (lambda: cont.gauss_newton_lockstep(*multistart), 1),
-            "grid": (lambda: cont._grid_samples(*grid), 1)}
+            "grid": (lambda: cont._grid_samples(*grid), 1),
+            "loops_64": (lambda: run_exactness_loops(problem, complete, 10, 1003), 1)}
 
 
 def measure() -> dict:
     """Microseconds per call of each layer on each spec, in this process's
     charvol: per layer, the fastest of REPEATS timed runs of n calls, with n
-    chosen so that one run takes about RUN_SECONDS.  The runs of all layers
-    take turns, so that a slow spell of the host touches every layer."""
+    chosen so that one run takes about RUN_SECONDS; a layer whose single
+    call takes longer than a run has FEW_REPEATS runs of one call.  The runs
+    of all layers take turns, so that a slow spell of the host touches
+    every layer."""
     calls = {(name, layer): call for name in SPECS for layer, call in _layers(name).items()}
     timers = {}
     for key, (fn, _) in calls.items():
         timer = timeit.Timer(fn)
-        timers[key] = (timer, max(1, round(RUN_SECONDS / max(timer.timeit(1), 1e-7))))
+        once = timer.timeit(1)
+        timers[key] = (timer, max(1, round(RUN_SECONDS / max(once, 1e-7))),
+                       REPEATS if once < RUN_SECONDS else FEW_REPEATS)
     best = dict.fromkeys(calls, float("inf"))
-    for _ in range(REPEATS):
-        for key, (timer, n) in timers.items():
-            best[key] = min(best[key], timer.timeit(n) / n)
+    for r in range(REPEATS):
+        for key, (timer, n, repeats) in timers.items():
+            if r < repeats:
+                best[key] = min(best[key], timer.timeit(n) / n)
     return {name: {layer: best[name, layer] / calls[name, layer][1] * 1e6 for layer in LAYERS}
             for name in SPECS}
 
