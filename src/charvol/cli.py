@@ -31,8 +31,8 @@ import numpy as np
 from . import fixtures
 from .continuation import (QUADRATURE_STEP, ContinuationError, DeformationProblem,
                            FillingCoefficients, closure_gap, fiber_over, sample_dense_set,
-                           solve_filling, step_off_complete, track, track_closed_loop,
-                           track_closed_loops, random_log_loop_targets)
+                           solve_filling, step_off_complete, track, track_closed_loops,
+                           random_log_loop_targets)
 from .eigenvar import (EigenvarError, EliminationBudgetError, build_extended, eliminate,
                        extended_point)
 from .locus import near_U
@@ -203,19 +203,18 @@ def run_exactness_loops(problem, comp, count, seed):
 
     Loops are drawn in rounds, at most 6 * count + 20 in all: the first
     round draws `count` loops and each later one as many as the rounds
-    before dropped.  The 1/64 level of a round's draws is tracked in one
-    stack (`track_closed_loops`); the draws are then settled in draw order,
-    and a draw that the 1/64 level leaves unresolved, or that fails to track
-    there, walks the finer levels with `track_closed_loop`.  The draws,
-    their outcomes and their order are those of tracking each loop by itself.
+    before dropped.  A round walks the ladder one level at a time: each
+    level tracks the round's draws still pending there in one
+    `track_closed_loops` call.  The draws are then settled in draw order,
+    so the draws, their outcomes and their order are those of tracking each
+    loop by itself.
 
     Returns (integrals, failures, dropped, levels), dropped counting the
     loops dropped for each reason and levels the loops kept at each
     samples-per-winding count."""
     steps = (1 / 64, 0.004, 0.004 / 3, 0.004 / 9, 0.004 / 27)
-    spec = problem.spec
     rng = np.random.default_rng(seed)
-    sign = handedness_sign(spec)
+    sign = handedness_sign(problem.spec)
     base = _generic_base_point(problem, comp)
     results = []
     failures = []
@@ -226,35 +225,44 @@ def run_exactness_loops(problem, comp, count, seed):
         families = [random_log_loop_targets(base, rng, radius=(0.08, 0.3))
                     for _ in range(min(count - len(results), cap - attempts))]
         attempts += len(families)
-        first = track_closed_loops(problem, base, families, steps[0], steps[0])
-        for family, loop in zip(families, first):
-            for step in steps:
-                try:
-                    if step != steps[0]:
-                        loop = track_closed_loop(
-                            problem, base, family, first_step=step, max_step=step,
-                            description=f"exactness loop {len(results)} on {spec.name}")
-                    elif isinstance(loop, ContinuationError):
-                        raise loop
-                    if near_U(loop.points):
-                        dropped["near_U"] += 1
-                        break
-                    integ = loop_integral(loop, sign)
-                except (ContinuationError, VolumeError):
-                    cause = "tracking_failed"
-                    continue
-                if integ.error_estimate < LOOP_TOL / 20:
-                    results.append(integ.value)
-                    levels[round(1 / step)] += 1
-                    if abs(integ.value) >= LOOP_TOL:
-                        failures.append({"loop": len(results) - 1, "value": integ.value})
-                    break
-                cause = "unresolved"
-            else:
-                dropped[cause] += 1
+        outcomes: list = [None] * len(families)
+        pending = list(range(len(families)))
+        for step in steps:
+            if not pending:
+                break
+            loops = track_closed_loops(problem, base, [families[d] for d in pending],
+                                       step, step)
+            for d, loop in zip(pending, loops):
+                outcomes[d] = _level_outcome(loop, sign, step)
+            pending = [d for d in pending if outcomes[d] in ("tracking_failed", "unresolved")]
+        for outcome in outcomes:
+            if isinstance(outcome, str):
+                dropped[outcome] += 1
+                continue
+            value, level = outcome
+            results.append(value)
+            levels[level] += 1
+            if abs(value) >= LOOP_TOL:
+                failures.append({"loop": len(results) - 1, "value": value})
     if len(results) < count:
         failures.append({"error": f"only {len(results)} of {count} loops tracked"})
     return results, failures, dropped, levels
+
+
+def _level_outcome(loop, sign, step):
+    """(integral, samples per winding) of a loop that resolves at its
+    level, else the cause that drops it or hands it to the next level."""
+    if isinstance(loop, ContinuationError):
+        return "tracking_failed"
+    if near_U(loop.points):
+        return "near_U"
+    try:
+        integ = loop_integral(loop, sign)
+    except VolumeError:
+        return "tracking_failed"
+    if integ.error_estimate < LOOP_TOL / 20:
+        return integ.value, round(1 / step)
+    return "unresolved"
 
 
 def cmd_fiber(args, spec):

@@ -194,12 +194,6 @@ class TrackedPath:
     def endpoint(self) -> CharacterPoint:
         return self.points[-1]
 
-    def reversed(self) -> "TrackedPath":
-        return TrackedPath(points=list(reversed(self.points)),
-                           taus=[self.taus[-1] - t for t in reversed(self.taus)],
-                           description=f"reversal of: {self.description}",
-                           steps_rejected=self.steps_rejected)
-
     def __len__(self):
         return len(self.points)
 
@@ -294,26 +288,96 @@ class _Walk:
                            steps_rejected=self.rejected)
 
 
+# the fewest live members that `_walk_together` corrects in one stack; a
+# smaller stack costs more than correcting its members one at a time
+# (stacked windings of 3 or 4 fig8 loops took 1.12-1.35 times as long)
+STACK_MIN = 5
+
+
+def _correct_together(problem: DeformationProblem, X: np.ndarray,
+                      refs: Sequence[CharacterPoint], p: np.ndarray, q: np.ndarray,
+                      targets: np.ndarray) -> list[tuple]:
+    """`DeformationProblem.correct` of each start X[k] onto its own rows
+    (p[k], q[k], targets[k]; `_stacked_rows`), lifted from refs[k], in one
+    `gauss_newton_lockstep` call with the same tolerance and budget.  Per
+    start: (point or None, residual, converged), the points built from one
+    stacked `compiled.values` call and a failed start's residual read at its
+    last iterate (inf when not finite, as `gauss_newton` reports it)."""
+    F = problem._stacked_rows(refs, np.arange(len(refs)), p, q, targets)
+    xs, converged, _ = gauss_newton_lockstep(F, X, CORRECT_TOL, CORRECT_MAXITER)
+    vals = iter(problem.compiled.values(xs[converged]))
+    residuals = np.zeros(len(refs))
+    failed = np.flatnonzero(~converged)
+    if len(failed):
+        res = np.abs(F(xs[failed], failed)[0]).max(axis=1, initial=0.0)
+        residuals[failed] = np.where(np.isfinite(res), res, np.inf)
+    return [(make_character_point(problem, x, prev=ref, vals=next(vals)) if ok else None, r, ok)
+            for x, ref, r, ok in zip(xs, refs, residuals, converged)]
+
+
+def _walk_together(problem: DeformationProblem, walks: Sequence[_Walk],
+                   families: Sequence[ConstraintFamily]) -> list:
+    """Advance each walk along its family to tau = 1 in rounds.  A round
+    predicts every live member's next sample from its own samples and
+    corrects them together (`_correct_together`) when at least STACK_MIN
+    are live, else each with `DeformationProblem.correct`; `_Walk.settle`
+    then decides each member's step.  Returns one result per walk, in
+    order: its TrackedPath, or the TrackingError that ended it alone."""
+    h = len(problem.cusps)
+    coefficients = [family.coefficients(h) for family in families]
+    p, q = (np.array([c[k] for c in coefficients]).reshape(len(families), h) for k in (0, 1))
+    errors: list = [None] * len(walks)
+    live = [k for k, walk in enumerate(walks) if walk.running()]
+    while live:
+        members = []
+        for k in live:
+            walk = walks[k]
+            try:
+                step = walk.next_step()
+            except TrackingError as e:
+                errors[k] = e
+                continue
+            members.append((k, walk, step, problem.predict(walk.points, walk.taus, step)))
+        stacked = None
+        if len(members) >= STACK_MIN:
+            ks = [k for k, _, _, _ in members]
+            stacked = iter(_correct_together(
+                problem, np.array([x for _, _, _, x in members]),
+                [walk.points[-1] for _, walk, _, _ in members], p[ks], q[ks],
+                np.array([families[k].target(walk.tau + step) for k, walk, step, _ in members],
+                         dtype=complex)))
+        live = []
+        for k, walk, step, x in members:
+            new_pt, res, converged = next(stacked) if stacked else \
+                problem.correct(x, walk.points[-1], families[k], walk.tau + step)
+            try:
+                walk.settle(step, new_pt, converged, res)
+            except TrackingError as e:
+                errors[k] = e
+                continue
+            if walk.running():
+                live.append(k)
+    return [walk.path() if e is None else e for walk, e in zip(walks, errors)]
+
+
 def track(problem: DeformationProblem, start: CharacterPoint,
           family: ConstraintFamily, tau0: float = 0.0,
           first_step: float = 0.02, max_step: float = 0.05, min_step: float = 1e-7,
           description: str = "", allow_V_interior: bool = False) -> TrackedPath:
     """Adaptive predictor-corrector tracking of the constraint family from
-    tau0 up to tau = 1.  Each step is predicted from the path's own accepted
-    samples (`DeformationProblem.predict`) and corrected by Newton.  Every
-    accepted sample satisfies `correct`'s residual tolerance; branch
-    continuity is enforced by rejecting steps whose log increments reach
-    pi/2 in imaginary part.  A rejection halves the step, and each accepted
-    step grows it by 1.5 up to max_step: no step is longer than max_step
-    (`_Walk.settle`)."""
+    tau0 up to tau = 1, as the one walk of `_walk_together`.  Each step is
+    predicted from the path's own accepted samples and corrected by Newton
+    (`DeformationProblem.correct`).  Every accepted sample satisfies
+    `correct`'s residual tolerance; branch continuity is enforced by
+    rejecting steps whose log increments reach pi/2 in imaginary part.  A
+    rejection halves the step, and each accepted step grows it by 1.5 up to
+    max_step: no step is longer than max_step (`_Walk.settle`)."""
     walk = _Walk(start, tau0, first_step, max_step, min_step, allow_V_interior)
-    while walk.running():
-        step = walk.next_step()
-        xpred = problem.predict(walk.points, walk.taus, step)
-        new_pt, res, converged = problem.correct(xpred, walk.points[-1], family,
-                                                 walk.tau + step)
-        walk.settle(step, new_pt, converged, res)
-    return walk.path(description)
+    path, = _walk_together(problem, [walk], [family])
+    if isinstance(path, TrackingError):
+        raise path
+    path.description = description
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -818,122 +882,48 @@ def closure_gap(a: CharacterPoint, b: CharacterPoint) -> float:
     return max(max(abs(ca.m - cb.m), abs(ca.l - cb.l)) for ca, cb in zip(a.cusps, b.cusps))
 
 
-def _closed(base: CharacterPoint, total: TrackedPath, winding: int) -> bool:
-    """The closure rule of a loop from base after its winding number
-    `winding` (0, 1 or 2), whose windings so far are `total`: True when the
-    eigenvalue coordinates have closed up, False when another winding is
-    due, and TrackingError after the third."""
-    gap = closure_gap(base, total.endpoint())
-    if gap < CLOSURE_TOL:
-        return True
-    if winding < 2:
-        return False
-    raise TrackingError(f"loop failed to close after 2 windings (gap {gap:.2e})")
-
-
-def track_closed_loop(problem: DeformationProblem, base: CharacterPoint,
-                      family: ConstraintFamily, **opts) -> TrackedPath:
-    """Track the family's loop until the eigenvalue coordinates close up.
-
-    A loop in the meridian logs may permute the finitely many sheets of the
-    eigenvalue variety over it; winding the same loop again, at most twice
-    more, closes any order-two monodromy.  Raises when the path refuses to
-    close.  `track_closed_loops` applies the same rules to a stack of
-    loops."""
-    total = None
-    for winding in range(3):
-        path = track(problem, base if total is None else total.endpoint(), family, **opts)
-        total = path if total is None else concatenate_paths(total, path)
-        if _closed(base, total, winding):
-            return total
-
-
-# the fewest live members that `track_closed_loops` corrects in one stack;
-# a smaller stack costs more than correcting its members one at a time
-STACK_MIN = 3
-
-
-def _correct_together(problem: DeformationProblem, X: np.ndarray,
-                      refs: Sequence[CharacterPoint], p: np.ndarray, q: np.ndarray,
-                      targets: np.ndarray) -> list[tuple]:
-    """`DeformationProblem.correct` of each start X[k] onto its own rows
-    (p[k], q[k], targets[k]; `_stacked_rows`), lifted from refs[k], in one
-    `gauss_newton_lockstep` call with the same tolerance and budget.  Per
-    start: (point or None, residual, converged), the points built from one
-    stacked `compiled.values` call and a failed start's residual read at its
-    last iterate (inf when not finite, as `gauss_newton` reports it)."""
-    F = problem._stacked_rows(refs, np.arange(len(refs)), p, q, targets)
-    xs, converged, _ = gauss_newton_lockstep(F, X, CORRECT_TOL, CORRECT_MAXITER)
-    vals = iter(problem.compiled.values(xs[converged]))
-    residuals = np.zeros(len(refs))
-    failed = np.flatnonzero(~converged)
-    if len(failed):
-        res = np.abs(F(xs[failed], failed)[0]).max(axis=1, initial=0.0)
-        residuals[failed] = np.where(np.isfinite(res), res, np.inf)
-    return [(make_character_point(problem, x, prev=ref, vals=next(vals)) if ok else None, r, ok)
-            for x, ref, r, ok in zip(xs, refs, residuals, converged)]
-
-
 def track_closed_loops(problem: DeformationProblem, base: CharacterPoint,
                        families: Sequence[ConstraintFamily], first_step: float,
                        max_step: float) -> list:
-    """`track_closed_loop(problem, base, family, first_step=first_step,
-    max_step=max_step)` for each of the families, with the steps of the
-    members taken in rounds: each round predicts every live member's next
-    sample and corrects them together (`_correct_together`: one
-    `gauss_newton_lockstep` call and one stacked `compiled.values` call).
-    Once fewer than STACK_MIN members are live, a round corrects each with
-    `DeformationProblem.correct`.
+    """Track each family's loop from base at `track`'s steps until the
+    eigenvalue coordinates close up (`closure_gap` below CLOSURE_TOL).
 
-    Each member keeps every rule of `track` and `track_closed_loop`: its own
-    tau and step, its prediction from its own samples, the corrector
-    tolerance CORRECT_TOL and budget CORRECT_MAXITER, `_Walk.settle`'s step
-    rule and `_closed`'s windings.  Returns one result per family, in
-    order: the closed TrackedPath, or the TrackingError that ended that
-    member alone."""
-    h = len(problem.cusps)
-    coefficients = [family.coefficients(h) for family in families]
-    p, q = (np.array([c[k] for c in coefficients]).reshape(len(families), h) for k in (0, 1))
-    walks = [_Walk(base, 0.0, first_step, max_step) for _ in families]
-    totals: list = [None] * len(families)
-    windings = [0] * len(families)
-    results: list = [None] * len(families)
-    live = list(range(len(families)))
-    while live:
-        steps = {}
-        for i in live:
-            try:
-                steps[i] = walks[i].next_step()
-            except TrackingError as e:
-                results[i] = e
-        live = list(steps)
-        refs = [walks[i].points[-1] for i in live]
-        X = [problem.predict(walks[i].points, walks[i].taus, steps[i]) for i in live]
-        taus = [walks[i].tau + steps[i] for i in live]
-        if len(live) >= STACK_MIN:
-            corrected = _correct_together(
-                problem, np.array(X), refs, p[live], q[live],
-                np.array([families[i].target(t) for i, t in zip(live, taus)], dtype=complex))
-        else:
-            corrected = [problem.correct(x, ref, families[i], t)
-                         for x, ref, i, t in zip(X, refs, live, taus)]
-        for i, (new_pt, res, converged) in zip(live, corrected):
-            walk = walks[i]
-            try:
-                walk.settle(steps[i], new_pt, converged, res)
-                if walk.running():
-                    continue
-                path = walk.path()
-                totals[i] = path if totals[i] is None else concatenate_paths(totals[i], path)
-                if _closed(base, totals[i], windings[i]):
-                    results[i] = totals[i]
-                else:
-                    windings[i] += 1
-                    walks[i] = _Walk(totals[i].endpoint(), 0.0, first_step, max_step)
-            except TrackingError as e:
-                results[i] = e
-        live = [i for i in live if results[i] is None]
-    return results
+    A loop in the meridian logs may permute the finitely many sheets of the
+    eigenvalue variety over it; winding the same loop again, at most twice
+    more, closes any order-two monodromy.  Each winding is one
+    `_walk_together` call over the members not yet closed, each from its
+    endpoint.  Returns one result per family, in order: the closed
+    TrackedPath, or the TrackingError that ended that member alone."""
+    loops: list = [None] * len(families)
+    pending = list(range(len(families)))
+    for winding in range(3):
+        walks = [_Walk(base if winding == 0 else loops[k].endpoint(), 0.0, first_step, max_step)
+                 for k in pending]
+        walked = _walk_together(problem, walks, [families[k] for k in pending])
+        still = []
+        for k, path in zip(pending, walked):
+            if isinstance(path, TrackingError):
+                loops[k] = path
+                continue
+            loops[k] = path = concatenate_paths(loops[k], path) if winding else path
+            gap = closure_gap(base, path.endpoint())
+            if gap >= CLOSURE_TOL and winding < 2:
+                still.append(k)
+            elif gap >= CLOSURE_TOL:
+                loops[k] = TrackingError(f"loop failed to close after 2 windings (gap {gap:.2e})")
+        pending = still
+    return loops
+
+
+def track_closed_loop(problem: DeformationProblem, base: CharacterPoint,
+                      family: ConstraintFamily, first_step: float,
+                      max_step: float) -> TrackedPath:
+    """`track_closed_loops` of one family: its closed loop, or raises the
+    TrackingError that ended it."""
+    loop, = track_closed_loops(problem, base, [family], first_step, max_step)
+    if isinstance(loop, TrackingError):
+        raise loop
+    return loop
 
 
 def _monodromy_loop(problem, points, z, rng, register):

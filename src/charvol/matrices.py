@@ -80,12 +80,3 @@ def regauge(mats) -> np.ndarray:
     for M in rest:
         coords.extend([M[0, 0], M[0, 1], M[1, 0], M[1, 1]])
     return np.array(coords, dtype=complex)
-
-
-def random_sl2(rng) -> np.ndarray:
-    """Random SL2(C) matrix with entries O(1)."""
-    while True:
-        M = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-        if abs(det) > 1e-3:
-            return M / np.sqrt(det)

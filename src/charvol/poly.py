@@ -72,10 +72,6 @@ class Polynomial:
         i = self.vars.index(var)
         return max((e[i] for e in self.terms), default=0)
 
-    def min_degree(self, var: str) -> int:
-        i = self.vars.index(var)
-        return min((e[i] for e in self.terms), default=0)
-
     def unit_power(self) -> Optional[tuple[str, int]]:
         """(g, k) when the polynomial is g^k for one variable g and k != 0,
         else None."""

@@ -177,9 +177,6 @@ class GaugedSystem:
         g = vals[self.gauge_rows]
         return float(np.abs(g).max()) if len(g) else 0.0
 
-    def residual(self, coords) -> float:
-        return self.gauge_residual(self.compiled.values(coords))
-
     def char_key(self, coords) -> np.ndarray:
         return self.compiled.values(coords)[self.key_rows]
 
@@ -339,47 +336,6 @@ def enumerate_twists(spec: ManifoldSpec) -> list[SignTwist]:
             if tw.on_word(r) != 1:
                 raise RepVarError("enumerated twist violates a relator sign")
     return out
-
-
-def apply_twist(pt: CharacterPoint, tw: SignTwist, system: GaugedSystem) -> CharacterPoint:
-    """Scale each generator matrix by its sign and re-gauge.
-
-    In gauge coordinates: s -> e1 s, p -> e2 p, t -> e1 e2 t and each extra
-    generator scales as (a,b,c,d) -> (e a, e e1 b, e e1 c, e d).  Peripheral
-    traces pick up the sign of the corresponding word; eigenvalue branches
-    shift by i*pi where the sign is -1.
-    """
-    eps = tw.epsilon
-    for r in system.spec.relators:
-        if tw.on_word(r) != 1:
-            raise RepVarError("twist is not a homomorphism for this presentation")
-    e1, e2 = eps[0], eps[1]
-    coords = np.array(pt.coords, dtype=complex)
-    coords[0] *= e1
-    coords[1] *= e2
-    coords[2] *= e1 * e2
-    for j in range(3, system.spec.generators + 1):
-        e = eps[j - 1]
-        base = 3 + 4 * (j - 3)
-        coords[base] *= e
-        coords[base + 1] *= e * e1
-        coords[base + 2] *= e * e1
-        coords[base + 3] *= e
-    states = []
-    for cf, st in zip(system.cusps, pt.cusps):
-        sm = tw.on_word(cf.meridian)
-        sl = tw.on_word(cf.longitude)
-        shift_m = 0j if sm == 1 else 1j * cmath.pi
-        shift_l = 0j if sl == 1 else 1j * cmath.pi
-        states.append(PeripheralState(
-            u=st.u + shift_m, v=st.v + shift_l,
-            m=sm * st.m, l=sl * st.l,
-            trace_m=sm * st.trace_m, trace_l=sl * st.trace_l,
-            trace_ml=sm * sl * st.trace_ml,
-            base_u=st.base_u + shift_m, base_v=st.base_v + shift_l))
-    return CharacterPoint(coords=coords, cusps=states,
-                          residual=system.residual(coords),
-                          orientation=pt.orientation, label=pt.label)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Independent oracles that tests check charvol against.  None of them is
-used by the program itself."""
+"""Independent oracles that tests check charvol against, and the helpers
+that only tests call.  None of them is used by the program itself."""
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import mpmath
@@ -10,7 +11,8 @@ import numpy as np
 
 from charvol.continuation import (CORRECT_TOL, ConstraintFamily, TrackedPath, TrackingError,
                                   concatenate_paths, pin_log, step_off_complete, track)
-from charvol.repvar import TWO_PI_I, ContinuationError
+from charvol.repvar import (TWO_PI_I, CharacterPoint, ContinuationError, GaugedSystem,
+                            PeripheralState, RepVarError, SignTwist)
 
 
 def jacobian_check(system, point, step: float = 1e-6, tol: float = 1e-5) -> dict:
@@ -58,6 +60,64 @@ def make_filling_route_via_detour(problem, complete, slope: tuple[int, int],
     route = concatenate_paths(approach, path)
     return TrackedPath(points=[complete] + route.points, taus=[0.0] + route.taus,
                        description=path.description, steps_rejected=route.steps_rejected)
+
+
+def reversed_path(path: TrackedPath) -> TrackedPath:
+    """The path traversed backwards, tau measured from its end."""
+    return TrackedPath(points=list(reversed(path.points)),
+                       taus=[path.taus[-1] - t for t in reversed(path.taus)],
+                       description=f"reversal of: {path.description}",
+                       steps_rejected=path.steps_rejected)
+
+
+def random_sl2(rng) -> np.ndarray:
+    """Random SL2(C) matrix with entries O(1)."""
+    while True:
+        M = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+        if abs(det) > 1e-3:
+            return M / np.sqrt(det)
+
+
+def apply_twist(pt: CharacterPoint, tw: SignTwist, system: GaugedSystem) -> CharacterPoint:
+    """Scale each generator matrix by its sign and re-gauge.
+
+    In gauge coordinates: s -> e1 s, p -> e2 p, t -> e1 e2 t and each extra
+    generator scales as (a,b,c,d) -> (e a, e e1 b, e e1 c, e d).  Peripheral
+    traces pick up the sign of the corresponding word; eigenvalue branches
+    shift by i*pi where the sign is -1.
+    """
+    eps = tw.epsilon
+    for r in system.spec.relators:
+        if tw.on_word(r) != 1:
+            raise RepVarError("twist is not a homomorphism for this presentation")
+    e1, e2 = eps[0], eps[1]
+    coords = np.array(pt.coords, dtype=complex)
+    coords[0] *= e1
+    coords[1] *= e2
+    coords[2] *= e1 * e2
+    for j in range(3, system.spec.generators + 1):
+        e = eps[j - 1]
+        base = 3 + 4 * (j - 3)
+        coords[base] *= e
+        coords[base + 1] *= e * e1
+        coords[base + 2] *= e * e1
+        coords[base + 3] *= e
+    states = []
+    for cf, st in zip(system.cusps, pt.cusps):
+        sm = tw.on_word(cf.meridian)
+        sl = tw.on_word(cf.longitude)
+        shift_m = 0j if sm == 1 else 1j * cmath.pi
+        shift_l = 0j if sl == 1 else 1j * cmath.pi
+        states.append(PeripheralState(
+            u=st.u + shift_m, v=st.v + shift_l,
+            m=sm * st.m, l=sl * st.l,
+            trace_m=sm * st.trace_m, trace_l=sl * st.trace_l,
+            trace_ml=sm * sl * st.trace_ml,
+            base_u=st.base_u + shift_m, base_v=st.base_v + shift_l))
+    return CharacterPoint(coords=coords, cusps=states,
+                          residual=system.gauge_residual(system.compiled.values(coords)),
+                          orientation=pt.orientation, label=pt.label)
 
 
 def thurston_rank(system, pt, threshold=1e-6) -> int:

@@ -97,7 +97,8 @@ def test_criterion_3_fiber_volume_equality(fig8_spec, fig8_system, fig8_fillings
     map (the same PSL2 character); their mirrored paths give equal volume
     labels."""
     from charvol.continuation import TrackedPath
-    from charvol.repvar import apply_twist, enumerate_twists
+    from charvol.repvar import enumerate_twists
+    from oracles import apply_twist
     worst = 0.0
     ok = True
     for spec, system, fillings in ((fig8_spec, fig8_system, fig8_fillings),

@@ -183,16 +183,13 @@ def test_apoly_fails_when_every_filling_fails(tmp_path, monkeypatch, capsys):
 def _cheap_loops(monkeypatch, outcomes):
     """Replace loop tracking and integration in `cli` by a scripted run:
     draw d takes the outcomes outcomes[d] in turn, one per tracked level, a
-    TrackingError to raise or the Richardson estimate to report with the
-    value 1e-12.  The round tracker takes the first level of each of its
-    draws, `track_closed_loop` each finer level.  Returns the record of the
-    run: the step of every tracked level per draw (`steps`) and the draws
-    of each round (`rounds`)."""
+    TrackingError to return or the Richardson estimate to report with the
+    value 1e-12.  Returns the record of the run: per `track_closed_loops`
+    call, its step and the draws it holds."""
     import charvol.cli as cli
-    from types import SimpleNamespace
     from charvol.continuation import TrackedPath, TrackingError
-    seen, outcomes = [], [iter(o) for o in outcomes]
-    record = SimpleNamespace(steps={}, rounds=[])
+    from types import SimpleNamespace
+    seen, outcomes, calls = [], [iter(o) for o in outcomes], []
 
     def draw(family):
         """The draw index of a family, in the order the tracker first sees them."""
@@ -202,29 +199,21 @@ def _cheap_loops(monkeypatch, outcomes):
         seen.append(family)
         return len(seen) - 1
 
-    def level(base, family, step):
-        d = draw(family)
-        record.steps.setdefault(d, []).append(step)
+    def level(base, d):
         outcome = next(outcomes[d])
         if outcome is TrackingError:
             return TrackingError("scripted failure")
         return TrackedPath(points=[base], taus=[0.0], stats={"estimate": outcome})
 
-    def cheap_loop(problem, base, family, first_step, **opts):
-        loop = level(base, family, first_step)
-        if isinstance(loop, TrackingError):
-            raise loop
-        return loop
-
-    def cheap_round(problem, base, families, first_step, max_step):
-        loops = [level(base, family, first_step) for family in families]
-        record.rounds.append([draw(family) for family in families])
-        return loops
-    monkeypatch.setattr(cli, "track_closed_loop", cheap_loop)
-    monkeypatch.setattr(cli, "track_closed_loops", cheap_round)
+    def cheap_loops(problem, base, families, first_step, max_step):
+        assert first_step == max_step
+        draws = [draw(family) for family in families]
+        calls.append((first_step, draws))
+        return [level(base, d) for d in draws]
+    monkeypatch.setattr(cli, "track_closed_loops", cheap_loops)
     monkeypatch.setattr(cli, "loop_integral", lambda loop, sign: SimpleNamespace(
         value=1e-12, error_estimate=loop.stats["estimate"]))
-    return record
+    return calls
 
 
 LADDER = [1 / 64, 0.004, 0.004 / 3, 0.004 / 9, 0.004 / 27]
@@ -236,14 +225,14 @@ def test_unresolved_exactness_loop_is_dropped(fig8_problem, fig8_complete, monke
     round."""
     import charvol.cli as cli
     # the first loop never resolves; the next two do at the first level
-    record = _cheap_loops(monkeypatch, [[1.0] * 5, [0.0], [0.0]])
+    calls = _cheap_loops(monkeypatch, [[1.0] * 5, [0.0], [0.0]])
     integrals, failures, dropped, levels = cli.run_exactness_loops(
         fig8_problem, fig8_complete, count=2, seed=0)
     assert integrals == [1e-12, 1e-12] and failures == []
     assert dropped == {"near_U": 0, "unresolved": 1, "tracking_failed": 0}
     assert levels == {64: 2, 250: 0, 750: 0, 2250: 0, 6750: 0}
-    assert record.rounds == [[0, 1], [2]]
-    assert record.steps == {0: pytest.approx(LADDER), 1: [1 / 64], 2: [1 / 64]}
+    assert calls == [(LADDER[0], [0, 1])] + [(step, [0]) for step in LADDER[1:]] + \
+        [(LADDER[0], [2])]
 
 
 def test_exactness_loop_that_fails_to_track_goes_to_the_next_level(
@@ -252,14 +241,13 @@ def test_exactness_loop_that_fails_to_track_goes_to_the_next_level(
     0.004 step, which keeps it; nothing is dropped."""
     import charvol.cli as cli
     from charvol.continuation import TrackingError
-    record = _cheap_loops(monkeypatch, [[TrackingError, 0.0]])
+    calls = _cheap_loops(monkeypatch, [[TrackingError, 0.0]])
     integrals, failures, dropped, levels = cli.run_exactness_loops(
         fig8_problem, fig8_complete, count=1, seed=0)
     assert integrals == [1e-12] and failures == []
     assert dropped == {"near_U": 0, "unresolved": 0, "tracking_failed": 0}
     assert levels == {64: 0, 250: 1, 750: 0, 2250: 0, 6750: 0}
-    assert record.rounds == [[0]]
-    assert record.steps == {0: pytest.approx(LADDER[:2])}
+    assert calls == [(LADDER[0], [0]), (LADDER[1], [0])]
 
 
 def test_exactness_loop_failing_to_track_at_the_last_level_is_dropped(
@@ -268,14 +256,34 @@ def test_exactness_loop_failing_to_track_at_the_last_level_is_dropped(
     failure at the last drop the loop as tracking_failed."""
     import charvol.cli as cli
     from charvol.continuation import TrackingError
-    record = _cheap_loops(monkeypatch, [[1.0] * 4 + [TrackingError], [0.0]])
+    calls = _cheap_loops(monkeypatch, [[1.0] * 4 + [TrackingError], [0.0]])
     integrals, failures, dropped, levels = cli.run_exactness_loops(
         fig8_problem, fig8_complete, count=1, seed=0)
     assert integrals == [1e-12] and failures == []
     assert dropped == {"near_U": 0, "unresolved": 0, "tracking_failed": 1}
     assert levels == {64: 1, 250: 0, 750: 0, 2250: 0, 6750: 0}
-    assert record.rounds == [[0], [1]]
-    assert record.steps == {0: pytest.approx(LADDER), 1: [1 / 64]}
+    assert calls == [(step, [0]) for step in LADDER] + [(LADDER[0], [1])]
+
+
+def test_each_level_tracks_its_pending_draws_in_one_call(fig8_problem, fig8_complete,
+                                                         monkeypatch):
+    """Four of five draws are left unresolved or untracked at 1/64, and all
+    four reach 0.004 in one call, which keeps two of them; the finer levels
+    take the rest in turn.  Draw 4 never resolves and is dropped, and its
+    replacement is drawn in a second round."""
+    import charvol.cli as cli
+    from charvol.continuation import TrackingError
+    calls = _cheap_loops(monkeypatch, [
+        [1.0, 0.0], [TrackingError, 0.0], [0.0], [1.0, 1.0, 0.0],
+        [1.0, TrackingError, 1.0, 1.0, 1.0], [0.0]])
+    integrals, failures, dropped, levels = cli.run_exactness_loops(
+        fig8_problem, fig8_complete, count=5, seed=0)
+    assert integrals == [1e-12] * 5 and failures == []
+    assert dropped == {"near_U": 0, "unresolved": 1, "tracking_failed": 0}
+    assert levels == {64: 2, 250: 2, 750: 1, 2250: 0, 6750: 0}
+    assert calls == [(LADDER[0], [0, 1, 2, 3, 4]), (LADDER[1], [0, 1, 3, 4]),
+                     (LADDER[2], [3, 4]), (LADDER[3], [4]), (LADDER[4], [4]),
+                     (LADDER[0], [5])]
 
 
 @pytest.mark.parametrize("name, seed, dropped, levels, failed", [
@@ -285,8 +293,8 @@ def test_exactness_loop_failing_to_track_at_the_last_level_is_dropped(
      [8]),
 ])
 def test_exactness_loop_outcomes_are_pinned(name, seed, dropped, levels, failed, request):
-    """Ten loops at three seeds, each settled in draw order from its round's
-    stacked 1/64 level and the sequential finer levels: fig8 seed 1 keeps
+    """Ten loops at three seeds, each settled in draw order after its round
+    has walked the ladder one level at a time: fig8 seed 1 keeps
     one loop only at 6750 samples per winding, wlink seed 7919 drops one
     unresolved loop and wlink seed 201005 fails loop 8 (an exact loop read
     at 64 samples; ROADMAP item 4)."""
@@ -542,6 +550,30 @@ def test_same_outputs_tool_on_one_command_line():
     assert out.returncode == 0, out.stdout + out.stderr
     assert out.stdout.splitlines() == ["same  h1z2 --spec fig8",
                                        "0 of 1 command lines differ"]
+
+
+def test_same_outputs_names_the_differing_key_paths():
+    """`differing_paths` of tools/same_outputs.py yields each differing leaf
+    of two JSON documents with both values, in key and index order, and
+    marks a key or list entry that one side lacks; equal documents yield
+    nothing."""
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).resolve().parent.parent / "tools" / "same_outputs.py"
+    spec = importlib.util.spec_from_file_location("same_outputs", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    a = {"report": {"checks": [{"value": 7.47e-13, "status": "pass"}, {"value": 1}],
+                    "overall": "pass", "dropped": {"near_U": 0}}, "config": {"seed": 0}}
+    b = {"report": {"checks": [{"value": 7.51e-13, "status": "pass"}, {"value": 1.0}, {}],
+                    "overall": "fail", "dropped": {}}, "config": {"seed": 0}}
+    assert list(tool.differing_paths(a, a)) == []
+    assert list(tool.differing_paths(a, b)) == [
+        ("report.checks[0].value", 7.47e-13, 7.51e-13),
+        ("report.checks[1].value", 1, 1.0),
+        ("report.checks[2]", tool._MISSING, {}),
+        ("report.dropped.near_U", 0, tool._MISSING),
+        ("report.overall", "pass", "fail")]
 
 
 def test_layer_timing_tool_on_one_round():

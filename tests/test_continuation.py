@@ -3,18 +3,17 @@ import copy
 import numpy as np
 import pytest
 
-from charvol.continuation import (FOURTH_DIFFERENCE_TOL, QUADRATURE_STEP, ConstraintFamily,
-                                  ContinuationError, DivergenceError, FillingCoefficients,
-                                  FillingError, SingularJacobianError,
-                                  TrackingError, fiber_over, newton_correct, pin_log,
-                                  sample_dense_set, solve_filling,
+from charvol.continuation import (CLOSURE_TOL, FOURTH_DIFFERENCE_TOL, QUADRATURE_STEP,
+                                  ConstraintFamily, ContinuationError, DivergenceError,
+                                  FillingCoefficients, FillingError, SingularJacobianError,
+                                  TrackingError, closure_gap, concatenate_paths, fiber_over,
+                                  newton_correct, pin_log, sample_dense_set, solve_filling,
                                   step_off_complete, track, _twist_key)
 from charvol.locus import eigenvalues, on_U, on_V, traces
 from charvol.poly import CompiledSystem
-from charvol.repvar import (SignTwist, apply_twist, enumerate_twists, gauss_newton,
-                            gauss_newton_lockstep)
+from charvol.repvar import SignTwist, enumerate_twists, gauss_newton, gauss_newton_lockstep
 from charvol.volume import anchored_volume
-from oracles import jacobian_check
+from oracles import apply_twist, jacobian_check
 
 TWO_PI_I = 2j * np.pi
 
@@ -407,16 +406,30 @@ def _loop_draws(problem, complete, count):
 
 
 def _solo_loop(problem, base, family, step):
-    """`track_closed_loop` at `step`, or the TrackingError it raises."""
-    from charvol.continuation import track_closed_loop
+    """The family's loop tracked by itself with `track` at `step`, winding
+    by winding from the endpoint of the last, until its eigenvalue
+    coordinates are within CLOSURE_TOL of base, at most three windings; or
+    the TrackingError that ends it."""
+    loop = None
     try:
-        return track_closed_loop(problem, base, family, first_step=step, max_step=step)
+        for _ in range(3):
+            path = track(problem, base if loop is None else loop.endpoint(), family,
+                         first_step=step, max_step=step)
+            loop = path if loop is None else concatenate_paths(loop, path)
+            gap = closure_gap(base, loop.endpoint())
+            if gap < CLOSURE_TOL:
+                return loop
     except TrackingError as e:
         return e
+    return TrackingError(f"loop failed to close after 2 windings (gap {gap:.2e})")
 
 
 def _assert_same_loop(stacked, solo):
-    """Equal taus, sample counts and rejections, coordinates within 1e-12."""
+    """Equal errors, or equal taus, sample counts and rejections and
+    coordinates within 1e-12."""
+    if isinstance(solo, TrackingError):
+        assert isinstance(stacked, TrackingError) and str(stacked) == str(solo)
+        return
     assert stacked.taus == solo.taus
     assert len(stacked) == len(solo) and stacked.steps_rejected == solo.steps_rejected
     for a, b in zip(stacked.points, solo.points):
@@ -424,14 +437,15 @@ def _assert_same_loop(stacked, solo):
 
 
 @pytest.mark.parametrize("name", ["fig8", "wlink"])
-@pytest.mark.parametrize("step", [1 / 64, 1 / 8])
+@pytest.mark.parametrize("step", [1 / 64, 1 / 8, 0.004])
 def test_stacked_loops_equal_their_solo_tracks(name, step, request):
-    """Each member of a `track_closed_loops` stack gets the path that
-    `track_closed_loop` tracks for it alone, or the same error.  The six
+    """Each member of a `track_closed_loops` stack gets the path that `track`
+    tracks for it alone, winding by winding, or the same error.  The six
     draws include loops that close only after a second winding and, at the
     step 1/8, loops with rejected steps, and draws that fail to close.  A
-    stack that shrinks below STACK_MIN members goes on with `correct`."""
-    from charvol.continuation import track_closed_loops
+    stack that shrinks below STACK_MIN members goes on with `correct`, and
+    a smaller stack has the solo bytes."""
+    from charvol.continuation import track_closed_loop, track_closed_loops
     problem, complete = (request.getfixturevalue(f"{name}_{k}")
                          for k in ("problem", "complete"))
     base, families = _loop_draws(problem, complete, 6)
@@ -439,37 +453,36 @@ def test_stacked_loops_equal_their_solo_tracks(name, step, request):
     solos = [_solo_loop(problem, base, family, step) for family in families]
     assert len(stacked) == len(solos)
     for a, b in zip(stacked, solos):
-        if isinstance(b, TrackingError):
-            assert isinstance(a, TrackingError) and str(a) == str(b)
-        else:
-            _assert_same_loop(a, b)
+        _assert_same_loop(a, b)
     closed = [b for b in solos if not isinstance(b, TrackingError)]
     assert any(b.taus[-1] == pytest.approx(2.0) for b in closed)   # two windings
     assert any(b.steps_rejected for b in closed) == (step == 1 / 8)
-    failed = {("fig8", 1 / 64): [2], ("fig8", 1 / 8): [2],
-              ("wlink", 1 / 64): [], ("wlink", 1 / 8): [0]}[name, step]
+    failed = {("fig8", 1 / 64): [2], ("fig8", 1 / 8): [2], ("fig8", 0.004): [],
+              ("wlink", 1 / 64): [], ("wlink", 1 / 8): [0], ("wlink", 0.004): []}[name, step]
     assert [k for k, a in enumerate(stacked) if isinstance(a, TrackingError)] == failed
     # fewer than STACK_MIN members step with `correct`: the solo bytes
-    for a, b in zip(track_closed_loops(problem, base, families[3:5], step, step), solos[3:5]):
+    pair = track_closed_loops(problem, base, families[3:5], step, step)
+    one = track_closed_loop(problem, base, families[5], step, step)
+    for a, b in zip(pair + [one], solos[3:]):
         assert [p.coords.tobytes() for p in a.points] == [p.coords.tobytes() for p in b.points]
 
 
 def test_a_failing_member_leaves_the_stack_alone(fig8_problem, fig8_complete, monkeypatch):
     """A member that reaches the minimum step, or whose sample lands on V,
-    fails with its own TrackingError; the other members keep their solo
-    tracks."""
+    fails with its own TrackingError in a stack of STACK_MIN members; the
+    other members keep their solo tracks."""
     import charvol.continuation as continuation
     from charvol.continuation import track_closed_loops
-    base, (first, second) = _loop_draws(fig8_problem, fig8_complete, 2)
+    base, draws = _loop_draws(fig8_problem, fig8_complete, continuation.STACK_MIN - 1)
     u0 = base.cusps[0].u - base.cusps[0].base_u
     # the corrector cannot follow a jump of 0.88 in u per step
     far = pin_log(lambda tau: [u0 + tau * (40 + 40j)])
-    stacked = track_closed_loops(fig8_problem, base, [first, far, second], 1 / 64, 1 / 64)
+    stacked = track_closed_loops(fig8_problem, base, [draws[0], far, *draws[1:]], 1 / 64, 1 / 64)
     assert isinstance(stacked[1], TrackingError)
     assert str(stacked[1]).startswith("minimum step reached at tau=0.09")
     assert isinstance(_solo_loop(fig8_problem, base, far, 1 / 64), TrackingError)
-    solos = [_solo_loop(fig8_problem, base, family, 1 / 64) for family in (first, second)]
-    for a, b in zip(stacked[::2], solos):
+    solos = [_solo_loop(fig8_problem, base, family, 1 / 64) for family in draws]
+    for a, b in zip(stacked[:1] + stacked[2:], solos):
         _assert_same_loop(a, b)
     # V seen wherever the meridian trace is the base point's: only the
     # member that stays at the base point reaches it
@@ -477,10 +490,11 @@ def test_a_failing_member_leaves_the_stack_alone(fig8_problem, fig8_complete, mo
     monkeypatch.setattr(continuation, "on_V", lambda pairs, tol=1e-6, moving=None:
                         any(abs(a - trace_m) < 1e-9 for a, _ in pairs))
     still = pin_log(lambda tau: [u0])
-    stacked = track_closed_loops(fig8_problem, base, [first, still, second], 1 / 64, 1 / 64)
+    stacked = track_closed_loops(fig8_problem, base, [draws[0], still, *draws[1:]], 1 / 64,
+                                 1 / 64)
     assert str(stacked[1]) == str(_solo_loop(fig8_problem, base, still, 1 / 64)) == \
         "path crossed V at tau=0.015625"
-    for a, b in zip(stacked[::2], solos):
+    for a, b in zip(stacked[:1] + stacked[2:], solos):
         _assert_same_loop(a, b)
 
 

@@ -5,13 +5,13 @@ import pytest
 
 from charvol.fixtures import fixture_text, load_fixture
 from charvol.manifold import parse_spec
-from charvol.matrices import random_sl2, regauge, numeric_word_matrix, sl2_inverse
+from charvol.matrices import regauge, numeric_word_matrix, sl2_inverse
 from charvol.repvar import (GaugedSystem, NoCompleteStructureError, RepVarError,
-                            apply_twist, enumerate_twists, find_complete,
+                            enumerate_twists, find_complete,
                             gauss_newton_lockstep, irreducibility_defect,
                             least_squares_steps, make_character_point)
 from charvol.locus import on_V, traces
-from oracles import thurston_rank
+from oracles import apply_twist, random_sl2, thurston_rank
 
 
 def test_build_gauged_system_fig8(fig8_system):
@@ -191,7 +191,7 @@ def test_make_character_point_evaluates_once(fig8_system, fig8_complete, block_c
     before = len(block_calls)
     pt = make_character_point(fig8_system, fig8_complete.coords + 1e-3, prev=fig8_complete)
     assert len(block_calls) - before == 1
-    assert pt.residual == fig8_system.residual(pt.coords)
+    assert pt.residual == fig8_system.gauge_residual(fig8_system.compiled.values(pt.coords))
     vals = fig8_system.compiled.values(pt.coords)
     assert np.array_equal(pt.trace_vector(), vals[fig8_system.trace_rows])
     assert np.array_equal([v for c in pt.cusps for v in (c.m, c.l)], vals[fig8_system.ml_rows])

@@ -10,7 +10,8 @@ from charvol.repvar import CharacterPoint, PeripheralState
 from charvol.volume import (VolumeError, anchored_volume, eta_at, integrate_eta,
                             lobachevsky, loop_integral, reference_volume_from_formula,
                             running_integral)
-from oracles import fig8_gluing_volume, lobachevsky_series, make_filling_route_via_detour
+from oracles import (apply_twist, fig8_gluing_volume, lobachevsky_series,
+                     make_filling_route_via_detour, reversed_path)
 
 FIG8_VOLUME = 2.029883212819307
 
@@ -157,7 +158,7 @@ def test_integrate_constant_path(fig8_fillings):
 def test_integral_antisymmetric_under_reversal(fig8_fillings):
     _, _, path = fig8_fillings[0]
     fwd = integrate_eta(path).value
-    rev = integrate_eta(path.reversed()).value
+    rev = integrate_eta(reversed_path(path)).value
     assert abs(fwd + rev) < 1e-9
 
 
@@ -229,7 +230,7 @@ def test_gamma_mirror_leaves_integral_unchanged(fig8_fillings):
 def test_twisted_path_same_volume(fig8_spec, fig8_system, fig8_fillings):
     """Sign twists shift Im(u) by a constant: identical line integrals, so the
     twisted fiber point carries the same anchored volume."""
-    from charvol.repvar import apply_twist, enumerate_twists
+    from charvol.repvar import enumerate_twists
     _, _, path = fig8_fillings[0]
     tw = [t for t in enumerate_twists(fig8_spec) if not t.is_trivial()][0]
     twisted = TrackedPath(
@@ -283,8 +284,7 @@ def test_random_loops_are_exact(fig8_spec, fig8_problem, fig8_complete):
     for _ in range(3):
         family = random_log_loop_targets(base, rng, radius=(0.1, 0.25))
         loop = track_closed_loop(fig8_problem, base, family,
-                                 first_step=0.004, max_step=0.004,
-                                 description="test loop")
+                                 first_step=0.004, max_step=0.004)
         values.append(loop_integral(loop).value)
     assert all(abs(v) < 1e-6 for v in values)
 

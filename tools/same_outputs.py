@@ -9,11 +9,15 @@ working directory, so the report paths printed on stdout match.  The two
 sides must agree on the exit code, stdout, stderr, the set of written
 files, every CSV byte for byte, and every JSON report without its
 `timings` block (`charvol.cli.report_bytes_without_timings` of this
-checkout).  Prints one line per command and exits 1 on any difference.
+checkout).  Prints one line per command, and under a command whose JSON
+reports differ, up to `SHOWN` differing key paths of each report with both
+values (`differing_paths`).  Exits 1 on any difference.
 """
 
 from __future__ import annotations
 
+import itertools
+import json
 import os
 import shlex
 import subprocess
@@ -52,6 +56,11 @@ COMMANDS = [
     "certify --spec nonhyp",
 ]
 
+# the differing key paths shown per JSON report
+SHOWN = 5
+
+_MISSING = object()
+
 
 def outputs(tree: Path, command: str) -> dict:
     """Exit code, stdout, stderr and written files of one command line."""
@@ -77,6 +86,26 @@ def differences(a: dict, b: dict) -> list[str]:
     return out
 
 
+def differing_paths(a, b, path: str = ""):
+    """Yield (key path, value in a, value in b) at each leaf where the JSON
+    documents a and b differ, in key and index order, as in
+    `report.checks[4].value`.  A key or index on one side only yields
+    `_MISSING` for the other."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            yield from differing_paths(a.get(key, _MISSING), b.get(key, _MISSING),
+                                       f"{path}.{key}" if path else key)
+    elif isinstance(a, list) and isinstance(b, list):
+        for i, (x, y) in enumerate(itertools.zip_longest(a, b, fillvalue=_MISSING)):
+            yield from differing_paths(x, y, f"{path}[{i}]")
+    elif a != b or type(a) is not type(b):
+        yield path, a, b
+
+
+def _shown(value) -> str:
+    return "(missing)" if value is _MISSING else repr(value)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) < 2:
         print(__doc__.strip(), file=sys.stderr)
@@ -85,10 +114,16 @@ def main(argv: list[str]) -> int:
     commands = argv[2:] or COMMANDS
     failed = 0
     for command in commands:
-        diff = differences(outputs(parent, command), outputs(change, command))
+        a, b = outputs(parent, command), outputs(change, command)
+        diff = differences(a, b)
         failed += bool(diff)
         print(f"{'DIFFERS' if diff else 'same'}  {command}"
               + (f"  ({', '.join(diff)})" if diff else ""), flush=True)
+        for name in diff:
+            if name.endswith(".json"):
+                paths = differing_paths(json.loads(a["files"][name]), json.loads(b["files"][name]))
+                for key, x, y in itertools.islice(paths, SHOWN):
+                    print(f"    {name} {key}: {_shown(x)} vs {_shown(y)}", flush=True)
     print(f"{failed} of {len(commands)} command lines differ")
     return 1 if failed else 0
 
